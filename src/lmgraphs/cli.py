@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Boolean queries exit 0 when the answer is yes and 1 when it is no, so the
-tool composes in shell pipelines; usage and parse problems exit 2. Reports
+tool composes in shell pipelines; usage and parse problems, refused limits
+and internal faults exit 2. Reports
 are deterministic in both text and JSON form; JSON reports follow the fixed
 key order query, graph, result, witness, counterexample.
 """
@@ -26,7 +27,7 @@ from .independence import (
     pairwise_model,
     parse_statement,
 )
-from .separation import find_m_connecting_path, m_separated
+from .separation import find_m_connecting_path, m_connecting_path_exists, m_separated
 from .structure import (
     classify,
     find_primitive_inducing_paths,
@@ -120,14 +121,10 @@ def _cmd_msep(args) -> tuple[int, Report]:
     separated = m_separated(graph, a, b, c)
     rep.result(separated, "separated" if separated else "connected")
     if not separated:
-        for x in sorted(a):
-            for y in sorted(b):
-                path = find_m_connecting_path(graph, x, y, c)
-                if path is not None:
-                    rep.witness(str(path), [f"witness: {path}"])
-                    break
-            if "witness" in rep.payload:
-                break
+        pairs = ((x, y) for x in sorted(a) for y in sorted(b))
+        x, y = next((x, y) for x, y in pairs if m_connecting_path_exists(graph, x, y, c))
+        path = find_m_connecting_path(graph, x, y, c)
+        rep.witness(str(path), [f"witness: {path}"])
     return (OK if separated else NO), rep
 
 
@@ -253,15 +250,11 @@ def _base_model(graph: MixedGraph, source: str, limit: Optional[int]) -> Indepen
     return enumerate_model(graph, limit=limit)
 
 
-def _closure_limit(graph: MixedGraph, limit: Optional[int]) -> int:
-    return limit if limit is not None else max(len(graph.nodes), 5)
-
-
 def _cmd_closure(args) -> tuple[int, Report]:
     graph = _load(args.graph)
     axioms = AXIOM_SETS[args.set]
     base = _base_model(graph, getattr(args, "from"), args.limit)
-    closed = closure(base, axioms, limit=_closure_limit(graph, args.limit))
+    closed = closure(base, axioms, limit=args.limit)
     rep = Report(
         {"command": "closure", "set": args.set, "from": getattr(args, "from")},
         args.graph,
@@ -280,7 +273,7 @@ def _cmd_axioms(args) -> tuple[int, Report]:
         target = parse_statement(args.check_contains)
         axioms = AXIOM_SETS[args.set]
         base = _base_model(graph, getattr(args, "from"), args.limit)
-        closed = closure(base, axioms, limit=_closure_limit(graph, args.limit))
+        closed = closure(base, axioms, limit=args.limit)
         contained = target in closed
         rep = Report(
             {
@@ -452,10 +445,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.handler(args)
+        text = report.render(args.format)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    sys.stdout.write(report.render(args.format))
+    except Exception as exc:  # an internal fault must not read as a "no" (exit 1)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return USAGE
+    sys.stdout.write(text)
     return code
 
 

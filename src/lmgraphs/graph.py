@@ -15,6 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -41,8 +42,6 @@ EDGE_OPS = {
     (Mark.HEAD, Mark.TAIL): "<-",
     (Mark.HEAD, Mark.HEAD): "<->",
 }
-
-_KIND_RANK = {EdgeKind.LINE: 0, EdgeKind.ARROW: 1, EdgeKind.ARC: 2}
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,62 @@ def _edge_from_spec(a: str, op: str, b: str, key: int) -> Edge:
     raise GraphError(f"unknown edge operator {op!r}")
 
 
+class CompiledGraph:
+    """Integer form of a graph for the search kernels, built once per graph.
+
+    Nodes are numbered in label order. ``parents[v]`` lists the tails of
+    arrows into v. ``adjacency[v]``, built on first use since ancestry alone
+    does not need it, holds one ``(w, head_at_v, head_at_w, edge)`` entry per
+    edge at v, in the deterministic order (neighbour label, canonical form,
+    key) that every depth-first search uses. Everything here is O(n + m).
+    """
+
+    def __init__(self, graph: "MixedGraph"):
+        self.labels = graph.node_list()
+        self.index = index = {n: k for k, n in enumerate(self.labels)}
+        self._edges = graph.edges
+        parents: list[set[int]] = [set() for _ in self.labels]
+        for e in graph.edges:
+            if e.kind is EdgeKind.ARROW and not e.is_loop():
+                parents[index[e.target]].add(index[e.source])
+        self.parents = tuple(tuple(p) for p in parents)
+        ends = graph.line_endpoints()
+        self.anterior = not any(
+            (e.mark_a is Mark.HEAD and e.a in ends) or (e.mark_b is Mark.HEAD and e.b in ends)
+            for e in graph.edges
+        )
+        self.loopless = not any(e.is_loop() for e in graph.edges)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, bool, bool, Edge], ...], ...]:
+        index = self.index
+        rows: list[list[tuple]] = [[] for _ in self.labels]
+        for e in self._edges:
+            a, b = index[e.a], index[e.b]
+            head_a, head_b = e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD
+            rank = (e.canonical(), e.key)
+            rows[a].append((b, rank, head_a, head_b, e))
+            if a != b:
+                rows[b].append((a, rank, head_b, head_a, e))
+        # (neighbour, canonical form, key) is unique within a row, so the
+        # tuples sort without comparing their edges.
+        return tuple(
+            tuple((w, head_v, head_w, e) for w, _, head_v, head_w, e in sorted(row))
+            for row in rows
+        )
+
+    def ancestors(self, targets: Iterable[int]) -> set[int]:
+        """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""
+        result: set[int] = set()
+        stack = [p for t in targets for p in self.parents[t]]
+        while stack:
+            v = stack.pop()
+            if v not in result:
+                result.add(v)
+                stack.extend(self.parents[v])
+        return result
+
+
 class MixedGraph:
     """A labeled mixed multigraph over string node labels."""
 
@@ -165,6 +220,16 @@ class MixedGraph:
         self._require(node)
         return tuple(self._incidence[node])
 
+    def sorted_edges_at(self, node: str) -> tuple[Edge, ...]:
+        """Edges at ``node`` in the order depth-first searches explore them:
+        by neighbour label, then canonical form, then key."""
+        return tuple(e for *_, e in self.compiled.adjacency[self._position(node)])
+
+    @cached_property
+    def compiled(self) -> CompiledGraph:
+        """The integer form of this graph, built on first use."""
+        return CompiledGraph(self)
+
     def edges_between(self, u: str, v: str) -> tuple[Edge, ...]:
         self._require(u)
         self._require(v)
@@ -176,6 +241,11 @@ class MixedGraph:
     def _require(self, node: str) -> None:
         if node not in self._nodes:
             raise GraphError(f"unknown node {node!r}")
+
+    def _position(self, node: str) -> int:
+        """Index of a known node in the compiled form."""
+        self._require(node)
+        return self.compiled.index[node]
 
     def is_loopless(self) -> bool:
         return not any(e.is_loop() for e in self._edges)
@@ -207,12 +277,7 @@ class MixedGraph:
 
     def parents(self, node: str) -> set[str]:
         """Nodes j with an arrow j -> node."""
-        self._require(node)
-        return {
-            e.other(node)
-            for e in self._incidence[node]
-            if e.kind is EdgeKind.ARROW and e.target == node and not e.is_loop()
-        }
+        return {self.compiled.labels[p] for p in self.compiled.parents[self._position(node)]}
 
     def children(self, node: str) -> set[str]:
         self._require(node)
@@ -240,18 +305,8 @@ class MixedGraph:
         A target is excluded from the result unless it lies on a directed
         cycle back to itself.
         """
-        result: set[str] = set()
-        stack: list[str] = []
-        for t in targets:
-            self._require(t)
-            stack.extend(self.parents(t))
-        while stack:
-            v = stack.pop()
-            if v in result:
-                continue
-            result.add(v)
-            stack.extend(self.parents(v))
-        return result
+        found = self.compiled.ancestors([self._position(t) for t in targets])
+        return {self.compiled.labels[v] for v in found}
 
     def descendants(self, sources: Iterable[str]) -> set[str]:
         result: set[str] = set()
@@ -283,13 +338,7 @@ class MixedGraph:
 
     def is_anterior(self) -> bool:
         """True when no arrowhead points at the endpoint of a line."""
-        ends = self.line_endpoints()
-        for e in self._edges:
-            if (e.mark_a is Mark.HEAD and e.a in ends) or (
-                e.mark_b is Mark.HEAD and e.b in ends
-            ):
-                return False
-        return True
+        return self.compiled.anterior
 
     def anterior_graph(self, rng: Optional[random.Random] = None) -> "MixedGraph":
         """Fixpoint of removing arrowheads that point at endpoints of lines.

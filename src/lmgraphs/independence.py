@@ -386,17 +386,19 @@ def is_compositional_graphoid(model: IndependenceModel) -> bool:
 def closure(
     model: IndependenceModel,
     axioms: Iterable[Axiom],
-    limit: int = CLOSURE_LIMIT,
+    limit: Optional[int] = None,
 ) -> IndependenceModel:
     """Least fixpoint of the model under the chosen inference rules, over all
     disjoint triples of the ground set.
 
+    Refuses ground sets larger than ``limit`` nodes (default CLOSURE_LIMIT).
     Two-antecedent rules only ever pair statements sharing their first
     component, so candidates are bucketed by it.
     """
-    if len(model.ground_set) > limit:
+    cap = CLOSURE_LIMIT if limit is None else limit
+    if len(model.ground_set) > cap:
         raise GraphError(
-            f"closure limit exceeded: {len(model.ground_set)} nodes > {limit}"
+            f"closure limit exceeded: {len(model.ground_set)} nodes > {cap}"
         )
     rules = frozenset(axioms)
     have: set[tuple[frozenset, frozenset, frozenset]] = set()

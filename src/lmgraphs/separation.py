@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
-from .graph import Edge, GraphError, MixedGraph, Path, combine_paths, path_in_graph
+from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, combine_paths, path_in_graph
 
 DEFAULT_ORACLE_LIMIT = 8
 
@@ -42,124 +42,75 @@ class SeparationQuery:
         return SeparationQuery(frozenset(a), frozenset(b), frozenset(c))
 
 
-def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> None:
-    graph.require_loopless()
-    for n in (x, y, *given):
+def _compiled_for(graph: MixedGraph, nodes: Iterable[str]) -> CompiledGraph:
+    """The compiled graph, once the graph is loopless and has every node."""
+    compiled = graph.compiled
+    if not compiled.loopless:
+        graph.require_loopless()
+    for n in nodes:
         if n not in graph.nodes:
             raise GraphError(f"unknown node {n!r}")
+    return compiled
+
+
+def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> CompiledGraph:
+    compiled = _compiled_for(graph, (x, y, *given))
     if x == y:
         raise GraphError("endpoints of a separation query must differ")
     if x in given or y in given:
         raise GraphError("query endpoints may not appear in the conditioning set")
+    return compiled
 
 
-def _walk_reach(
-    graph: MixedGraph,
-    x: str,
-    open_colliders: frozenset[str],
-    c: frozenset[str],
-    stop_at: Optional[str],
-) -> set[str]:
-    """Mark-state walk reachability: nodes with an m-connecting walk from x.
+def _reach(
+    compiled: CompiledGraph, sources: Iterable[int], c: set[int], stop: Container[int] = ()
+) -> set[int]:
+    """Indices joined to some source by an m-connecting path given C; returns
+    as soon as it reaches a node in ``stop``.
 
-    States are (node, arrived-with-arrowhead); a walk may leave a node over
-    an edge when the node, acting as collider between the arriving and
-    departing marks, lies in C or its ancestor closure, or, acting as
-    non-collider, lies outside C. Walks may revisit nodes, so this is only
-    used on anterior graphs, where a connecting walk can always be cut down
-    to a connecting path.
+    Breadth-first over mark states: a state leaves v over an edge when v, as
+    collider of the two marks, lies in C or an(C), or, as non-collider, lies
+    outside C. On anterior graphs the state is (node, arrived-with-arrowhead).
+    Elsewhere a walk may bounce off a line below a collider and fake a
+    connection, so the state also carries the visited nodes as a bit mask
+    (exponential in the worst case). One pass from all sources is exact: a
+    state's future does not depend on where its path began.
     """
-    reached: set[str] = set()
-    seen: set[tuple[str, bool]] = set()
-    queue: deque[tuple[str, bool]] = deque()
-
-    def arrive(w: str, head: bool) -> None:
-        reached.add(w)
-        state = (w, head)
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-
-    for e in graph.edges_at(x):
-        arrive(e.other(x), e.head_at(e.other(x)))
-        if stop_at is not None and stop_at in reached:
-            return reached
-    while queue:
-        v, head_in = queue.popleft()
-        for e in graph.edges_at(v):
-            head_out = e.head_at(v)
-            if head_in and head_out:
-                if v not in open_colliders:
-                    continue
-            elif v in c:
-                continue
-            w = e.other(v)
-            arrive(w, e.head_at(w))
-            if stop_at is not None and stop_at in reached:
-                return reached
-    return reached
-
-
-def _path_reach(
-    graph: MixedGraph,
-    x: str,
-    open_colliders: frozenset[str],
-    c: frozenset[str],
-    stop_at: Optional[str],
-) -> set[str]:
-    """Simple-path reachability: the walk state is extended with the set of
-    visited nodes, so revisits are impossible and the search is exact for
-    paths on any loopless mixed graph. Exponential in the worst case, meant
-    for desk-scale graphs.
-    """
-    bit = {n: 1 << k for k, n in enumerate(graph.node_list())}
-    reached: set[str] = set()
-    seen: set[tuple[str, int, bool]] = set()
-    queue: deque[tuple[str, int, bool]] = deque()
-
-    def arrive(w: str, mask: int, head: bool) -> None:
-        reached.add(w)
-        state = (w, mask | bit[w], head)
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-
-    for e in graph.edges_at(x):
-        arrive(e.other(x), bit[x], e.head_at(e.other(x)))
-        if stop_at is not None and stop_at in reached:
-            return reached
+    open_colliders = c | compiled.ancestors(c)
+    adjacency = compiled.adjacency
+    simple = not compiled.anterior
+    reached: set[int] = set()
+    seen: set[tuple[int, int, bool]] = set()
+    queue = deque([(s, 1 << s if simple else 0, None) for s in sources])
     while queue:
         v, mask, head_in = queue.popleft()
-        for e in graph.edges_at(v):
-            head_out = e.head_at(v)
-            if head_in and head_out:
-                if v not in open_colliders:
-                    continue
-            elif v in c:
+        if head_in is None:  # a source: no inner-node condition
+            pass_head = pass_tail = True
+        else:
+            pass_tail = v not in c
+            pass_head = v in open_colliders if head_in else pass_tail
+        for w, head_v, head_w, _ in adjacency[v]:
+            if not (pass_head if head_v else pass_tail) or mask >> w & 1:
                 continue
-            w = e.other(v)
-            if mask & bit[w]:
-                continue
-            arrive(w, mask, e.head_at(w))
-            if stop_at is not None and stop_at in reached:
+            reached.add(w)
+            if w in stop:
                 return reached
+            state = (w, mask | 1 << w if simple else 0, head_w)
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
     return reached
 
 
 def _m_reachable(
     graph: MixedGraph, x: str, c: frozenset[str], stop_at: Optional[str] = None
 ) -> set[str]:
-    """All nodes joined to x by an m-connecting path given C.
-
-    On anterior graphs walk reachability is exact and cheap (two states per
-    node); elsewhere walks can fake connections that no simple path realizes
-    (a walk may bounce off a line below a collider and return with a plain
-    tail), so the visited-set variant is used instead.
-    """
-    open_colliders = c | graph.ancestors(c)
-    if graph.is_anterior():
-        return _walk_reach(graph, x, open_colliders, c, stop_at)
-    return _path_reach(graph, x, open_colliders, c, stop_at)
+    """All nodes joined to x by an m-connecting path given C."""
+    compiled = graph.compiled
+    index = compiled.index
+    stop = () if stop_at is None else (index[stop_at],)
+    found = _reach(compiled, [index[x]], {index[n] for n in c}, stop)
+    return {compiled.labels[v] for v in found}
 
 
 def m_connecting_path_exists(
@@ -177,17 +128,18 @@ def m_separated(
     b: Iterable[str],
     c: Iterable[str] = (),
 ) -> bool:
-    """True when no pair i in A, j in B is m-connected given C.
+    """True when no node of A is m-connected to a node of B given C.
 
-    The reduction to singleton pairs is licensed by decomposition and
-    composition of the induced independence model.
+    One search from all of A at once, stopping at the first node of B: any
+    connected pair i in A, j in B is found, and the reduction to such pairs
+    is licensed by decomposition and composition of the induced model.
     """
     query = SeparationQuery.of(a, b, c)
-    for i in sorted(query.a):
-        for j in sorted(query.b):
-            if m_connecting_path_exists(graph, i, j, query.c):
-                return False
-    return True
+    compiled = _compiled_for(graph, sorted(query.a | query.b | query.c))
+    index = compiled.index
+    targets = {index[n] for n in query.b}
+    sources = [index[n] for n in query.a]
+    return _reach(compiled, sources, {index[n] for n in query.c}, targets).isdisjoint(targets)
 
 
 def is_m_connecting_path(
@@ -212,17 +164,13 @@ def is_m_connecting_path(
 
 def _simple_paths(graph: MixedGraph, x: str, y: str) -> Iterable[Path]:
     """All simple paths from x to y, parallel edges kept distinct."""
-
-    def edge_order(e: Edge, at: str):
-        return (e.other(at), e.canonical(), e.key)
-
     stack_nodes: list[str] = [x]
     stack_edges: list[Edge] = []
     visited: set[str] = {x}
 
     def walk() -> Iterable[Path]:
         here = stack_nodes[-1]
-        for e in sorted(graph.edges_at(here), key=lambda e: edge_order(e, here)):
+        for e in graph.sorted_edges_at(here):
             w = e.other(here)
             if w == y:
                 yield Path(tuple(stack_nodes) + (y,), tuple(stack_edges) + (e,))
@@ -271,38 +219,39 @@ def find_m_connecting_path(
 ) -> Optional[Path]:
     """Return a concrete m-connecting witness path, or None.
 
-    Depth-first search over simple paths, pruning a partial path as soon as
-    its newest inner node violates the predicate. Deterministic: edges are
-    explored in sorted order, so the same witness is returned every run.
+    Depth-first search over simple paths with an explicit stack, pruning a
+    partial path as soon as its newest inner node violates the predicate.
+    Deterministic: edges are explored in ``MixedGraph.sorted_edges_at``
+    order, so the same witness is returned every run. Exponential in the
+    worst case; ``m_connecting_path_exists`` answers the yes/no question in
+    linear time on anterior graphs.
     """
     c = frozenset(given)
-    _check_pair(graph, x, y, c)
-    open_colliders = c | graph.ancestors(c)
-
-    def ok_inner(prev: Edge, v: str, nxt: Edge) -> bool:
-        if prev.head_at(v) and nxt.head_at(v):
-            return v in open_colliders
-        return v not in c
-
-    def edge_order(e: Edge, at: str):
-        return (e.other(at), e.canonical(), e.key)
-
-    def extend(nodes: list[str], edges: list[Edge], visited: set[str]) -> Optional[Path]:
-        here = nodes[-1]
-        for e in sorted(graph.edges_at(here), key=lambda e: edge_order(e, here)):
-            if edges and not ok_inner(edges[-1], here, e):
+    compiled = _check_pair(graph, x, y, c)
+    index, adjacency, labels = compiled.index, compiled.adjacency, compiled.labels
+    c_idx = {index[n] for n in c}
+    open_colliders = c_idx | compiled.ancestors(c_idx)
+    source, target = index[x], index[y]
+    # One frame per path node: (node, arrowhead on the edge in, edge in, edges left).
+    stack = [(source, False, None, iter(adjacency[source]))]
+    on_path = {source}
+    while stack:
+        here, head_in, _, options = stack[-1]
+        for w, head_here, head_w, e in options:
+            if here != source and not (
+                here in open_colliders if head_in and head_here else here not in c_idx
+            ):
                 continue
-            w = e.other(here)
-            if w == y:
-                return Path(tuple(nodes) + (y,), tuple(edges) + (e,))
-            if w in visited:
-                continue
-            found = extend(nodes + [w], edges + [e], visited | {w})
-            if found is not None:
-                return found
-        return None
-
-    return extend([x], [], {x})
+            if w == target:
+                nodes = tuple(labels[f[0]] for f in stack) + (y,)
+                return Path(nodes, tuple(f[2] for f in stack[1:]) + (e,))
+            if w not in on_path:
+                on_path.add(w)
+                stack.append((w, head_w, e, iter(adjacency[w])))
+                break
+        else:
+            on_path.discard(stack.pop()[0])
+    return None
 
 
 def combine_m_connecting(

@@ -103,12 +103,9 @@ def find_primitive_inducing_paths(
     allowed = graph.ancestors([x, y])
     results: list[Path] = []
 
-    def edge_order(e: Edge, at: str):
-        return (e.other(at), e.canonical(), e.key)
-
     def extend(nodes: list[str], edges: list[Edge], visited: set[str]) -> bool:
         here = nodes[-1]
-        for e in sorted(graph.edges_at(here), key=lambda e: edge_order(e, here)):
+        for e in graph.sorted_edges_at(here):
             if edges:
                 if not (edges[-1].head_at(here) and e.head_at(here)):
                     continue

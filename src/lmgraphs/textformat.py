@@ -10,6 +10,7 @@ graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .graph import Edge, EdgeKind, GraphError, Mark, MixedGraph, _edge_from_spec
@@ -34,15 +35,22 @@ class GraphDocument:
     edge_lines: list[int] = field(default_factory=list)
 
 
+def _column(line: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token, for errors."""
+    return [m.start() for m in re.finditer(r"\S+", line)][k] + 1
+
+
 def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
     nodes: list[str] = []
     node_lines: dict[str, int] = {}
     edge_specs: list[tuple[str, str, str]] = []
     edge_lines: list[int] = []
 
-    def declare(label: str, line_no: int, column: int) -> None:
+    def declare(label: str, line_no: int, line: str, k: int) -> None:
         if label in _EDGE_OPS or label == "node":
-            raise ParseError(f"{label!r} cannot be used as a node label", line_no, column)
+            raise ParseError(
+                f"{label!r} cannot be used as a node label", line_no, _column(line, k)
+            )
         if label not in node_lines:
             nodes.append(label)
             node_lines[label] = line_no
@@ -56,8 +64,8 @@ def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
             if len(tokens) != 2:
                 raise ParseError("expected: node <label>", line_no, 1)
             if tokens[1] in node_lines:
-                raise ParseError(f"duplicate node {tokens[1]!r}", line_no, 1)
-            declare(tokens[1], line_no, raw.index(tokens[1]) + 1)
+                raise ParseError(f"duplicate node {tokens[1]!r}", line_no, _column(line, 1))
+            declare(tokens[1], line_no, line, 1)
             continue
         if len(tokens) != 3:
             raise ParseError(
@@ -67,15 +75,13 @@ def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
             )
         left, op, right = tokens
         if op not in _EDGE_OPS:
-            raise ParseError(
-                f"unknown edge operator {op!r}", line_no, raw.index(op) + 1
-            )
+            raise ParseError(f"unknown edge operator {op!r}", line_no, _column(line, 1))
         if left == right and not allow_loops:
             raise ParseError(
-                f"loop edge at {left!r} (pass allow_loops to accept)", line_no, 1
+                f"loop edge at {left!r} (pass allow_loops to accept)", line_no, _column(line, 0)
             )
-        declare(left, line_no, raw.index(left) + 1)
-        declare(right, line_no, 1)
+        declare(left, line_no, line, 0)
+        declare(right, line_no, line, 2)
         edge_specs.append((left, op, right))
         edge_lines.append(line_no)
 

@@ -63,6 +63,54 @@ class TestMsep:
         assert "error:" in err
 
 
+    def test_witness_comes_from_first_connected_pair(self, capsys, tmp_path):
+        graph = tmp_path / "two.lmg"
+        graph.write_text("a -> x\nb -> c\n")
+        code, out, _ = run(capsys, "msep", str(graph), "--a", "a,b", "--b", "c")
+        assert code == 1
+        assert "witness: b -> c" in out
+
+    def test_long_arrow_chain_gets_a_witness(self, capsys, tmp_path):
+        # The witness search used to recurse once per node and overflow the
+        # interpreter stack on this chain.
+        labels = [f"c{k:04d}" for k in range(1501)]
+        chain = tmp_path / "chain.lmg"
+        chain.write_text("".join(f"{u} -> {v}\n" for u, v in zip(labels, labels[1:])))
+        code, out, err = run(
+            capsys, "msep", str(chain), "--a", labels[0], "--b", labels[-1],
+            "--format", "json",
+        )
+        assert code == 1, err
+        report = json.loads(out)
+        assert report["result"] is False
+        assert report["witness"] == " -> ".join(labels)
+
+
+class TestExitCodes:
+    def test_internal_error_exits_two_not_one(self, capsys, monkeypatch):
+        import lmgraphs.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_msep", broken)
+        code, out, err = run(capsys, "msep", figure_path("fig3"), "--a", "i", "--b", "j")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "RuntimeError: boom" in err
+
+    def test_closure_limit_applies_unless_overridden(self, capsys, tmp_path):
+        path = tmp_path / "bipath7.lmg"
+        labels = "abcdefg"
+        path.write_text("".join(f"{u} <-> {v}\n" for u, v in zip(labels, labels[1:])))
+        code, out, err = run(capsys, "closure", str(path))
+        assert code == 2 and out == ""
+        assert "closure limit exceeded: 7 nodes > 5" in err
+        code, out, _ = run(capsys, "closure", str(path), "--limit", "7")
+        assert code == 0
+        assert "statement: {a} _||_ {c} | {}" in out
+
+
 class TestAnterior:
     def test_fig2a_document_matches_fig2b(self, capsys):
         code, out, _ = run(capsys, "anterior", figure_path("fig2a"))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from lmgraphs import (
     CorpusSpec,
+    EdgeKind,
     GraphError,
     build_graph,
     combine_m_connecting,
@@ -21,6 +22,11 @@ from lmgraphs import (
     oracle_m_separated,
 )
 from strategies import lmgs
+
+try:
+    import networkx as nx
+except ImportError:  # the cross-check below is skipped without it
+    nx = None
 
 
 def all_singleton_queries(g):
@@ -138,6 +144,26 @@ class TestEngineOracleAgreement:
                     star, [x], [y], c
                 )
 
+    def test_set_queries(self):
+        # m_separated answers a set query with one search from all of A;
+        # the oracle tries every pair. Non-anterior graphs included.
+        corpus = generate_corpus(
+            CorpusSpec(count=120, nodes=(4, 6), p_multi=0.2, seed=4321)
+        )
+        rng = random.Random(4321)
+        outcomes = set()
+        for g in corpus:
+            nodes = g.node_list()
+            for _ in range(8):
+                pick = rng.sample(nodes, rng.randint(2, len(nodes)))
+                na = rng.randint(1, len(pick) - 1)
+                nb = rng.randint(1, len(pick) - na)
+                a, b, c = pick[:na], pick[na : na + nb], pick[na + nb :]
+                answer = m_separated(g, a, b, c)
+                assert answer == oracle_m_separated(g, a, b, c), (g, a, b, c)
+                outcomes.add((answer, g.is_anterior(), len(a) > 1 or len(b) > 1))
+        assert len(outcomes) == 8
+
     def test_fig4a_walk_path_divergence_is_handled(self, figures):
         # Walks can bounce off the line below the collider and fake a
         # connection between h and j; the engine must not fall for it.
@@ -247,3 +273,68 @@ class TestModelsViaOracle:
                     expected.add((frozenset([a]), frozenset([b]), c))
         got = {(s.a, s.b, s.c) for s in engine_model.statements}
         assert got == expected
+
+
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
+class TestDSeparationCrossCheck:
+    """m_separated against networkx d-separation on graphs far past the path
+    oracle's reach. On a DAG m-separation is d-separation; on an ADMG it is
+    d-separation in the canonical DAG, which gives every arc its own latent
+    parent."""
+
+    @staticmethod
+    def sparse_admg(rng, n, arcs):
+        order = [f"v{k:03d}" for k in range(n)]
+        rng.shuffle(order)
+        edges = []
+        for i in range(1, n):
+            for p in rng.sample(range(max(0, i - 25), i), min(i, rng.choice((0, 1, 2, 3)))):
+                edges.append((order[p], "->", order[i]))
+        pairs = set()
+        while len(pairs) < arcs:
+            i, j = sorted(rng.sample(range(n), 2))
+            if j - i <= 20:
+                pairs.add((order[i], order[j]))
+        edges += [(x, "<->", y) for x, y in sorted(pairs)]
+        return build_graph(sorted(order), edges)
+
+    @staticmethod
+    def canonical_dag(g):
+        dag = nx.DiGraph()
+        dag.add_nodes_from(g.nodes)
+        for k, e in enumerate(g.edges):
+            if e.kind is EdgeKind.ARROW:
+                dag.add_edge(e.source, e.target)
+            else:
+                dag.add_edges_from([(f"latent{k}", e.a), (f"latent{k}", e.b)])
+        return dag
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("arcs", [0, 15])
+    def test_agrees_with_networkx(self, n, arcs):
+        rng = random.Random(n * 100 + arcs)
+        g = self.sparse_admg(rng, n, arcs * n // 50)
+        dag = self.canonical_dag(g)
+        assert nx.is_directed_acyclic_graph(dag)
+        nodes = g.node_list()
+        outcomes = []
+        for k in range(60):
+            if k % 2:
+                # A local Markov query: x given its parents, against some of
+                # its non-descendants; separated when x has no arcs.
+                x = rng.choice(nodes)
+                parents = set(dag.predecessors(x))
+                others = sorted(set(nodes) - {x} - parents - nx.descendants(dag, x))
+                if not others:
+                    continue
+                a, b = [x], rng.sample(others, min(len(others), rng.randint(1, 3)))
+                c = sorted(parents & g.nodes)
+            else:
+                pick = rng.sample(nodes, 6 + 12)
+                a = pick[: rng.randint(1, 3)]
+                b = pick[3 : 3 + rng.randint(1, 3)]
+                c = pick[6 : 6 + rng.randint(0, 12)]
+            want = nx.is_d_separator(dag, set(a), set(b), set(c))
+            assert m_separated(g, a, b, c) == want, (a, b, c)
+            outcomes.append(want)
+        assert any(outcomes) and not all(outcomes)

@@ -59,6 +59,24 @@ def test_syntax_errors_carry_positions():
     assert err.line == 2 and err.column == 3
 
 
+def test_bad_right_label_reports_its_own_column():
+    with pytest.raises(ParseError, match="cannot be used") as info:
+        parse_graph("a -> b\nab  -> <->\n")
+    assert (info.value.line, info.value.column) == (2, 8)
+
+
+def test_repeated_token_reports_its_own_column():
+    # The operator text also occurs inside the left label, and "node" is
+    # both the keyword and the rejected label: each error points at the
+    # offending token, not at the text's first occurrence on the line.
+    with pytest.raises(ParseError, match="operator") as info:
+        parse_graph("a=>b => c\n")
+    assert info.value.column == 6
+    with pytest.raises(ParseError, match="cannot be used") as info:
+        parse_graph("  node node\n")
+    assert info.value.column == 8
+
+
 def test_reverse_arrow_is_not_grammar():
     with pytest.raises(ParseError, match="operator"):
         parse_graph("a <- b\n")
