@@ -125,13 +125,14 @@ def _edge_from_spec(a: str, op: str, b: str, key: int) -> Edge:
 
 
 class CompiledGraph:
-    """Integer form of a graph for the search kernels, built once per graph.
+    """Integer form of a graph, the only adjacency it has, built once per graph.
 
-    Nodes are numbered in label order. ``parents[v]`` lists the tails of
-    arrows into v. ``adjacency[v]``, built on first use since ancestry alone
-    does not need it, holds one ``(w, head_at_v, head_at_w, edge)`` entry per
-    edge at v, in the deterministic order (neighbour label, canonical form,
-    key) that every depth-first search uses. Everything here is O(n + m).
+    Nodes are numbered in label order. ``parents[v]`` and ``children[v]`` list
+    the tails of arrows into v and the heads of arrows out of v.
+    ``adjacency[v]``, built on first use since ancestry alone does not need
+    it, holds one ``(w, head_at_v, head_at_w, edge)`` entry per edge at v, in
+    the deterministic order (neighbour label, canonical form, key) that every
+    search and every edge listing uses. Everything here is O(n + m).
     """
 
     def __init__(self, graph: "MixedGraph"):
@@ -139,10 +140,14 @@ class CompiledGraph:
         self.index = index = {n: k for k, n in enumerate(self.labels)}
         self._edges = graph.edges
         parents: list[set[int]] = [set() for _ in self.labels]
+        children: list[set[int]] = [set() for _ in self.labels]
         for e in graph.edges:
             if e.kind is EdgeKind.ARROW and not e.is_loop():
-                parents[index[e.target]].add(index[e.source])
+                s, t = index[e.source], index[e.target]
+                parents[t].add(s)
+                children[s].add(t)
         self.parents = tuple(tuple(p) for p in parents)
+        self.children = tuple(tuple(c) for c in children)
         ends = graph.line_endpoints()
         self.anterior = not any(
             (e.mark_a is Mark.HEAD and e.a in ends) or (e.mark_b is Mark.HEAD and e.b in ends)
@@ -170,23 +175,32 @@ class CompiledGraph:
 
     def ancestors(self, targets: Iterable[int]) -> set[int]:
         """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""
-        result: set[int] = set()
-        stack = [p for t in targets for p in self.parents[t]]
-        while stack:
-            v = stack.pop()
-            if v not in result:
-                result.add(v)
-                stack.extend(self.parents[v])
-        return result
+        return _closure(self.parents, targets)
+
+    def descendants(self, sources: Iterable[int]) -> set[int]:
+        """Union of de(s) over the sources, by index; see MixedGraph.descendants."""
+        return _closure(self.children, sources)
+
+
+def _closure(step: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
+    """Nodes reached from the starts in one or more steps; a start is
+    included only when it reaches itself."""
+    result: set[int] = set()
+    stack = [w for s in starts for w in step[s]]
+    while stack:
+        v = stack.pop()
+        if v not in result:
+            result.add(v)
+            stack.extend(step[v])
+    return result
 
 
 class MixedGraph:
     """A labeled mixed multigraph over string node labels."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge] = ()):
-        node_list = list(nodes)
         seen: set[str] = set()
-        for n in node_list:
+        for n in nodes:
             if not n:
                 raise GraphError("empty node label")
             if n in seen:
@@ -199,11 +213,6 @@ class MixedGraph:
                 raise GraphError(f"unknown endpoint label in edge {e}")
             rekeyed.append(Edge(e.a, e.b, e.mark_a, e.mark_b, k))
         self._edges = tuple(rekeyed)
-        self._incidence: dict[str, list[Edge]] = {n: [] for n in node_list}
-        for e in self._edges:
-            self._incidence[e.a].append(e)
-            if e.b != e.a:
-                self._incidence[e.b].append(e)
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -217,13 +226,9 @@ class MixedGraph:
         return sorted(self._nodes)
 
     def edges_at(self, node: str) -> tuple[Edge, ...]:
-        self._require(node)
-        return tuple(self._incidence[node])
-
-    def sorted_edges_at(self, node: str) -> tuple[Edge, ...]:
-        """Edges at ``node`` in the order depth-first searches explore them:
-        by neighbour label, then canonical form, then key."""
-        return tuple(e for *_, e in self.compiled.adjacency[self._position(node)])
+        """Edges at ``node`` in the order every search explores them: by
+        neighbour label, then canonical form, then key."""
+        return tuple(e for *_, e in self._row(node))
 
     @cached_property
     def compiled(self) -> CompiledGraph:
@@ -231,9 +236,8 @@ class MixedGraph:
         return CompiledGraph(self)
 
     def edges_between(self, u: str, v: str) -> tuple[Edge, ...]:
-        self._require(u)
-        self._require(v)
-        return tuple(e for e in self._incidence[u] if e.touches(v) and e.touches(u))
+        w = self._position(v)
+        return tuple(e for x, _, _, e in self._row(u) if x == w)
 
     def adjacent(self, u: str, v: str) -> bool:
         return u != v and bool(self.edges_between(u, v))
@@ -246,6 +250,10 @@ class MixedGraph:
         """Index of a known node in the compiled form."""
         self._require(node)
         return self.compiled.index[node]
+
+    def _row(self, node: str) -> tuple[tuple[int, bool, bool, Edge], ...]:
+        """The compiled adjacency row of a known node."""
+        return self.compiled.adjacency[self._position(node)]
 
     def is_loopless(self) -> bool:
         return not any(e.is_loop() for e in self._edges)
@@ -280,20 +288,16 @@ class MixedGraph:
         return {self.compiled.labels[p] for p in self.compiled.parents[self._position(node)]}
 
     def children(self, node: str) -> set[str]:
-        self._require(node)
-        return {
-            e.other(node)
-            for e in self._incidence[node]
-            if e.kind is EdgeKind.ARROW and e.source == node and not e.is_loop()
-        }
+        """Nodes j with an arrow node -> j."""
+        return {self.compiled.labels[c] for c in self.compiled.children[self._position(node)]}
 
     def neighbors(self, node: str, kind: Optional[EdgeKind] = None) -> set[str]:
         """Adjacent nodes, optionally restricted to one edge kind."""
-        self._require(node)
+        labels = self.compiled.labels
         return {
-            e.other(node)
-            for e in self._incidence[node]
-            if (kind is None or e.kind is kind) and not e.is_loop()
+            labels[w]
+            for w, _, _, e in self._row(node)
+            if labels[w] != node and (kind is None or e.kind is kind)
         }
 
     # -- ancestry -------------------------------------------------------------
@@ -309,18 +313,10 @@ class MixedGraph:
         return {self.compiled.labels[v] for v in found}
 
     def descendants(self, sources: Iterable[str]) -> set[str]:
-        result: set[str] = set()
-        stack: list[str] = []
-        for s in sources:
-            self._require(s)
-            stack.extend(self.children(s))
-        while stack:
-            v = stack.pop()
-            if v in result:
-                continue
-            result.add(v)
-            stack.extend(self.children(v))
-        return result
+        """Union of de(i) over the sources, excluding a source unless it lies
+        on a directed cycle back to itself."""
+        found = self.compiled.descendants([self._position(s) for s in sources])
+        return {self.compiled.labels[v] for v in found}
 
     def on_directed_cycle(self, node: str) -> bool:
         """True when some all-arrow cycle passes through ``node``."""
@@ -388,20 +384,18 @@ class MixedGraph:
         """
         self._require(node)
         self.require_loopless()
-        g = self if self.is_anterior() else self.anterior_graph()
-        arrow_part = g.ancestors([node]) | {node}
-        reached = set(arrow_part)
-        queue = deque(arrow_part)
+        g = (self if self.is_anterior() else self.anterior_graph()).compiled
+        start = g.index[node]
+        reached = g.ancestors([start]) | {start}
+        queue = deque(reached)
         while queue:
             v = queue.popleft()
-            for e in g._incidence[v]:
-                if e.kind is EdgeKind.LINE:
-                    w = e.other(v)
-                    if w not in reached:
-                        reached.add(w)
-                        queue.append(w)
-        reached.discard(node)
-        return reached
+            for w, head_v, head_w, _ in g.adjacency[v]:
+                if not (head_v or head_w or w in reached):
+                    reached.add(w)
+                    queue.append(w)
+        reached.discard(start)
+        return {g.labels[v] for v in reached}
 
     # -- structural identity ----------------------------------------------
 

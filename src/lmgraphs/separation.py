@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, combine_paths, path_in_graph
 
@@ -170,7 +170,7 @@ def _simple_paths(graph: MixedGraph, x: str, y: str) -> Iterable[Path]:
 
     def walk() -> Iterable[Path]:
         here = stack_nodes[-1]
-        for e in graph.sorted_edges_at(here):
+        for e in graph.edges_at(here):
             w = e.other(here)
             if w == y:
                 yield Path(tuple(stack_nodes) + (y,), tuple(stack_edges) + (e,))
@@ -214,44 +214,63 @@ def oracle_m_separated(
     return True
 
 
+def _admissible_paths(
+    compiled: CompiledGraph, source: int, target: int, passes: Callable[[int, bool, bool], bool]
+) -> Iterator[Path]:
+    """Simple source-target paths in depth-first order, as they are found.
+
+    Every inner node v must satisfy ``passes(v, head_in, head_out)``, where the
+    flags say whether the path's edges into and out of v carry an arrowhead at
+    v; a partial path is pruned as soon as its newest node fails. Edges are
+    tried in adjacency-row order, so the order of the paths is fixed. The
+    stack is explicit; the number of paths, and the time between two of them,
+    is exponential in the worst case.
+    """
+    labels, adjacency = compiled.labels, compiled.adjacency
+    # One frame per path node: (node, edge in, may leave over an edge with an
+    # arrowhead at the node, may leave over one without, edges left).
+    stack = [(source, None, True, True, iter(adjacency[source]))]
+    on_path = {source}
+    while stack:
+        _, _, pass_head, pass_tail, options = stack[-1]
+        for w, head_here, head_w, e in options:
+            if not (pass_head if head_here else pass_tail):
+                continue
+            if w == target:
+                nodes = tuple(labels[f[0]] for f in stack) + (labels[target],)
+                yield Path(nodes, tuple(f[1] for f in stack[1:]) + (e,))
+            elif w not in on_path:
+                pass_head_w, pass_tail_w = passes(w, head_w, True), passes(w, head_w, False)
+                if pass_head_w or pass_tail_w:
+                    on_path.add(w)
+                    stack.append((w, e, pass_head_w, pass_tail_w, iter(adjacency[w])))
+                    break
+        else:
+            on_path.discard(stack.pop()[0])
+
+
 def find_m_connecting_path(
     graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
 ) -> Optional[Path]:
     """Return a concrete m-connecting witness path, or None.
 
-    Depth-first search over simple paths with an explicit stack, pruning a
-    partial path as soon as its newest inner node violates the predicate.
-    Deterministic: edges are explored in ``MixedGraph.sorted_edges_at``
+    The first path of the depth-first search in ``_admissible_paths``, which
+    prunes a partial path as soon as its newest inner node violates the
+    predicate. Deterministic: edges are explored in ``MixedGraph.edges_at``
     order, so the same witness is returned every run. Exponential in the
     worst case; ``m_connecting_path_exists`` answers the yes/no question in
     linear time on anterior graphs.
     """
     c = frozenset(given)
     compiled = _check_pair(graph, x, y, c)
-    index, adjacency, labels = compiled.index, compiled.adjacency, compiled.labels
+    index = compiled.index
     c_idx = {index[n] for n in c}
     open_colliders = c_idx | compiled.ancestors(c_idx)
-    source, target = index[x], index[y]
-    # One frame per path node: (node, arrowhead on the edge in, edge in, edges left).
-    stack = [(source, False, None, iter(adjacency[source]))]
-    on_path = {source}
-    while stack:
-        here, head_in, _, options = stack[-1]
-        for w, head_here, head_w, e in options:
-            if here != source and not (
-                here in open_colliders if head_in and head_here else here not in c_idx
-            ):
-                continue
-            if w == target:
-                nodes = tuple(labels[f[0]] for f in stack) + (y,)
-                return Path(nodes, tuple(f[2] for f in stack[1:]) + (e,))
-            if w not in on_path:
-                on_path.add(w)
-                stack.append((w, head_w, e, iter(adjacency[w])))
-                break
-        else:
-            on_path.discard(stack.pop()[0])
-    return None
+
+    def passes(v: int, head_in: bool, head_out: bool) -> bool:
+        return v in open_colliders if head_in and head_out else v not in c_idx
+
+    return next(_admissible_paths(compiled, index[x], index[y], passes), None)
 
 
 def combine_m_connecting(

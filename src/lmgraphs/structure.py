@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .graph import Edge, EdgeKind, GraphError, Mark, MixedGraph, Path
-from .separation import DEFAULT_ORACLE_LIMIT, m_separated
+from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _compiled_for, m_separated
 
 
 class RibbonFlavor(Enum):
@@ -57,6 +57,9 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
     line_ends = graph.line_endpoints()
     for inner in graph.node_list():
         incident = [e for e in graph.edges_at(inner) if e.head_at(inner)]
+        hit = _condition_two(graph, inner, line_ends) if len(incident) > 1 else None
+        if hit is None:
+            continue
         for e1, e2 in itertools.combinations(incident, 2):
             h, j = e1.other(inner), e2.other(inner)
             if h == j:
@@ -73,11 +76,7 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
             )
             if shortcut:
                 continue
-            hit = _condition_two(graph, inner, line_ends)
-            if hit is None:
-                continue
-            flavor, witness = hit
-            found[signature] = Ribbon(tripath, flavor, witness)
+            found[signature] = Ribbon(tripath, *hit)
     return [found[k] for k in sorted(found)]
 
 
@@ -91,40 +90,23 @@ def find_primitive_inducing_paths(
     """Paths from x to y whose inner nodes are all colliders on the path and
     all ancestors of {x, y}. Any single x-y edge qualifies.
 
-    Depth-first with pruning: a partial path is dropped as soon as its newest
-    inner node fails either condition. Results come in deterministic order.
+    The first ``limit`` paths (all of them when None) of the depth-first
+    search that also finds m-connecting witnesses, pruning a partial path as
+    soon as its newest inner node fails either condition. Results come in
+    deterministic order.
     """
-    graph.require_loopless()
+    compiled = _compiled_for(graph, (x, y))
     if x == y:
         raise GraphError("endpoints must differ")
-    for n in (x, y):
-        if n not in graph.nodes:
-            raise GraphError(f"unknown node {n!r}")
-    allowed = graph.ancestors([x, y])
-    results: list[Path] = []
+    if limit is not None and limit < 1:
+        raise GraphError(f"limit must be at least 1, got {limit}")
+    source, target = compiled.index[x], compiled.index[y]
+    allowed = compiled.ancestors([source, target])
 
-    def extend(nodes: list[str], edges: list[Edge], visited: set[str]) -> bool:
-        here = nodes[-1]
-        for e in graph.sorted_edges_at(here):
-            if edges:
-                if not (edges[-1].head_at(here) and e.head_at(here)):
-                    continue
-                if here not in allowed:
-                    continue
-            w = e.other(here)
-            if w == y:
-                results.append(Path(tuple(nodes) + (y,), tuple(edges) + (e,)))
-                if limit is not None and len(results) >= limit:
-                    return True
-                continue
-            if w in visited:
-                continue
-            if extend(nodes + [w], edges + [e], visited | {w}):
-                return True
-        return False
+    def passes(v: int, head_in: bool, head_out: bool) -> bool:
+        return head_in and head_out and v in allowed
 
-    extend([x], [], {x})
-    return results
+    return list(itertools.islice(_admissible_paths(compiled, source, target, passes), limit))
 
 
 def maximality_violations(graph: MixedGraph) -> list[tuple[str, str, Path]]:

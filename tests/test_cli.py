@@ -165,6 +165,29 @@ class TestStructureCommands:
         assert code == 0
         assert "path: i -> k <-> j" in out
 
+    def test_inducing_paths_limit_zero_lists_all(self, capsys):
+        code, out, _ = run(
+            capsys, "inducing-paths", figure_path("fig7"), "--a", "l", "--b", "m",
+            "--limit", "0",
+        )
+        assert code == 0
+        assert "path: l -- m" in out
+
+    def test_inducing_paths_deep_chain(self, capsys, tmp_path):
+        # The inducing-path search used to recurse once per node and overflow
+        # the interpreter stack on this chain.
+        chain = ["x"] + [f"v{k:04d}" for k in range(1, 1200)] + ["y"]
+        text = "".join(f"{u} <-> {v}\n" for u, v in zip(chain, chain[1:]))
+        text += "".join(f"{v} -> y\n" for v in chain[1:-1])
+        path = tmp_path / "chain.lmg"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "inducing-paths", str(path), "--a", "x", "--b", "y", "--limit", "1"
+        )
+        assert code == 0, err
+        assert "found 1" in out
+        assert f"path: {' <-> '.join(chain)}" in out
+
     def test_inducing_paths_fig7_none(self, capsys):
         code, out, _ = run(
             capsys, "inducing-paths", figure_path("fig7"), "--a", "i", "--b", "m"

@@ -35,6 +35,14 @@ class TestBuildGraph:
         assert len(g.edges_between("k", "j")) == 2
         assert g == figures["fig6"]
 
+    def test_edges_at_follows_neighbour_then_form_then_key(self):
+        g = build_graph(
+            ["a", "b", "c"],
+            [("c", "->", "a"), ("a", "--", "b"), ("a", "<->", "b"), ("a", "--", "b")],
+        )
+        assert [e.key for e in g.edges_at("a")] == [2, 1, 3, 0]
+        assert [e.key for e in g.edges_between("b", "a")] == [2, 1, 3]
+
     def test_unknown_endpoint(self):
         with pytest.raises(GraphError, match="unknown endpoint"):
             build_graph(["i"], [("i", "->", "j")])

@@ -21,6 +21,7 @@ from lmgraphs import (
     make_path,
     oracle_m_separated,
 )
+from lmgraphs.separation import _simple_paths
 from strategies import lmgs
 
 try:
@@ -97,6 +98,25 @@ class TestWitnesses:
 
     def test_separated_pair_has_no_witness(self, figures):
         assert find_m_connecting_path(figures["fig3"], "i", "j", []) is None
+
+    def test_witness_is_the_first_oracle_path(self, rg_corpus):
+        """The witness search returns the first simple path, in the oracle's
+        enumeration order, that passes the literal m-connecting check."""
+        found = 0
+        for g in rg_corpus:
+            if len(g.nodes) > 7:
+                continue
+            nodes = g.node_list()
+            for x, y in itertools.permutations(nodes, 2):
+                rest = [n for n in nodes if n not in (x, y)]
+                for c in (rest[:0], rest[:1], rest[1::2]):
+                    expected = next(
+                        (p for p in _simple_paths(g, x, y) if is_m_connecting_path(g, p, c)),
+                        None,
+                    )
+                    assert find_m_connecting_path(g, x, y, c) == expected, (g, x, y, c)
+                    found += expected is not None
+        assert found > 1000
 
     def test_witnesses_validate_on_random_graphs(self):
         corpus = generate_corpus(CorpusSpec(count=150, nodes=(2, 5), seed=321))

@@ -89,6 +89,48 @@ class TestPrimitiveInducingPaths:
         with pytest.raises(GraphError, match="unknown"):
             find_primitive_inducing_paths(figures["fig6"], "i", "zz")
 
+    def test_limit_below_one_is_refused(self, figures):
+        g = figures["fig7"]
+        for limit in (0, -3):
+            with pytest.raises(GraphError, match="limit"):
+                find_primitive_inducing_paths(g, "l", "m", limit=limit)
+        everything = find_primitive_inducing_paths(g, "l", "m", limit=None)
+        assert everything == find_primitive_inducing_paths(g, "l", "m")
+        assert find_primitive_inducing_paths(g, "l", "m", limit=len(everything) + 5) == everything
+
+    def test_deep_chain_needs_no_recursion(self):
+        # x <-> v0001 <-> ... <-> v1199 <-> y with v_k -> y: every inner node
+        # is a collider in an({x, y}), so the whole chain is the first path.
+        # A recursive search overflows the interpreter stack here.
+        chain = ["x"] + [f"v{k:04d}" for k in range(1, 1200)] + ["y"]
+        edges = [(u, "<->", v) for u, v in zip(chain, chain[1:])]
+        edges += [(v, "->", "y") for v in chain[1:-1]]
+        g = build_graph(chain, edges)
+        (path,) = find_primitive_inducing_paths(g, "x", "y", limit=1)
+        assert path.nodes == tuple(chain)
+        assert len(path.nodes) == 1201
+
+    def test_order_and_completeness_match_oracle(self, rg_corpus):
+        """The pruned search lists exactly the oracle's simple paths whose
+        inner nodes are colliders in an({x, y}), in the oracle's order."""
+        checked = 0
+        for g in rg_corpus:
+            if len(g.nodes) > 7:
+                continue
+            for x, y in itertools.permutations(g.node_list(), 2):
+                allowed = g.ancestors([x, y])
+                expected = [
+                    p
+                    for p in _simple_paths(g, x, y)
+                    if all(
+                        p.is_collider_at(i) and p.nodes[i] in allowed
+                        for i in range(1, len(p.nodes) - 1)
+                    )
+                ]
+                assert find_primitive_inducing_paths(g, x, y) == expected, (g, x, y)
+                checked += len(expected)
+        assert checked > 1000
+
 
 class TestMaximality:
     def test_fig6_not_maximal(self, figures):
