@@ -207,7 +207,7 @@ def _cmd_maximalize(args) -> tuple[int, Report]:
 
 def _cmd_inducing_paths(args) -> tuple[int, Report]:
     graph = _load(args.graph)
-    limit = args.limit if args.limit and args.limit > 0 else None
+    limit = None if args.limit == 0 else args.limit
     paths = find_primitive_inducing_paths(graph, args.a, args.b, limit=limit)
     rep = Report({"command": "inducing-paths", "a": args.a, "b": args.b}, args.graph)
     rep.result(bool(paths), f"found {len(paths)}")
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("inducing-paths", _cmd_inducing_paths, "primitive inducing paths between two nodes")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--limit", type=int, default=0, help="stop after this many paths")
+    p.add_argument("--limit", type=int, default=0, help="stop after this many paths (0: all)")
 
     p = add("model", _cmd_model, "independence model induced by m-separation")
     p.add_argument("--singleton", action="store_true")

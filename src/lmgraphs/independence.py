@@ -14,10 +14,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import GraphError, MixedGraph
-from .separation import _m_reachable
+from .separation import _reach
 
 FULL_MODEL_LIMIT = 6
 SINGLETON_MODEL_LIMIT = 8
@@ -185,26 +185,50 @@ class IndependenceModel:
             f"{sorted(self.ground_set)})"
         )
 
+    @functools.cached_property
+    def _codes(self) -> frozenset[int]:
+        """Each statement as the int ``a | b << n | c << 2n``, with node k of
+        the sorted ground set as bit k; mirrored codes are added when the
+        model is symmetry closed, so membership matches ``contains``."""
+        n, mask = len(self.ground_set), _masker(sorted(self.ground_set))
+        codes = set()
+        for s in self.statements:
+            a, b, c = mask(s.a), mask(s.b), mask(s.c) << 2 * n
+            codes.add(a | b << n | c)
+            if self.symmetry_closed:
+                codes.add(b | a << n | c)
+        return frozenset(codes)
+
+
+# -- node sets as bit masks ----------------------------------------------------
+
+
+def _masker(labels: Sequence[str]):
+    """The function taking a set of labels to its mask, label k being bit k."""
+    bit = {label: 1 << k for k, label in enumerate(labels)}
+    return lambda nodes: sum(bit[v] for v in nodes)
+
+
+def _label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
+    """The label set of every mask over ``labels``, indexed by the mask."""
+    sets = [frozenset()]
+    for label in labels:
+        sets += [s | {label} for s in sets]
+    return sets
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 # -- models induced by separation -------------------------------------------
 
 
-def _subsets(pool: list[str]) -> Iterable[frozenset[str]]:
-    for r in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, r):
-            yield frozenset(combo)
-
-
-def enumerate_model(
-    graph: MixedGraph, singleton_only: bool = False, limit: Optional[int] = None
-) -> IndependenceModel:
-    """The independence model induced by m-separation on ``graph``.
-
-    Every ordered statement gets its own engine query, so none of the
-    model-level symmetry/composition structure is assumed, only observed.
-    ``singleton_only`` restricts A and B to single nodes, which determines
-    the full model via decomposition and composition.
-    """
+def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional[int]) -> None:
     cap = limit if limit is not None else (
         SINGLETON_MODEL_LIMIT if singleton_only else FULL_MODEL_LIMIT
     )
@@ -212,31 +236,67 @@ def enumerate_model(
         raise GraphError(
             f"model enumeration limit exceeded: {len(graph.nodes)} nodes > {cap}"
         )
-    nodes = graph.node_list()
+    graph.require_loopless()
 
-    @functools.lru_cache(maxsize=None)
-    def reach(x: str, c: frozenset[str]) -> frozenset[str]:
-        return frozenset(_m_reachable(graph, x, c))
 
-    def connected(x: str, y: str, c: frozenset[str]) -> bool:
-        return y in reach(x, c)
+def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
+    """For each conditioning set C, a mask over ``graph.compiled.labels``, the
+    row of reach masks R(x, C): the nodes outside C and x that some
+    m-connecting path given C joins to x (0 for x in C). One engine search
+    per (x, C), each on its own, so no model-level structure is assumed."""
+    compiled = graph.compiled
+    n = len(compiled.labels)
+    for c in range(1 << n):
+        given = set(_bits(c))
+        row = []
+        for x in range(n):
+            reach = 0
+            if not c >> x & 1:
+                for w in _reach(compiled, (x,), given):
+                    reach |= 1 << w
+            row.append(reach & ~c & ~(1 << x))
+        yield c, row
 
+
+def enumerate_model(
+    graph: MixedGraph, singleton_only: bool = False, limit: Optional[int] = None
+) -> IndependenceModel:
+    """The independence model induced by m-separation on ``graph``.
+
+    For each conditioning set C and node x outside it, one engine search
+    gives R(x, C), the nodes m-connected to x given C. <A, B | C> is stored
+    exactly when B avoids R(x, C) for every x in A, which is the definition
+    of separation, so symmetry and composition of the model are observed,
+    never assumed. A ranges over the non-empty subsets of V - C, and B over
+    the non-empty subsets of what A leaves free, both as bit masks.
+    ``singleton_only`` restricts A and B to single nodes, which determines
+    the full model via decomposition and composition. Graphs with loops are
+    refused.
+    """
+    _require_enumerable(graph, singleton_only, limit)
+    labels = graph.compiled.labels
+    n = len(labels)
+    sets = _label_sets(labels)
+    full = (1 << n) - 1
+    joined = [0] * (1 << n)  # union of R(x, C) over the x in A, by A
     statements = []
-    if singleton_only:
-        for x, y in itertools.permutations(nodes, 2):
-            rest = [n for n in nodes if n not in (x, y)]
-            for c in _subsets(rest):
-                if not connected(x, y, c):
-                    statements.append(IndependenceStatement.of([x], [y], c))
-    else:
-        for assignment in itertools.product(range(4), repeat=len(nodes)):
-            a = frozenset(n for n, slot in zip(nodes, assignment) if slot == 0)
-            b = frozenset(n for n, slot in zip(nodes, assignment) if slot == 1)
-            c = frozenset(n for n, slot in zip(nodes, assignment) if slot == 2)
-            if not a or not b:
-                continue
-            if all(not connected(x, y, c) for x in sorted(a) for y in sorted(b)):
-                statements.append(IndependenceStatement(a, b, c))
+    for c, reach in _reach_masks(graph):
+        rest, given = full & ~c, sets[c]
+        if singleton_only:
+            for x in _bits(rest):
+                for y in _bits(rest & ~reach[x] & ~(1 << x)):
+                    statements.append(IndependenceStatement(sets[1 << x], sets[1 << y], given))
+            continue
+        a = (-rest) & rest  # submasks of rest in increasing order
+        while a:
+            low = a & -a
+            joined[a] = joined[a ^ low] | reach[low.bit_length() - 1]
+            free = rest & ~a & ~joined[a]
+            b = free
+            while b:
+                statements.append(IndependenceStatement(sets[a], sets[b], given))
+                b = (b - 1) & free
+            a = (a - rest) & rest
     return IndependenceModel(graph.nodes, statements)
 
 
@@ -244,7 +304,8 @@ def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     """One statement per non-adjacent pair, conditioned on the union of the
     pair's anterior sets; mirrored orientations included."""
     graph.require_loopless()
-    ant = {v: graph.anteriors(v) for v in graph.nodes}
+    rewritten = graph if graph.is_anterior() else graph.anterior_graph()
+    ant = {v: rewritten.anteriors(v) for v in graph.nodes}
     statements = []
     for x, y in itertools.combinations(graph.node_list(), 2):
         if graph.adjacent(x, y):
@@ -275,19 +336,19 @@ class AxiomViolation:
         )
 
 
-@functools.lru_cache(maxsize=32)
-def _quad_space(nodes: tuple[str, ...]) -> tuple:
-    """All assignments of the ground set into disjoint A, B, C, D (rest
-    unused) with A, B, D non-empty, plus the unions the axioms consume."""
+@functools.lru_cache(maxsize=8)
+def _quad_space(n: int) -> tuple[tuple[int, ...], ...]:
+    """All assignments of n nodes, node k as bit k, into disjoint A, B, C, D
+    (rest unused) with A, B, D non-empty, in ``itertools.product`` order,
+    each as the masks (a, b, c, d, c|d, c|b, b|d) the axioms consume."""
     quads = []
-    for assignment in itertools.product(range(5), repeat=len(nodes)):
-        a = frozenset(n for n, s in zip(nodes, assignment) if s == 0)
-        b = frozenset(n for n, s in zip(nodes, assignment) if s == 1)
-        c = frozenset(n for n, s in zip(nodes, assignment) if s == 2)
-        d = frozenset(n for n, s in zip(nodes, assignment) if s == 3)
-        if not a or not b or not d:
-            continue
-        quads.append((a, b, c, d, c | d, c | b, b | d))
+    for assignment in itertools.product(range(5), repeat=n):
+        parts = [0] * 5
+        for k, slot in enumerate(assignment):
+            parts[slot] |= 1 << k
+        a, b, c, d, _ = parts
+        if a and b and d:
+            quads.append((a, b, c, d, c | d, c | b, b | d))
     return tuple(quads)
 
 
@@ -301,69 +362,75 @@ def _proper_splits(whole: frozenset[str]) -> Iterable[tuple[frozenset[str], froz
 
 def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolation]:
     """Exhaustively check one axiom; None means it holds, otherwise the first
-    violating instantiation is returned."""
-    stmts = model.sorted_statements()
+    violating instantiation is returned.
 
-    if axiom is Axiom.SYMMETRY:
-        for s in stmts:
-            if not model.contains(s.b, s.a, s.c):
-                return AxiomViolation(
-                    axiom, s.a, s.b, s.c, frozenset(), s.mirrored()
-                )
-        return None
+    Symmetry, decomposition and weak union run over the sorted statements.
+    The other three quantify over every disjoint A, B, C, D of the ground
+    set, as bit masks, and look each statement they need up among the
+    model's statements encoded once as ints (see ``IndependenceModel``), so
+    orientation counts exactly as in ``contains``.
+    """
+    labels = sorted(model.ground_set)
+    n, n2 = len(labels), 2 * len(labels)
+    codes = model._codes
+    sets = _label_sets(labels)
 
-    if axiom in (Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
-        for s in stmts:
+    def statement(a: int, b: int, c: int) -> IndependenceStatement:
+        return IndependenceStatement(sets[a], sets[b], sets[c])
+
+    if axiom in (Axiom.SYMMETRY, Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
+        mask = _masker(labels)
+        for s in model.sorted_statements():
+            a, b, c = mask(s.a), mask(s.b), mask(s.c)
+            if axiom is Axiom.SYMMETRY:
+                if (b | a << n | c << n2) not in codes:
+                    return AxiomViolation(axiom, s.a, s.b, s.c, frozenset(), s.mirrored())
+                continue
             for kept, dropped in _proper_splits(s.b):
-                if axiom is Axiom.DECOMPOSITION:
-                    needed = IndependenceStatement(s.a, kept, s.c)
-                else:
-                    needed = IndependenceStatement(s.a, kept, s.c | dropped)
-                if needed not in model:
-                    return AxiomViolation(axiom, s.a, kept, s.c, dropped, needed)
+                k, d = mask(kept), mask(dropped)
+                given = c if axiom is Axiom.DECOMPOSITION else c | d
+                if (a | k << n | given << n2) not in codes:
+                    return AxiomViolation(axiom, s.a, kept, s.c, dropped, statement(a, k, given))
         return None
 
-    quads = _quad_space(tuple(sorted(model.ground_set)))
+    quads = _quad_space(n)
 
     if axiom is Axiom.CONTRACTION:
         # Stated as an equivalence: both directions are checked.
         for a, b, c, d, cud, _, bud in quads:
-            lhs = model.contains(a, b, cud) and model.contains(a, d, c)
-            rhs = model.contains(a, bud, c)
+            first = (a | b << n | cud << n2) in codes
+            lhs = first and (a | d << n | c << n2) in codes
+            rhs = (a | bud << n | c << n2) in codes
             if lhs and not rhs:
                 return AxiomViolation(
-                    axiom, a, b, c, d, IndependenceStatement(a, bud, c)
+                    axiom, sets[a], sets[b], sets[c], sets[d], statement(a, bud, c)
                 )
             if rhs and not lhs:
-                missing = (
-                    IndependenceStatement(a, b, cud)
-                    if not model.contains(a, b, cud)
-                    else IndependenceStatement(a, d, c)
-                )
-                return AxiomViolation(axiom, a, b, c, d, missing)
+                missing = statement(a, b, cud) if not first else statement(a, d, c)
+                return AxiomViolation(axiom, sets[a], sets[b], sets[c], sets[d], missing)
         return None
 
     if axiom is Axiom.INTERSECTION:
         for a, b, c, d, cud, cub, bud in quads:
             if (
-                model.contains(a, b, cud)
-                and model.contains(a, d, cub)
-                and not model.contains(a, bud, c)
+                (a | b << n | cud << n2) in codes
+                and (a | d << n | cub << n2) in codes
+                and (a | bud << n | c << n2) not in codes
             ):
                 return AxiomViolation(
-                    axiom, a, b, c, d, IndependenceStatement(a, bud, c)
+                    axiom, sets[a], sets[b], sets[c], sets[d], statement(a, bud, c)
                 )
         return None
 
     if axiom is Axiom.COMPOSITION:
         for a, b, c, d, _, _, bud in quads:
             if (
-                model.contains(a, b, c)
-                and model.contains(a, d, c)
-                and not model.contains(a, bud, c)
+                (a | b << n | c << n2) in codes
+                and (a | d << n | c << n2) in codes
+                and (a | bud << n | c << n2) not in codes
             ):
                 return AxiomViolation(
-                    axiom, a, b, c, d, IndependenceStatement(a, bud, c)
+                    axiom, sets[a], sets[b], sets[c], sets[d], statement(a, bud, c)
                 )
         return None
 
@@ -500,12 +567,19 @@ def conforms(model: IndependenceModel, graph: MixedGraph) -> bool:
 def markov_equivalent(
     g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = None
 ) -> bool:
-    """Equality of the induced singleton independence models."""
+    """Equality of the induced singleton independence models.
+
+    Two graphs over one node set induce the same singleton model exactly
+    when every reach mask R(x, C) agrees, so the masks are compared
+    conditioning set by conditioning set, stopping at the first that
+    differs. ``limit`` caps the node count as for a singleton
+    ``enumerate_model``; graphs with loops are refused.
+    """
     if g1.nodes != g2.nodes:
         raise GraphError("graphs are over different node sets")
-    m1 = enumerate_model(g1, singleton_only=True, limit=limit)
-    m2 = enumerate_model(g2, singleton_only=True, limit=limit)
-    return m1.statements == m2.statements
+    _require_enumerable(g1, True, limit)
+    _require_enumerable(g2, True, limit)
+    return all(r1 == r2 for (_, r1), (_, r2) in zip(_reach_masks(g1), _reach_masks(g2)))
 
 
 def marginal_model(model: IndependenceModel, margin: Iterable[str]) -> IndependenceModel:

@@ -173,6 +173,15 @@ class TestStructureCommands:
         assert code == 0
         assert "path: l -- m" in out
 
+    def test_inducing_paths_negative_limit_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "inducing-paths", figure_path("fig6"), "--a", "i", "--b", "j",
+            "--limit", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: limit must be at least 1, got -3\n"
+
     def test_inducing_paths_deep_chain(self, capsys, tmp_path):
         # The inducing-path search used to recurse once per node and overflow
         # the interpreter stack on this chain.

@@ -121,6 +121,12 @@ class TestEnumerateModel:
             enumerate_model(g)
         assert enumerate_model(g, limit=7) is not None
 
+    def test_loops_refused(self):
+        g = build_graph(["a", "b", "c"], [("a", "->", "a"), ("a", "->", "b"), ("b", "<->", "c")])
+        for singleton_only in (False, True):
+            with pytest.raises(GraphError, match="loop"):
+                enumerate_model(g, singleton_only=singleton_only)
+
     def test_conforms_with_its_graph(self, figures, lmg_corpus):
         for g in [figures["fig3"], figures["fig7"]] + lmg_corpus[:40]:
             if len(g.nodes) > 5:
@@ -306,6 +312,13 @@ class TestMarkovEquivalence:
     def test_node_set_mismatch(self, figures):
         with pytest.raises(GraphError, match="node sets"):
             markov_equivalent(figures["fig3"], figures["fig9a"])
+
+    def test_loops_refused(self):
+        g = build_graph(["a", "b", "c"], [("a", "->", "a"), ("a", "->", "b"), ("b", "<->", "c")])
+        h = build_graph(["a", "b", "c"], [("a", "->", "b"), ("b", "<->", "c")])
+        for pair in ((g, g), (g, h), (h, g)):
+            with pytest.raises(GraphError, match="loop"):
+                markov_equivalent(*pair)
 
 
 class TestMarginalModel:
