@@ -90,15 +90,11 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _load(path: str, allow_loops: bool = False) -> MixedGraph:
-    return load_graph(path, allow_loops=allow_loops)
-
-
 # -- handlers -----------------------------------------------------------------
 
 
 def _cmd_validate(args) -> tuple[int, Report]:
-    graph = _load(args.graph, allow_loops=args.allow_loops)
+    graph = load_graph(args.graph, allow_loops=args.allow_loops)
     rep = Report({"command": "validate"}, args.graph)
     loopless = graph.is_loopless()
     rep.result(
@@ -111,7 +107,7 @@ def _cmd_validate(args) -> tuple[int, Report]:
 
 
 def _cmd_msep(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     a, b, c = _node_set(args.a), _node_set(args.b), _node_set(args.c)
     rep = Report(
         {"command": "msep", "a": sorted(a), "b": sorted(b), "c": sorted(c)},
@@ -129,7 +125,7 @@ def _cmd_msep(args) -> tuple[int, Report]:
 
 
 def _cmd_anterior(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     text = serialize_graph(graph.anterior_graph())
     rep = Report({"command": "anterior"}, args.graph)
     rep.result(text, "anterior graph follows")
@@ -138,7 +134,7 @@ def _cmd_anterior(args) -> tuple[int, Report]:
 
 
 def _cmd_anteriors(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     ant = sorted(graph.anteriors(args.node))
     rep = Report({"command": "anteriors", "node": args.node}, args.graph)
     rep.result(ant, _fmt_nodes(ant))
@@ -146,7 +142,7 @@ def _cmd_anteriors(args) -> tuple[int, Report]:
 
 
 def _cmd_ribbons(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     ribbons = find_ribbons(graph)
     rep = Report({"command": "ribbons"}, args.graph)
     rep.result(not ribbons, "ribbonless" if not ribbons else "has-ribbons")
@@ -170,7 +166,7 @@ def _cmd_ribbons(args) -> tuple[int, Report]:
 
 
 def _cmd_classify(args) -> tuple[int, Report]:
-    graph = _load(args.graph, allow_loops=args.allow_loops)
+    graph = load_graph(args.graph, allow_loops=args.allow_loops)
     flags = classify(graph).as_dict()
     rep = Report({"command": "classify"}, args.graph)
     rep.result(flags, "flags follow")
@@ -181,7 +177,7 @@ def _cmd_classify(args) -> tuple[int, Report]:
 
 
 def _cmd_maximal(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     violations = maximality_violations(graph)
     rep = Report({"command": "maximal"}, args.graph)
     rep.result(not violations, "maximal" if not violations else "not-maximal")
@@ -197,7 +193,7 @@ def _cmd_maximal(args) -> tuple[int, Report]:
 
 
 def _cmd_maximalize(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     text = serialize_graph(maximalize(graph))
     rep = Report({"command": "maximalize"}, args.graph)
     rep.result(text, "maximal graph follows")
@@ -206,7 +202,7 @@ def _cmd_maximalize(args) -> tuple[int, Report]:
 
 
 def _cmd_inducing_paths(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     limit = None if args.limit == 0 else args.limit
     paths = find_primitive_inducing_paths(graph, args.a, args.b, limit=limit)
     rep = Report({"command": "inducing-paths", "a": args.a, "b": args.b}, args.graph)
@@ -216,80 +212,55 @@ def _cmd_inducing_paths(args) -> tuple[int, Report]:
     return (OK if paths else NO), rep
 
 
-def _statement_lines(model: IndependenceModel) -> list[str]:
-    return [f"statement: {format_statement(s)}" for s in model.sorted_statements()]
+def _statement_report(query: dict[str, Any], graph: str, model: IndependenceModel) -> Report:
+    """A report listing the model's statements, in sorted order."""
+    rep = Report(query, graph)
+    shown = [format_statement(s) for s in model.sorted_statements()]
+    rep.result(shown, f"{len(model)} statements")
+    rep.lines.extend(f"statement: {s}" for s in shown)
+    return rep
 
 
 def _cmd_model(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     model = enumerate_model(graph, singleton_only=args.singleton, limit=args.limit)
-    rep = Report({"command": "model", "singleton": args.singleton}, args.graph)
-    rep.result(
-        [format_statement(s) for s in model.sorted_statements()],
-        f"{len(model)} statements",
-    )
-    rep.lines.extend(_statement_lines(model))
-    return OK, rep
+    return OK, _statement_report({"command": "model", "singleton": args.singleton}, args.graph, model)
 
 
 def _cmd_pairwise(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
-    model = pairwise_model(graph)
-    rep = Report({"command": "pairwise"}, args.graph)
-    rep.result(
-        [format_statement(s) for s in model.sorted_statements()],
-        f"{len(model)} statements",
-    )
-    rep.lines.extend(_statement_lines(model))
-    return OK, rep
+    model = pairwise_model(load_graph(args.graph))
+    return OK, _statement_report({"command": "pairwise"}, args.graph, model)
 
 
-def _base_model(graph: MixedGraph, source: str, limit: Optional[int]) -> IndependenceModel:
-    if source == "pairwise":
+def _base_model(graph: MixedGraph, args) -> IndependenceModel:
+    """The model that ``--from`` names: pairwise statements or the full model."""
+    if getattr(args, "from") == "pairwise":
         return pairwise_model(graph)
-    return enumerate_model(graph, limit=limit)
+    return enumerate_model(graph, limit=args.limit)
 
 
 def _cmd_closure(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
-    axioms = AXIOM_SETS[args.set]
-    base = _base_model(graph, getattr(args, "from"), args.limit)
-    closed = closure(base, axioms, limit=args.limit)
-    rep = Report(
-        {"command": "closure", "set": args.set, "from": getattr(args, "from")},
-        args.graph,
-    )
-    rep.result(
-        [format_statement(s) for s in closed.sorted_statements()],
-        f"{len(closed)} statements",
-    )
-    rep.lines.extend(_statement_lines(closed))
-    return OK, rep
+    graph = load_graph(args.graph)
+    closed = closure(_base_model(graph, args), AXIOM_SETS[args.set], limit=args.limit)
+    query = {"command": "closure", "set": args.set, "from": getattr(args, "from")}
+    return OK, _statement_report(query, args.graph, closed)
 
 
 def _cmd_axioms(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
+    source = getattr(args, "from")
     if args.check_contains:
         target = parse_statement(args.check_contains)
-        axioms = AXIOM_SETS[args.set]
-        base = _base_model(graph, getattr(args, "from"), args.limit)
-        closed = closure(base, axioms, limit=args.limit)
+        closed = closure(_base_model(graph, args), AXIOM_SETS[args.set], limit=args.limit)
         contained = target in closed
-        rep = Report(
-            {
-                "command": "closure-contains",
-                "statement": format_statement(target),
-                "set": args.set,
-                "from": getattr(args, "from"),
-            },
-            args.graph,
-        )
+        query = {"command": "closure-contains", "statement": format_statement(target),
+                 "set": args.set, "from": source}
+        rep = Report(query, args.graph)
         rep.result(contained, "derivable" if contained else "not-derivable")
         return (OK if contained else NO), rep
 
-    base = _base_model(graph, getattr(args, "from"), args.limit)
-    results = check_axioms(base)
-    rep = Report({"command": "axioms", "from": getattr(args, "from")}, args.graph)
+    results = check_axioms(_base_model(graph, args))
+    rep = Report({"command": "axioms", "from": source}, args.graph)
     ok = all(v is None for v in results.values())
     rep.result(
         {ax.value: (None if v is None else str(v)) for ax, v in results.items()},
@@ -301,7 +272,7 @@ def _cmd_axioms(args) -> tuple[int, Report]:
 
 
 def _cmd_equiv(args) -> tuple[int, Report]:
-    g1, g2 = _load(args.graph1), _load(args.graph2)
+    g1, g2 = load_graph(args.graph1), load_graph(args.graph2)
     rep = Report({"command": "equiv"}, [args.graph1, args.graph2])
     equivalent = markov_equivalent(g1, g2, limit=args.limit)
     rep.result(equivalent, "equivalent" if equivalent else "not-equivalent")
@@ -346,7 +317,7 @@ def _cmd_gen(args) -> tuple[int, Report]:
 
 
 def _cmd_dot(args) -> tuple[int, Report]:
-    graph = _load(args.graph)
+    graph = load_graph(args.graph)
     text = to_dot(graph)
     rep = Report({"command": "dot"}, args.graph)
     rep.result(text, "dot document follows")
@@ -365,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, graph_arg: bool = True):
+    def add(name: str, handler, help_text: str, graphs: tuple[str, ...] = ("graph",)):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        if graph_arg:
-            p.add_argument("graph", help="graph file in the text format")
+        for graph in graphs:
+            p.add_argument(graph, help="graph file in the text format" if graph == "graph" else None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
@@ -416,16 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-contains", default=None, metavar="STATEMENT")
     p.add_argument("--limit", type=int, default=None)
 
-    p = sub.add_parser("equiv", help="are two graphs Markov equivalent?")
-    p.set_defaults(handler=_cmd_equiv)
-    p.add_argument("graph1")
-    p.add_argument("graph2")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = add("equiv", _cmd_equiv, "are two graphs Markov equivalent?", ("graph1", "graph2"))
     p.add_argument("--limit", type=int, default=None)
 
-    p = sub.add_parser("gen", help="generate a seeded random corpus")
-    p.set_defaults(handler=_cmd_gen)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = add("gen", _cmd_gen, "generate a seeded random corpus", ())
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--nodes", default="3-5", help="node count or inclusive range, e.g. 4 or 3-5")
     p.add_argument("--p-line", type=float, default=0.25)

@@ -12,7 +12,6 @@ functions; values can be shared freely across threads.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -128,32 +127,40 @@ class CompiledGraph:
     """Integer form of a graph, the only adjacency it has, built once per graph.
 
     Nodes are numbered in label order. ``parents[v]`` and ``children[v]`` list
-    the tails of arrows into v and the heads of arrows out of v.
+    the tails of arrows into v and the heads of arrows out of v, and
+    ``lines[v]`` the other ends of the lines at v (v itself for a line loop).
     ``adjacency[v]``, built on first use since ancestry alone does not need
     it, holds one ``(w, head_at_v, head_at_w, edge)`` entry per edge at v, in
     the deterministic order (neighbour label, canonical form, key) that every
-    search and every edge listing uses. Everything here is O(n + m).
+    search and every edge listing uses. The graph's structural facts are read
+    here and nowhere else: ``loopless``, ``anterior`` (no arrowhead meets the
+    end of a line) and, on first use, ``cyclic``. Everything is O(n + m).
     """
 
     def __init__(self, graph: "MixedGraph"):
         self.labels = graph.node_list()
         self.index = index = {n: k for k, n in enumerate(self.labels)}
         self._edges = graph.edges
-        parents: list[set[int]] = [set() for _ in self.labels]
-        children: list[set[int]] = [set() for _ in self.labels]
+        parents, children, lines = ([set() for _ in self.labels] for _ in range(3))
+        headed: set[int] = set()
+        self.loopless = True
         for e in graph.edges:
-            if e.kind is EdgeKind.ARROW and not e.is_loop():
-                s, t = index[e.source], index[e.target]
+            a, b = index[e.a], index[e.b]
+            self.loopless &= a != b
+            kind = e.kind
+            if kind is EdgeKind.LINE:
+                lines[a].add(b)
+                lines[b].add(a)
+                continue
+            headed.update(v for v, mark in ((a, e.mark_a), (b, e.mark_b)) if mark is Mark.HEAD)
+            if kind is EdgeKind.ARROW and a != b:
+                s, t = (a, b) if e.mark_b is Mark.HEAD else (b, a)
                 parents[t].add(s)
                 children[s].add(t)
         self.parents = tuple(tuple(p) for p in parents)
         self.children = tuple(tuple(c) for c in children)
-        ends = graph.line_endpoints()
-        self.anterior = not any(
-            (e.mark_a is Mark.HEAD and e.a in ends) or (e.mark_b is Mark.HEAD and e.b in ends)
-            for e in graph.edges
-        )
-        self.loopless = not any(e.is_loop() for e in graph.edges)
+        self.lines = tuple(tuple(w) for w in lines)
+        self.anterior = not any(lines[v] for v in headed)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, bool, bool, Edge], ...], ...]:
@@ -172,6 +179,34 @@ class CompiledGraph:
             tuple((w, head_v, head_w, e) for w, _, head_v, head_w, e in sorted(row))
             for row in rows
         )
+
+    @cached_property
+    def cyclic(self) -> frozenset[int]:
+        """Nodes on a directed cycle: the members of the strongly connected
+        components of two or more nodes, by Kosaraju's two passes."""
+        finished: list[int] = []
+        seen: set[int] = set()
+        for root in range(len(self.labels)):
+            stack = [] if root in seen else [(root, iter(self.children[root]))]
+            seen.add(root)
+            while stack:
+                w = next((w for w in stack[-1][1] if w not in seen), None)
+                if w is None:
+                    finished.append(stack.pop()[0])
+                else:
+                    seen.add(w)
+                    stack.append((w, iter(self.children[w])))
+        cyclic: set[int] = set()
+        for root in reversed(finished):
+            component = [root] if root in seen else []
+            seen.discard(root)
+            for v in component:  # grows while it is read
+                fresh = [w for w in self.parents[v] if w in seen]
+                seen.difference_update(fresh)
+                component += fresh
+            if len(component) > 1:
+                cyclic.update(component)
+        return frozenset(cyclic)
 
     def ancestors(self, targets: Iterable[int]) -> set[int]:
         """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""
@@ -256,12 +291,12 @@ class MixedGraph:
         return self.compiled.adjacency[self._position(node)]
 
     def is_loopless(self) -> bool:
-        return not any(e.is_loop() for e in self._edges)
+        return self.compiled.loopless
 
     def require_loopless(self) -> None:
-        for e in self._edges:
-            if e.is_loop():
-                raise GraphError(f"graph contains a loop at {e.a!r}")
+        if not self.compiled.loopless:
+            loop = next(e for e in self._edges if e.is_loop())
+            raise GraphError(f"graph contains a loop at {loop.a!r}")
 
     def with_edge(self, edge: Edge) -> "MixedGraph":
         return MixedGraph(self.node_list(), self._edges + (edge,))
@@ -320,17 +355,13 @@ class MixedGraph:
 
     def on_directed_cycle(self, node: str) -> bool:
         """True when some all-arrow cycle passes through ``node``."""
-        return node in self.ancestors([node])
+        return self._position(node) in self.compiled.cyclic
 
     # -- anterior machinery ---------------------------------------------------
 
     def line_endpoints(self) -> set[str]:
-        ends: set[str] = set()
-        for e in self._edges:
-            if e.kind is EdgeKind.LINE:
-                ends.add(e.a)
-                ends.add(e.b)
-        return ends
+        labels = self.compiled.labels
+        return {labels[v] for v, ends in enumerate(self.compiled.lines) if ends}
 
     def is_anterior(self) -> bool:
         """True when no arrowhead points at the endpoint of a line."""
@@ -340,61 +371,58 @@ class MixedGraph:
         """Fixpoint of removing arrowheads that point at endpoints of lines.
 
         The fixpoint is independent of removal order; passing ``rng`` removes
-        one eligible arrowhead at a time in random order, which exists so that
-        order-independence can be exercised by tests. Edge keys are preserved,
-        so edges of the result correspond one-to-one to edges of the input.
+        the eligible arrowheads in random order, which exists so that
+        order-independence can be exercised by tests. Without ``rng`` the
+        result is built once per graph and kept; an anterior graph is its own
+        result, so no graph keeps a reference to itself. Edge keys are
+        preserved, so edges of the result correspond one-to-one to edges of
+        the input.
         """
         self.require_loopless()
-        marks: list[list[Mark]] = [[e.mark_a, e.mark_b] for e in self._edges]
+        if rng is not None:
+            return self._rewrite(rng)
+        return self if self.compiled.anterior else self._anterior
 
-        def candidates() -> list[tuple[int, int]]:
-            ends: set[str] = set()
-            for e, (ma, mb) in zip(self._edges, marks):
-                if ma is Mark.TAIL and mb is Mark.TAIL:
-                    ends.add(e.a)
-                    ends.add(e.b)
-            found = []
-            for idx, e in enumerate(self._edges):
-                if marks[idx][0] is Mark.HEAD and e.a in ends:
-                    found.append((idx, 0))
-                if marks[idx][1] is Mark.HEAD and e.b in ends:
-                    found.append((idx, 1))
-            return found
+    @cached_property
+    def _anterior(self) -> "MixedGraph":
+        return self._rewrite(None)
 
-        while True:
-            todo = candidates()
-            if not todo:
-                break
-            if rng is None:
-                for idx, side in todo:
-                    marks[idx][side] = Mark.TAIL
-            else:
-                idx, side = todo[rng.randrange(len(todo))]
-                marks[idx][side] = Mark.TAIL
+    def _rewrite(self, rng: Optional[random.Random]) -> "MixedGraph":
+        """The rewrite as one worklist of (edge key, side) arrowheads, in
+        O(n + m): a node queues its arrowheads when it first ends a line, so
+        each is queued once, and ``rng`` only picks the entry to pop."""
+        compiled, edges = self.compiled, self._edges
+        marks = [[e.mark_a, e.mark_b] for e in edges]
+        ends = [bool(w) for w in compiled.lines]
 
-        edges = [
-            Edge(e.a, e.b, ma, mb, e.key)
-            for e, (ma, mb) in zip(self._edges, marks)
-        ]
-        return MixedGraph(self.node_list(), edges)
+        def arrowheads(v: int) -> list[tuple[int, int]]:
+            label, row = compiled.labels[v], compiled.adjacency[v]
+            return [(e.key, int(e.a != label)) for _, head_v, _, e in row if head_v]
+
+        todo = [head for v, end in enumerate(ends) if end for head in arrowheads(v)]
+        while todo:
+            if rng is not None:
+                pick = rng.randrange(len(todo))
+                todo[pick], todo[-1] = todo[-1], todo[pick]
+            key, side = todo.pop()
+            marks[key][side] = Mark.TAIL
+            if marks[key][1 - side] is Mark.TAIL:
+                for v in (compiled.index[edges[key].a], compiled.index[edges[key].b]):
+                    if not ends[v]:
+                        ends[v] = True
+                        todo += arrowheads(v)
+        rewritten = [Edge(e.a, e.b, ma, mb, e.key) for e, (ma, mb) in zip(edges, marks)]
+        return MixedGraph(self.node_list(), rewritten)
 
     def anteriors(self, node: str) -> set[str]:
         """ant(node): nodes that reach ``node`` in the anterior graph along a
         path of lines followed by arrows. The node itself is never included.
         """
         self._require(node)
-        self.require_loopless()
-        g = (self if self.is_anterior() else self.anterior_graph()).compiled
+        g = self.anterior_graph().compiled
         start = g.index[node]
-        reached = g.ancestors([start]) | {start}
-        queue = deque(reached)
-        while queue:
-            v = queue.popleft()
-            for w, head_v, head_w, _ in g.adjacency[v]:
-                if not (head_v or head_w or w in reached):
-                    reached.add(w)
-                    queue.append(w)
-        reached.discard(start)
+        seeds = g.ancestors([start]) | {start}
+        reached = (seeds | _closure(g.lines, seeds)) - {start}
         return {g.labels[v] for v in reached}
 
     # -- structural identity ----------------------------------------------

@@ -166,7 +166,12 @@ class IndependenceModel:
         return len(self.statements)
 
     def sorted_statements(self) -> list[IndependenceStatement]:
-        return sorted(self.statements, key=IndependenceStatement.sort_key)
+        """The statements by sort key, sorted once per model, as a new list."""
+        return list(self._sorted)
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[IndependenceStatement, ...]:
+        return tuple(sorted(self.statements, key=IndependenceStatement.sort_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndependenceModel):
@@ -248,11 +253,12 @@ def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
     n = len(compiled.labels)
     for c in range(1 << n):
         given = set(_bits(c))
+        open_colliders = given | compiled.ancestors(given)
         row = []
         for x in range(n):
             reach = 0
             if not c >> x & 1:
-                for w in _reach(compiled, (x,), given):
+                for w in _reach(compiled, (x,), given, open_colliders):
                     reach |= 1 << w
             row.append(reach & ~c & ~(1 << x))
         yield c, row
@@ -304,8 +310,7 @@ def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     """One statement per non-adjacent pair, conditioned on the union of the
     pair's anterior sets; mirrored orientations included."""
     graph.require_loopless()
-    rewritten = graph if graph.is_anterior() else graph.anterior_graph()
-    ant = {v: rewritten.anteriors(v) for v in graph.nodes}
+    ant = {v: graph.anteriors(v) for v in graph.nodes}
     statements = []
     for x, y in itertools.combinations(graph.node_list(), 2):
         if graph.adjacent(x, y):

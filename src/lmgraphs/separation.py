@@ -44,13 +44,11 @@ class SeparationQuery:
 
 def _compiled_for(graph: MixedGraph, nodes: Iterable[str]) -> CompiledGraph:
     """The compiled graph, once the graph is loopless and has every node."""
-    compiled = graph.compiled
-    if not compiled.loopless:
-        graph.require_loopless()
+    graph.require_loopless()
     for n in nodes:
         if n not in graph.nodes:
             raise GraphError(f"unknown node {n!r}")
-    return compiled
+    return graph.compiled
 
 
 def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> CompiledGraph:
@@ -63,10 +61,12 @@ def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> Com
 
 
 def _reach(
-    compiled: CompiledGraph, sources: Iterable[int], c: set[int], stop: Container[int] = ()
+    compiled: CompiledGraph, sources: Iterable[int], c: set[int], open_colliders: set[int],
+    stop: Container[int] = (),
 ) -> set[int]:
     """Indices joined to some source by an m-connecting path given C; returns
-    as soon as it reaches a node in ``stop``.
+    as soon as it reaches a node in ``stop``. ``open_colliders`` is C together
+    with an(C), so a caller with many searches under one C computes it once.
 
     Breadth-first over mark states: a state leaves v over an edge when v, as
     collider of the two marks, lies in C or an(C), or, as non-collider, lies
@@ -76,7 +76,6 @@ def _reach(
     (exponential in the worst case). One pass from all sources is exact: a
     state's future does not depend on where its path began.
     """
-    open_colliders = c | compiled.ancestors(c)
     adjacency = compiled.adjacency
     simple = not compiled.anterior
     reached: set[int] = set()
@@ -109,7 +108,8 @@ def _m_reachable(
     compiled = graph.compiled
     index = compiled.index
     stop = () if stop_at is None else (index[stop_at],)
-    found = _reach(compiled, [index[x]], {index[n] for n in c}, stop)
+    given = {index[n] for n in c}
+    found = _reach(compiled, [index[x]], given, given | compiled.ancestors(given), stop)
     return {compiled.labels[v] for v in found}
 
 
@@ -139,7 +139,9 @@ def m_separated(
     index = compiled.index
     targets = {index[n] for n in query.b}
     sources = [index[n] for n in query.a]
-    return _reach(compiled, sources, {index[n] for n in query.c}, targets).isdisjoint(targets)
+    given = {index[n] for n in query.c}
+    found = _reach(compiled, sources, given, given | compiled.ancestors(given), targets)
+    return found.isdisjoint(targets)
 
 
 def is_m_connecting_path(

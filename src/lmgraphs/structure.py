@@ -225,12 +225,11 @@ class GraphClass:
 
 
 def classify(graph: MixedGraph) -> GraphClass:
-    loopless = graph.is_loopless()
-    if not loopless:
+    if not graph.is_loopless():
         return GraphClass(False, False, False, False, False, False, False, None)
 
     kinds = {e.kind for e in graph.edges}
-    has_cycle = any(graph.on_directed_cycle(v) for v in graph.nodes)
+    has_cycle = bool(graph.compiled.cyclic)
     undirected = kinds <= {EdgeKind.LINE}
     bidirected = kinds <= {EdgeKind.ARC}
     dag = kinds <= {EdgeKind.ARROW} and not has_cycle

@@ -1,7 +1,10 @@
-"""Byte identity of the independence commands on every fixture.
+"""Byte identity of the independence and structure commands on every fixture.
 
 `lmg model`, `lmg model --singleton`, `lmg axioms` and `lmg closure` run on
-each fixture, and `lmg equiv` on every ordered pair of fixtures. Each run's
+each fixture, and `lmg equiv` on every ordered pair of fixtures. The
+structure commands `lmg anterior`, `lmg anteriors --node v` for every node
+v, `lmg ribbons`, `lmg classify`, `lmg maximal`, `lmg maximalize` and
+`lmg pairwise` run on each fixture in text and JSON. Each run's
 exit code, stderr and the SHA-256 of its stdout must equal the record in
 ``cli_golden.json``. The digests keep the record small: the model listings
 alone run to hundreds of kilobytes.
@@ -30,6 +33,8 @@ FIXTURES = [
     "fig5b", "fig6", "fig7", "fig9a", "fig9b", "fig9c",
 ]
 
+STRUCTURE_COMMANDS = ["anterior", "ribbons", "classify", "maximal", "maximalize", "pairwise"]
+
 
 def cases() -> list[list[str]]:
     """Argument vectors, with fixture paths relative to the repository root."""
@@ -45,7 +50,19 @@ def cases() -> list[list[str]]:
     for first in FIXTURES:
         for second in FIXTURES:
             argvs.append(["equiv", f"fixtures/{first}.lmg", f"fixtures/{second}.lmg"])
+    for name in FIXTURES:
+        path = f"fixtures/{name}.lmg"
+        structure = [[command, path] for command in STRUCTURE_COMMANDS]
+        structure += [["anteriors", path, "--node", v] for v in _nodes(path)]
+        for argv in structure:
+            argvs += [argv, argv + ["--format", "json"]]
     return argvs
+
+
+def _nodes(path: str) -> list[str]:
+    from lmgraphs import load_graph
+
+    return load_graph(str(ROOT / path)).node_list()
 
 
 def run(argv: list[str]) -> dict:

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from lmgraphs import (
+    Edge,
+    EdgeKind,
     GraphError,
     Mark,
+    MixedGraph,
     TripathClass,
     build_graph,
     classify_tripath,
@@ -170,6 +173,32 @@ class TestAnteriorGraph:
         with pytest.raises(GraphError, match="loop"):
             g.anterior_graph()
 
+    def test_order_independent_on_corpus(self, lmg_corpus):
+        for k, g in enumerate(lmg_corpus):
+            expected = g.anterior_graph()
+            assert expected == naive_anterior_graph(g)
+            assert g.anterior_graph(rng=random.Random(k)) == expected
+
+    def test_built_once_per_graph(self, figures):
+        for g in figures.values():
+            assert g.anterior_graph() is g.anterior_graph()
+
+    def test_anterior_graph_is_its_own(self, figures, lmg_corpus):
+        for g in [*figures.values(), *lmg_corpus]:
+            star = g.anterior_graph()
+            assert star.is_anterior()
+            assert star.anterior_graph() is star
+
+    def test_long_arrow_chain(self):
+        n = 1600
+        names = [f"a{k:04d}" for k in range(n)]
+        edges = [(names[k], "->", names[k + 1]) for k in range(n - 1)]
+        g = build_graph(names + ["z"], edges + [(names[-1], "--", "z")])
+        star = g.anterior_graph()
+        assert [e.key for e in star.edges] == [e.key for e in g.edges]
+        assert all(e.mark_a is Mark.TAIL and e.mark_b is Mark.TAIL for e in star.edges)
+        assert g.anteriors("z") == set(names)
+
 
 class TestAnteriors:
     def test_fig2_anterior_sets(self, figures):
@@ -210,6 +239,54 @@ class TestAnteriors:
             for i in g.anteriors(j) - an_j:
                 reach = {i} | g.descendants([i])
                 assert reach & line_ends
+
+
+def naive_anterior_graph(g):
+    """The anterior graph by its definition: drop every arrowhead at an end
+    of a line, recomputing the line ends, until none is left."""
+    edges = list(g.edges)
+    while True:
+        ends = {v for e in edges if e.kind is EdgeKind.LINE for v in (e.a, e.b)}
+        rewritten = [
+            Edge(e.a, e.b,
+                 Mark.TAIL if e.a in ends else e.mark_a,
+                 Mark.TAIL if e.b in ends else e.mark_b, e.key)
+            for e in edges
+        ]
+        if rewritten == edges:
+            return MixedGraph(g.node_list(), edges)
+        edges = rewritten
+
+
+class TestCompiledFacts:
+    """The compiled form's line lists, flags and cycle set against scans of
+    the edges."""
+
+    LOOPS = [
+        build_graph(["i", "j"], [("i", "->", "i"), ("i", "--", "j")]),
+        build_graph(["i", "j"], [("j", "--", "j"), ("i", "->", "j")]),
+        build_graph(["i", "j"], [("i", "<->", "i"), ("i", "->", "j"), ("j", "->", "i")]),
+    ]
+
+    def test_line_ends_and_flags(self, lmg_corpus):
+        for g in [*lmg_corpus, *self.LOOPS]:
+            ends = {v for e in g.edges if e.kind is EdgeKind.LINE for v in (e.a, e.b)}
+            assert g.line_endpoints() == ends
+            assert g.is_anterior() == (not any(
+                (e.mark_a is Mark.HEAD and e.a in ends) or (e.mark_b is Mark.HEAD and e.b in ends)
+                for e in g.edges
+            ))
+            assert g.is_loopless() == (not any(e.is_loop() for e in g.edges))
+
+    def test_on_directed_cycle_matches_ancestors(self, lmg_corpus):
+        for g in [*lmg_corpus, *self.LOOPS]:
+            for v in g.nodes:
+                assert g.on_directed_cycle(v) == (v in g.ancestors([v]))
+
+    def test_loop_message_names_the_loop(self):
+        for g, at in zip(self.LOOPS, "iji"):
+            with pytest.raises(GraphError, match=f"loop at '{at}'"):
+                g.require_loopless()
 
 
 class TestPaths:
