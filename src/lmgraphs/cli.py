@@ -19,6 +19,7 @@ from .graph import MixedGraph
 from .independence import (
     AXIOM_SETS,
     IndependenceModel,
+    _counterexample,
     check_axioms,
     closure,
     enumerate_model,
@@ -32,7 +33,6 @@ from .structure import (
     classify,
     find_primitive_inducing_paths,
     find_ribbons,
-    is_maximal,
     maximality_violations,
     maximalize,
 )
@@ -277,12 +277,8 @@ def _cmd_equiv(args) -> tuple[int, Report]:
     equivalent = markov_equivalent(g1, g2, limit=args.limit)
     rep.result(equivalent, "equivalent" if equivalent else "not-equivalent")
     if not equivalent:
-        m1 = enumerate_model(g1, singleton_only=True, limit=args.limit)
-        m2 = enumerate_model(g2, singleton_only=True, limit=args.limit)
-        diff = sorted(
-            m1.statements ^ m2.statements, key=lambda s: s.sort_key()
-        )[0]
-        where = args.graph1 if diff in m1 else args.graph2
+        diff, in_first = _counterexample(g1, g2)
+        where = args.graph1 if in_first else args.graph2
         rep.counterexample(
             {"statement": format_statement(diff), "holds_only_in": where},
             [f"counterexample: {format_statement(diff)} holds only in {where}"],

@@ -2,9 +2,10 @@
 
 A CorpusSpec pins node-count range, per-kind edge probabilities, a multi-edge
 probability, an optional structural constraint, and the seed; the seed fully
-determines the output. Constraints are enforced by rejection sampling (plus
-the maximal completion for maximal-ribbonless), and every emitted graph is
-rechecked against its constraint.
+determines the output. Constraints are enforced by rejection sampling, plus
+the maximal completion for maximal-ribbonless: ``maximalize`` refuses a draw
+with a ribbon, scans each graph it builds for ribbons and stops only when no
+violation is left, so its output needs no second check.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from typing import Optional
 
 from .graph import GraphError, MixedGraph, build_graph
-from .structure import is_maximal, is_ribbonless, maximalize
+from .structure import is_ribbonless, maximalize
 
 CONSTRAINTS = ("none", "ribbonless", "maximal-ribbonless")
 
@@ -67,12 +69,15 @@ def random_lmg(rng: random.Random, spec: CorpusSpec) -> MixedGraph:
     return build_graph(labels, edges)
 
 
-def _satisfies(graph: MixedGraph, constraint: str) -> bool:
-    if constraint == "none":
-        return True
-    if constraint == "ribbonless":
-        return is_ribbonless(graph)
-    return is_ribbonless(graph) and is_maximal(graph)
+def _accepted(graph: MixedGraph, constraint: str) -> Optional[MixedGraph]:
+    """The draw, or for maximal-ribbonless its completion, when it meets the
+    constraint; None otherwise."""
+    if constraint == "maximal-ribbonless":
+        try:
+            return maximalize(graph)
+        except GraphError:  # the draw has a ribbon, or its completion gains one
+            return None
+    return graph if constraint == "none" or is_ribbonless(graph) else None
 
 
 def generate_corpus(spec: CorpusSpec) -> list[MixedGraph]:
@@ -80,17 +85,11 @@ def generate_corpus(spec: CorpusSpec) -> list[MixedGraph]:
     graphs: list[MixedGraph] = []
     attempts = 0
     while len(graphs) < spec.count:
-        budget = spec.max_attempts_per_graph
         produced = None
-        for _ in range(budget):
+        for _ in range(spec.max_attempts_per_graph):
             attempts += 1
-            g = random_lmg(rng, spec)
-            if spec.constraint == "maximal-ribbonless":
-                if not is_ribbonless(g):
-                    continue
-                g = maximalize(g)
-            if _satisfies(g, spec.constraint):
-                produced = g
+            produced = _accepted(random_lmg(rng, spec), spec.constraint)
+            if produced is not None:
                 break
         if produced is None:
             rate = len(graphs) / attempts if attempts else 0.0

@@ -146,7 +146,7 @@ class IndependenceModel:
                 raise GraphError(f"statement {s} leaves the ground set")
         self.statements = stmts
         self.symmetry_closed = symmetry_closed
-        self._triples = {(s.a, s.b, s.c) for s in stmts}
+        self._mask = _masker(sorted(self.ground_set))
 
     def contains(
         self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()
@@ -155,9 +155,10 @@ class IndependenceModel:
         fa, fb, fc = frozenset(a), frozenset(b), frozenset(c)
         if not fa or not fb:
             return True
-        if (fa, fb, fc) in self._triples:
-            return True
-        return self.symmetry_closed and (fb, fa, fc) in self._triples
+        if not fa | fb | fc <= self.ground_set:
+            return False
+        n, mask = len(self.ground_set), self._mask
+        return (mask(fa) | mask(fb) << n | mask(fc) << 2 * n) in self._codes
 
     def __contains__(self, statement: IndependenceStatement) -> bool:
         return self.contains(statement.a, statement.b, statement.c)
@@ -195,7 +196,7 @@ class IndependenceModel:
         """Each statement as the int ``a | b << n | c << 2n``, with node k of
         the sorted ground set as bit k; mirrored codes are added when the
         model is symmetry closed, so membership matches ``contains``."""
-        n, mask = len(self.ground_set), _masker(sorted(self.ground_set))
+        n, mask = len(self.ground_set), self._mask
         codes = set()
         for s in self.statements:
             a, b, c = mask(s.a), mask(s.b), mask(s.c) << 2 * n
@@ -384,7 +385,7 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
         return IndependenceStatement(sets[a], sets[b], sets[c])
 
     if axiom in (Axiom.SYMMETRY, Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
-        mask = _masker(labels)
+        mask = model._mask
         for s in model.sorted_statements():
             a, b, c = mask(s.a), mask(s.b), mask(s.c)
             if axiom is Axiom.SYMMETRY:
@@ -540,10 +541,8 @@ def satisfies_pairwise(model: IndependenceModel, graph: MixedGraph) -> MarkovChe
     """Does the model contain every non-adjacent pair's anterior-separator
     statement (in both orientations)?"""
     _require_shared_ground(model, graph)
-    for expected in pairwise_model(graph).sorted_statements():
-        if expected not in model:
-            return MarkovCheck(False, expected)
-    return MarkovCheck(True)
+    missing = next((s for s in pairwise_model(graph).sorted_statements() if s not in model), None)
+    return MarkovCheck(missing is None, missing)
 
 
 def satisfies_global(
@@ -551,11 +550,9 @@ def satisfies_global(
 ) -> MarkovCheck:
     """Does the model contain everything m-separation derives on the graph?"""
     _require_shared_ground(model, graph)
-    induced = enumerate_model(graph, limit=limit)
-    for s in induced.sorted_statements():
-        if s not in model:
-            return MarkovCheck(False, s)
-    return MarkovCheck(True)
+    induced = enumerate_model(graph, limit=limit).sorted_statements()
+    missing = next((s for s in induced if s not in model), None)
+    return MarkovCheck(missing is None, missing)
 
 
 def conforms(model: IndependenceModel, graph: MixedGraph) -> bool:
@@ -584,7 +581,27 @@ def markov_equivalent(
         raise GraphError("graphs are over different node sets")
     _require_enumerable(g1, True, limit)
     _require_enumerable(g2, True, limit)
-    return all(r1 == r2 for (_, r1), (_, r2) in zip(_reach_masks(g1), _reach_masks(g2)))
+    return next(_differences(g1, g2), None) is None
+
+
+def _differences(g1: MixedGraph, g2: MixedGraph) -> Iterator[tuple[tuple, bool]]:
+    """For each conditioning set C on which the reach masks of two graphs
+    over one node set differ, the smallest x, then y, by index, whose
+    statement <x, y | C> holds in just one graph: its sort key (x, y, C) by
+    index, and whether it holds in g1, which is when y is not in R1(x, C)."""
+    for (c, r1), (_, r2) in zip(_reach_masks(g1), _reach_masks(g2)):
+        if r1 != r2:
+            x = next(x for x in range(len(r1)) if r1[x] != r2[x])
+            y = next(_bits(r1[x] ^ r2[x]))
+            yield (x, y, tuple(_bits(c))), not r1[x] >> y & 1
+
+
+def _counterexample(g1: MixedGraph, g2: MixedGraph) -> tuple[IndependenceStatement, bool]:
+    """The smallest singleton statement, by sort key, that holds in just one
+    of two graphs that are not Markov equivalent, and whether that is g1."""
+    (x, y, c), in_g1 = min(_differences(g1, g2))
+    labels = g1.compiled.labels
+    return IndependenceStatement.of([labels[x]], [labels[y]], [labels[k] for k in c]), in_g1
 
 
 def marginal_model(model: IndependenceModel, margin: Iterable[str]) -> IndependenceModel:

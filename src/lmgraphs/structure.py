@@ -11,9 +11,9 @@ this module sound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import Edge, EdgeKind, GraphError, Mark, MixedGraph, Path
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _compiled_for, m_separated
@@ -31,52 +31,38 @@ class Ribbon:
     witness: str  # line endpoint among {i} + descendants, or the cycle node
 
 
-def _condition_two(
-    graph: MixedGraph, inner: str, line_ends: set[str]
-) -> Optional[tuple[RibbonFlavor, str]]:
-    """Check the inner-node condition; straight beats cyclic when both hold."""
-    candidates = [inner] + sorted(graph.descendants([inner]) - {inner})
-    for v in candidates:
-        if v in line_ends:
-            return (RibbonFlavor.STRAIGHT, v)
-    for v in candidates:
-        if graph.on_directed_cycle(v):
-            return (RibbonFlavor.CYCLIC, v)
-    return None
-
-
 def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
     """All ribbons of the graph, one per distinct mark signature of a node
     triple; parallel copies of the same shape are not repeated.
 
-    The shortcut test consults every edge between the tripath's endpoints, so
-    the decision matches the induced subgraph on the three nodes.
+    Only an inner node in M | an(M), M the line ends and cycle nodes, can
+    qualify; its witness is the first line end, else the first cycle node, of
+    the node and then its descendants by label. The shortcut test consults
+    every edge between the tripath's endpoints, as the induced subgraph does.
     """
     graph.require_loopless()
+    compiled = graph.compiled
+    labels, rows, cyclic = compiled.labels, compiled.adjacency, compiled.cyclic
+    line_ends = {v for v, ends in enumerate(compiled.lines) if ends}
+    marked = line_ends | cyclic
     found: dict[tuple, Ribbon] = {}
-    line_ends = graph.line_endpoints()
-    for inner in graph.node_list():
-        incident = [e for e in graph.edges_at(inner) if e.head_at(inner)]
-        hit = _condition_two(graph, inner, line_ends) if len(incident) > 1 else None
-        if hit is None:
+    for inner in marked | compiled.ancestors(marked):
+        incident = [(w, head_w, e) for w, head_v, head_w, e in rows[inner] if head_v]
+        if len(incident) < 2:
             continue
-        for e1, e2 in itertools.combinations(incident, 2):
-            h, j = e1.other(inner), e2.other(inner)
+        below = [inner] + sorted(compiled.descendants([inner]) - {inner})
+        hits = [v for v in below if v in line_ends] or [v for v in below if v in cyclic]
+        flavor = RibbonFlavor.STRAIGHT if hits[0] in line_ends else RibbonFlavor.CYCLIC
+        for (h, head_h, e1), (j, head_j, e2) in itertools.combinations(incident, 2):
             if h == j:
                 continue
             if h > j:
-                e1, e2, h, j = e2, e1, j, h
-            tripath = Path((h, inner, j), (e1, e2))
-            signature = (h, inner, j, e1.head_at(h), e2.head_at(j))
-            if signature in found:
+                h, head_h, e1, j, head_j, e2 = j, head_j, e2, h, head_h, e1
+            signature = (h, inner, j, head_h, head_j)
+            if signature in found or (j, head_h, head_j) in (w[:3] for w in rows[h]):
                 continue
-            shortcut = any(
-                e.head_at(h) == e1.head_at(h) and e.head_at(j) == e2.head_at(j)
-                for e in graph.edges_between(h, j)
-            )
-            if shortcut:
-                continue
-            found[signature] = Ribbon(tripath, *hit)
+            tripath = Path((labels[h], labels[inner], labels[j]), (e1, e2))
+            found[signature] = Ribbon(tripath, flavor, labels[hits[0]])
     return [found[k] for k in sorted(found)]
 
 
@@ -109,26 +95,44 @@ def find_primitive_inducing_paths(
     return list(itertools.islice(_admissible_paths(compiled, source, target, passes), limit))
 
 
+def _require_ribbonless(graph: MixedGraph, what: str) -> None:
+    if find_ribbons(graph):
+        raise GraphError(f"{what} requires a ribbonless graph")
+
+
+def _violations(graph: MixedGraph) -> Iterator[tuple[str, str, Path]]:
+    """Non-adjacent pairs x < y joined by a primitive inducing path, in label
+    order, each with its first one, as found; the caller has checked that the
+    graph is ribbonless. One ancestor set per node serves every pair."""
+    compiled = graph.compiled
+    labels, rows = compiled.labels, compiled.adjacency
+    an = [compiled.ancestors([v]) for v in range(len(labels))]
+
+    def passes(v: int, head_in: bool, head_out: bool) -> bool:  # for the pair (x, y) below
+        return head_in and head_out and (v in an[x] or v in an[y])
+
+    for x, row in enumerate(rows):
+        adjacent = {w for w, *_ in row}
+        for y in range(x + 1, len(labels)):
+            if y not in adjacent:
+                path = next(_admissible_paths(compiled, x, y, passes), None)
+                if path is not None:
+                    yield labels[x], labels[y], path
+
+
 def maximality_violations(graph: MixedGraph) -> list[tuple[str, str, Path]]:
     """Non-adjacent pairs joined by a primitive inducing path, with a witness.
 
     Only defined on ribbonless graphs, where such a path is exactly the
     obstruction to finding a separating set.
     """
-    if not is_ribbonless(graph):
-        raise GraphError("maximality test requires a ribbonless graph")
-    violations = []
-    for x, y in itertools.combinations(graph.node_list(), 2):
-        if graph.adjacent(x, y):
-            continue
-        paths = find_primitive_inducing_paths(graph, x, y, limit=1)
-        if paths:
-            violations.append((x, y, paths[0]))
-    return violations
+    _require_ribbonless(graph, "maximality test")
+    return list(_violations(graph))
 
 
 def is_maximal(graph: MixedGraph) -> bool:
-    return not maximality_violations(graph)
+    _require_ribbonless(graph, "maximality test")
+    return next(_violations(graph), None) is None
 
 
 def oracle_is_maximal(graph: MixedGraph, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
@@ -168,30 +172,28 @@ def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
     return (graph.anteriors(x) | graph.anteriors(y)) - {x, y}
 
 
-def _endpoint_identical_edge(path: Path, key: int = 0) -> Edge:
-    x, y = path.first, path.last
-    mark_x = Mark.HEAD if path.arrowhead_at(x) else Mark.TAIL
-    mark_y = Mark.HEAD if path.arrowhead_at(y) else Mark.TAIL
-    return Edge(x, y, mark_x, mark_y, key)
-
-
 def maximalize(graph: MixedGraph) -> MixedGraph:
     """Close a ribbonless graph under the edges its primitive inducing paths
     demand, yielding a maximal graph with the same separation model.
 
-    Violating pairs are processed in lexicographic order, adding the edge
-    endpoint-identical to the first witness path, and the scan restarts after
-    each addition. Terminates because every step makes one pair adjacent.
+    Each step adds the edge endpoint-identical to the first witness of the
+    first violating pair in label order, then scans for ribbons and for the
+    next first violation. Every step makes one pair adjacent, so it ends. An
+    edge that creates a ribbon leaves the criterion's scope and is refused.
     """
-    if not is_ribbonless(graph):
-        raise GraphError("maximalize requires a ribbonless graph")
+    _require_ribbonless(graph, "maximalize")
     current = graph
-    while True:
-        violations = maximality_violations(current)
-        if not violations:
-            return current
-        _, _, path = violations[0]
-        current = current.with_edge(_endpoint_identical_edge(path))
+    while (violation := next(_violations(current), None)) is not None:
+        x, y, path = violation
+        edge = Edge(x, y, *(Mark.HEAD if path.arrowhead_at(v) else Mark.TAIL for v in (x, y)))
+        current = current.with_edge(edge)
+        ribbons = find_ribbons(current)
+        if ribbons:
+            raise GraphError(
+                f"maximalize: adding {edge} for the pair ({x},{y}) creates the ribbon "
+                f"{ribbons[0].tripath}, so the completion is not ribbonless"
+            )
+    return current
 
 
 @dataclass(frozen=True)
@@ -212,46 +214,28 @@ class GraphClass:
     maximal: Optional[bool]
 
     def as_dict(self) -> dict[str, Optional[bool]]:
-        return {
-            "loopless_mixed": self.loopless_mixed,
-            "undirected": self.undirected,
-            "bidirected": self.bidirected,
-            "dag": self.dag,
-            "acyclic_directed_mixed": self.acyclic_directed_mixed,
-            "ancestral": self.ancestral,
-            "ribbonless": self.ribbonless,
-            "maximal": self.maximal,
-        }
+        return asdict(self)
 
 
 def classify(graph: MixedGraph) -> GraphClass:
     if not graph.is_loopless():
         return GraphClass(False, False, False, False, False, False, False, None)
 
-    kinds = {e.kind for e in graph.edges}
-    has_cycle = bool(graph.compiled.cyclic)
+    kinds, compiled = {e.kind for e in graph.edges}, graph.compiled
+    has_cycle = bool(compiled.cyclic)
     undirected = kinds <= {EdgeKind.LINE}
     bidirected = kinds <= {EdgeKind.ARC}
     dag = kinds <= {EdgeKind.ARROW} and not has_cycle
     admg = kinds <= {EdgeKind.ARROW, EdgeKind.ARC} and not has_cycle
 
     arc_ancestor = any(
-        e.other(v) in graph.ancestors([v])
-        for e in graph.edges
-        if e.kind is EdgeKind.ARC
-        for v in (e.a, e.b)
+        w in compiled.ancestors([v])
+        for v, row in enumerate(compiled.adjacency)
+        for w, head_v, head_w, _ in row
+        if head_v and head_w
     )
     ancestral = not has_cycle and not arc_ancestor and graph.is_anterior()
 
     ribbonless = is_ribbonless(graph)
-    maximal = is_maximal(graph) if ribbonless else None
-    return GraphClass(
-        loopless_mixed=True,
-        undirected=undirected,
-        bidirected=bidirected,
-        dag=dag,
-        acyclic_directed_mixed=admg,
-        ancestral=ancestral,
-        ribbonless=ribbonless,
-        maximal=maximal,
-    )
+    maximal = next(_violations(graph), None) is None if ribbonless else None
+    return GraphClass(True, undirected, bidirected, dag, admg, ancestral, ribbonless, maximal)

@@ -355,6 +355,15 @@ class TestGen:
             assert is_ribbonless(parse_graph(body).graph)
 
 
+    def test_maximal_ribbonless_survives_a_completion_with_a_ribbon(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--count", "20", "--nodes", "3-5",
+            "--constraint", "maximal-ribbonless", "--seed", "244",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("# graph") == 20
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

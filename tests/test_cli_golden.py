@@ -4,7 +4,9 @@
 each fixture, and `lmg equiv` on every ordered pair of fixtures. The
 structure commands `lmg anterior`, `lmg anteriors --node v` for every node
 v, `lmg ribbons`, `lmg classify`, `lmg maximal`, `lmg maximalize` and
-`lmg pairwise` run on each fixture in text and JSON. Each run's
+`lmg pairwise` run on each fixture in text and JSON, and
+`lmg inducing-paths` on every ordered pair of distinct nodes of each
+fixture. `lmg gen` runs for each constraint on three seeds. Each run's
 exit code, stderr and the SHA-256 of its stdout must equal the record in
 ``cli_golden.json``. The digests keep the record small: the model listings
 alone run to hundreds of kilobytes.
@@ -35,6 +37,8 @@ FIXTURES = [
 
 STRUCTURE_COMMANDS = ["anterior", "ribbons", "classify", "maximal", "maximalize", "pairwise"]
 
+CONSTRAINTS = ["none", "ribbonless", "maximal-ribbonless"]
+
 
 def cases() -> list[list[str]]:
     """Argument vectors, with fixture paths relative to the repository root."""
@@ -56,6 +60,18 @@ def cases() -> list[list[str]]:
         structure += [["anteriors", path, "--node", v] for v in _nodes(path)]
         for argv in structure:
             argvs += [argv, argv + ["--format", "json"]]
+    for name in FIXTURES:
+        path = f"fixtures/{name}.lmg"
+        nodes = _nodes(path)
+        argvs += [
+            ["inducing-paths", path, "--a", x, "--b", y] for x in nodes for y in nodes if x != y
+        ]
+    for constraint in CONSTRAINTS:
+        for seed in range(3):
+            argvs.append(
+                ["gen", "--count", "20", "--nodes", "3-6", "--constraint", constraint,
+                 "--seed", str(seed)]
+            )
     return argvs
 
 

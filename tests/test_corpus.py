@@ -49,6 +49,17 @@ def test_maximal_ribbonless_constraint_enforced():
         assert oracle_is_maximal(g)
 
 
+def test_maximal_ribbonless_rejects_completions_that_gain_a_ribbon():
+    # Some draws of these seeds are ribbonless, but their maximal completion
+    # gains a ribbon; such a draw is rejected like any other.
+    for nodes, seed in (((3, 5), 244), ((4, 6), 42)):
+        spec = CorpusSpec(count=20, nodes=nodes, constraint="maximal-ribbonless", seed=seed)
+        graphs = generate_corpus(spec)
+        assert len(graphs) == 20
+        for g in graphs:
+            assert is_ribbonless(g) and is_maximal(g)
+
+
 def test_bidirected_probabilities_give_bidirected_graphs():
     spec = CorpusSpec(count=20, nodes=(3, 5), p_line=0.0, p_arrow=0.0, p_arc=0.5, seed=15)
     for g in generate_corpus(spec):

@@ -4,9 +4,11 @@ Each reference below spells the definition out one statement at a time with
 frozensets: a model is every assignment of the nodes to A, B, C (rest
 unused) that one ``m_separated`` call confirms; an axiom check quantifies
 over every assignment to A, B, C, D and asks ``IndependenceModel.contains``;
-Markov equivalence compares two singleton statement sets; the pairwise
-model asks each node for its own anterior set. The library must return
-exactly what they return, first violations included.
+Markov equivalence compares two singleton statement sets, and its
+counterexample is the smallest statement in just one of them; membership is
+a lookup in the statement set; the pairwise model asks each node for its own
+anterior set. The library must return exactly what they return, first
+violations included.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from lmgraphs import (
     markov_equivalent,
     pairwise_model,
 )
-from lmgraphs.independence import AxiomViolation, _proper_splits
+from lmgraphs.independence import AxiomViolation, _counterexample, _proper_splits
 from test_independence import models
 
 AXIOMS = sorted(Axiom, key=lambda a: a.value)
@@ -158,7 +160,35 @@ def test_equivalence_equals_statement_sets(corpus):
             verdict = markov_equivalent(g, h)
             assert verdict == (statements(g) == statements(h)), (g, h)
             verdicts.append(verdict)
-    assert len(set(verdicts)) == 2
+            if not verdict:
+                first = min(statements(g) ^ statements(h), key=IndependenceStatement.sort_key)
+                assert _counterexample(g, h) == (first, first in statements(g)), (g, h)
+    assert verdicts.count(False) > 190 and verdicts.count(True) > 0
+
+
+@pytest.mark.parametrize("symmetry_closed", [False, True])
+def test_contains_equals_statement_membership(corpus, symmetry_closed):
+    """Random triples over the ground set and two foreign labels, sides
+    overlapping or not, against a plain lookup in the statement set."""
+    rng = random.Random(62 + symmetry_closed)
+    checked = 0
+    for g in [g for g in corpus if len(g.nodes) <= 5][:60]:
+        full = enumerate_model(g)
+        model = thinned(full, rng, symmetry_closed)
+        stored = {(s.a, s.b, s.c) for s in model.statements}
+        labels = g.node_list() + ["x9", "y9"]
+        triples = [(s.a, s.b, s.c) for s in full.sorted_statements()[:40]]
+        triples += [
+            tuple(frozenset(rng.sample(labels, rng.randint(0, 2))) for _ in range(3))
+            for _ in range(60)
+        ]
+        for a, b, c in triples:
+            expected = (
+                not a or not b or (a, b, c) in stored or (symmetry_closed and (b, a, c) in stored)
+            )
+            assert model.contains(a, b, c) == expected, (g, a, b, c)
+            checked += 1
+    assert checked > 4000
 
 
 def test_pairwise_model_equals_per_node_anteriors(corpus):

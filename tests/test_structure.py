@@ -1,6 +1,7 @@
 """Ribbons, primitive inducing paths, maximality, and classification."""
 
 import itertools
+import re
 
 import pytest
 
@@ -244,6 +245,22 @@ class TestMaximalize:
     def test_rejects_ribbons(self, figures):
         with pytest.raises(GraphError, match="ribbonless"):
             maximalize(figures["fig5a"])
+
+    def test_refuses_a_completion_that_gains_a_ribbon(self):
+        # Ribbonless, but the first violation (b, e) is completed by the arc
+        # b <-> e, endpoint-identical to b <-> a <-> e, and that arc makes
+        # d <-> b <-> e a straight ribbon (b ends the line b -- c).
+        g = build_graph(
+            ["a", "b", "c", "d", "e"],
+            [("a", "<->", "b"), ("c", "->", "a"), ("a", "<->", "d"), ("a", "->", "e"),
+             ("a", "<->", "e"), ("b", "--", "c"), ("b", "->", "c"), ("b", "<->", "d")],
+        )
+        assert is_ribbonless(g)
+        x, y, path = maximality_violations(g)[0]
+        assert (x, y, str(path)) == ("b", "e", "b <-> a <-> e")
+        message = "adding b <-> e for the pair (b,e) creates the ribbon d <-> b <-> e"
+        with pytest.raises(GraphError, match=re.escape(message)):
+            maximalize(g)
 
 
 class TestClassify:

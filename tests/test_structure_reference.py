@@ -1,0 +1,239 @@
+"""The structure scans against naive, label-level references.
+
+The references are the plainest readings of the definitions and stay apart
+from the library's scans on purpose:
+
+- a ribbon scan that lists every inner node's sorted descendants and tests
+  each one for a line end, then for a directed cycle;
+- a violation list that asks ``find_primitive_inducing_paths(limit=1)`` once
+  for every non-adjacent pair;
+- a ``maximalize`` that reruns that whole list after every edge it adds.
+
+The library must give the same ribbons (edges, flavour and witness), the same
+violations with the same paths, the same completions and the same refusals on
+seeded corpora of 3-8 nodes with multi-edges and directed cycles. Two counting
+tests pin the cost: the ribbon scan takes no descendant closure on a graph
+without lines or cycles, and a violation scan takes at most one ancestor set
+per node plus the ribbon scan's one.
+"""
+
+import itertools
+
+import pytest
+
+from lmgraphs import (
+    CorpusSpec,
+    Edge,
+    GraphError,
+    Mark,
+    RibbonFlavor,
+    build_graph,
+    classify,
+    find_primitive_inducing_paths,
+    find_ribbons,
+    generate_corpus,
+    is_maximal,
+    maximality_violations,
+    maximalize,
+)
+from lmgraphs import graph as graph_module
+
+
+def reference_ribbons(graph):
+    """(tripath nodes, edge keys, flavour, witness) of every ribbon, in the
+    library's order: one per node triple and mark signature."""
+    graph.require_loopless()
+    line_ends = graph.line_endpoints()
+    found = {}
+    for inner in graph.node_list():
+        incident = [e for e in graph.edges_at(inner) if e.head_at(inner)]
+        if len(incident) < 2:
+            continue
+        candidates = [inner] + sorted(graph.descendants([inner]) - {inner})
+        hit = next(
+            (
+                (flavor, v)
+                for flavor, test in (
+                    (RibbonFlavor.STRAIGHT, line_ends.__contains__),
+                    (RibbonFlavor.CYCLIC, graph.on_directed_cycle),
+                )
+                for v in candidates
+                if test(v)
+            ),
+            None,
+        )
+        if hit is None:
+            continue
+        for e1, e2 in itertools.combinations(incident, 2):
+            h, j = e1.other(inner), e2.other(inner)
+            if h == j:
+                continue
+            if h > j:
+                e1, e2, h, j = e2, e1, j, h
+            signature = (h, inner, j, e1.head_at(h), e2.head_at(j))
+            if signature in found:
+                continue
+            if any(
+                e.head_at(h) == e1.head_at(h) and e.head_at(j) == e2.head_at(j)
+                for e in graph.edges_between(h, j)
+            ):
+                continue
+            found[signature] = ((h, inner, j), (e1.key, e2.key), *hit)
+    return [found[k] for k in sorted(found)]
+
+
+def reference_violations(graph):
+    """(x, y, path) for every non-adjacent pair joined by a primitive
+    inducing path, pair by pair; refuses a graph with ribbons."""
+    if reference_ribbons(graph):
+        raise GraphError("maximality test requires a ribbonless graph")
+    violations = []
+    for x, y in itertools.combinations(graph.node_list(), 2):
+        if graph.adjacent(x, y):
+            continue
+        paths = find_primitive_inducing_paths(graph, x, y, limit=1)
+        if paths:
+            violations.append((x, y, paths[0]))
+    return violations
+
+
+def endpoint_identical_edge(path):
+    x, y = path.first, path.last
+    marks = [Mark.HEAD if path.arrowhead_at(v) else Mark.TAIL for v in (x, y)]
+    return Edge(x, y, *marks)
+
+
+def reference_maximalize(graph):
+    """(completion, None) when the restarted scans end on a maximal
+    ribbonless graph, else (None, step): the step (x, y, edge) whose edge gave
+    the graph a ribbon, or None when the input already had one."""
+    current, step = graph, None
+    while True:
+        if reference_ribbons(current):
+            return None, step
+        violations = reference_violations(current)
+        if not violations:
+            return current, None
+        x, y, path = violations[0]
+        step = (x, y, endpoint_identical_edge(path))
+        current = current.with_edge(step[2])
+
+
+def ribbon_facts(ribbons):
+    return [
+        (r.tripath.nodes, tuple(e.key for e in r.tripath.edges), r.flavor, r.witness)
+        for r in ribbons
+    ]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """1,800 graphs of 3-8 nodes: a dense third, mostly with ribbons, then a
+    sparse third and an arrow-heavy third, mostly ribbonless. Arrows point
+    either way, so directed cycles occur; ``p_multi`` makes parallel edges.
+    Then 1,500 arc-heavy ribbonless graphs of 4-6 nodes, a few of whose
+    completions gain a ribbon."""
+    specs = [
+        CorpusSpec(count=600, nodes=(3, 8), p_multi=0.2, seed=8108),
+        CorpusSpec(count=600, nodes=(3, 8), p_line=0.06, p_arrow=0.22, p_arc=0.14, p_multi=0.2, seed=8109),
+        CorpusSpec(count=600, nodes=(3, 8), p_line=0.05, p_arrow=0.35, p_arc=0.12, p_multi=0.2, seed=8110),
+        CorpusSpec(
+            count=1500, nodes=(4, 6), p_line=0.15, p_arrow=0.35, p_arc=0.35, p_multi=0.1,
+            constraint="ribbonless", seed=7,
+        ),
+    ]
+    return [g for spec in specs for g in generate_corpus(spec)]
+
+
+def test_corpus_covers_the_cases(corpus):
+    ribbonless = [g for g in corpus if not reference_ribbons(g)]
+    assert len(corpus) >= 1500
+    assert sum(bool(g.compiled.cyclic) for g in corpus) > 200
+    assert sum(len(set(e.canonical() for e in g.edges)) < len(g.edges) for g in corpus) > 1000
+    assert len(ribbonless) > 500
+    assert sum(bool(reference_violations(g)) for g in ribbonless) > 50
+
+
+def test_ribbons_match_reference(corpus):
+    for g in corpus:
+        assert ribbon_facts(find_ribbons(g)) == reference_ribbons(g), g
+
+
+def test_violations_match_reference(corpus):
+    for g in corpus:
+        try:
+            expected = reference_violations(g)
+        except GraphError:
+            with pytest.raises(GraphError, match="ribbonless"):
+                maximality_violations(g)
+            with pytest.raises(GraphError, match="ribbonless"):
+                is_maximal(g)
+            continue
+        assert maximality_violations(g) == expected, g
+        assert is_maximal(g) == (not expected)
+
+
+def test_classify_matches_reference(corpus):
+    for g in corpus:
+        flags = classify(g)
+        ribbonless = not reference_ribbons(g)
+        assert flags.ribbonless == ribbonless
+        assert flags.maximal == ((not reference_violations(g)) if ribbonless else None)
+
+
+def test_maximalize_matches_reference(corpus):
+    completed = refused = 0
+    for g in corpus:
+        expected, step = reference_maximalize(g)
+        if expected is not None:
+            assert maximalize(g).edges == expected.edges, g
+            completed += 1
+            continue
+        with pytest.raises(GraphError) as refusal:
+            maximalize(g)
+        message = str(refusal.value)
+        if step is None:
+            assert message == "maximalize requires a ribbonless graph"
+        else:
+            x, y, edge = step
+            assert f"({x},{y})" in message and str(edge) in message, message
+            refused += 1
+    assert completed > 2000 and refused >= 5
+
+
+def arc_hung_chain(k):
+    """a_i -> a_(i+1) and a_i <-> b_i for i < k: ribbonless, no lines and no
+    directed cycles, and every a_i but the first has two arrowheads."""
+    a = [f"a{i:04d}" for i in range(k)]
+    b = [f"b{i:04d}" for i in range(k)]
+    edges = [(u, "->", v) for u, v in zip(a, a[1:])] + [(u, "<->", v) for u, v in zip(a, b)]
+    return build_graph(a + b, edges)
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The step table of every closure taken while the fixture is active."""
+    steps = []
+    real = graph_module._closure
+
+    def counting(step, starts):
+        steps.append(step)
+        return real(step, starts)
+
+    monkeypatch.setattr(graph_module, "_closure", counting)
+    return steps
+
+
+def test_ribbon_scan_takes_no_descendant_closure_without_lines_or_cycles(closures):
+    g = arc_hung_chain(400)
+    assert find_ribbons(g) == []
+    assert not any(step is g.compiled.children for step in closures)
+
+
+def test_violation_scan_takes_one_ancestor_set_per_node(closures, corpus):
+    graphs = [arc_hung_chain(30)] + [g for g in corpus[600:] if not reference_ribbons(g)][:50]
+    for g in graphs:
+        closures.clear()
+        maximality_violations(g)
+        ancestor_sets = sum(step is g.compiled.parents for step in closures)
+        assert ancestor_sets <= len(g.nodes) + 1, g
