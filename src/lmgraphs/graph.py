@@ -134,33 +134,45 @@ class CompiledGraph:
     the deterministic order (neighbour label, canonical form, key) that every
     search and every edge listing uses. The graph's structural facts are read
     here and nowhere else: ``loopless``, ``anterior`` (no arrowhead meets the
-    end of a line) and, on first use, ``cyclic``. Everything is O(n + m).
+    end of a line) and, on first use, ``components``, ``cyclic`` and
+    ``anterior_form``, the compiled anterior graph. Everything is O(n + m).
     """
 
-    def __init__(self, graph: "MixedGraph"):
-        self.labels = graph.node_list()
-        self.index = index = {n: k for k, n in enumerate(self.labels)}
-        self._edges = graph.edges
-        parents, children, lines = ([set() for _ in self.labels] for _ in range(3))
+    def __init__(
+        self, labels: list[str], index: dict[str, int], edges: Sequence[Edge],
+        ends: Iterable[tuple[int, int, bool, bool]],
+    ):
+        """``ends`` gives each edge's endpoint indices and whether it has an
+        arrowhead at each, ``(a, b, head_a, head_b)``."""
+        self.labels, self.index, self._edges = labels, index, edges
+        parents, children, lines = ([set() for _ in labels] for _ in range(3))
         headed: set[int] = set()
         self.loopless = True
-        for e in graph.edges:
-            a, b = index[e.a], index[e.b]
+        for a, b, head_a, head_b in ends:
             self.loopless &= a != b
-            kind = e.kind
-            if kind is EdgeKind.LINE:
+            if not (head_a or head_b):
                 lines[a].add(b)
                 lines[b].add(a)
                 continue
-            headed.update(v for v, mark in ((a, e.mark_a), (b, e.mark_b)) if mark is Mark.HEAD)
-            if kind is EdgeKind.ARROW and a != b:
-                s, t = (a, b) if e.mark_b is Mark.HEAD else (b, a)
+            if head_a:
+                headed.add(a)
+            if head_b:
+                headed.add(b)
+            if head_a != head_b and a != b:
+                s, t = (a, b) if head_b else (b, a)
                 parents[t].add(s)
                 children[s].add(t)
         self.parents = tuple(tuple(p) for p in parents)
         self.children = tuple(tuple(c) for c in children)
         self.lines = tuple(tuple(w) for w in lines)
         self.anterior = not any(lines[v] for v in headed)
+
+    @classmethod
+    def of(cls, graph: "MixedGraph") -> "CompiledGraph":
+        labels = graph.node_list()
+        index = {n: k for k, n in enumerate(labels)}
+        ends = ((index[e.a], index[e.b], e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD) for e in graph.edges)
+        return cls(labels, index, graph.edges, ends)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, bool, bool, Edge], ...], ...]:
@@ -180,10 +192,71 @@ class CompiledGraph:
             for row in rows
         )
 
+    def rewrite(self, rng: Optional[random.Random] = None) -> dict[int, list[bool]]:
+        """The edges that the anterior rewrite changes, by key, each with its
+        new arrowheads ``[head_a, head_b]``: the fixpoint of removing
+        arrowheads that meet the end of a line.
+
+        One worklist of (edge key, side) arrowheads, in O(n + m): a node
+        queues its arrowheads when it first ends a line, so each is queued
+        once, and ``rng`` only picks the entry to pop. Needs a loopless graph.
+        """
+        edges, index = self._edges, self.index
+        changed: dict[int, list[bool]] = {}
+        line_end = [bool(w) for w in self.lines]
+
+        def arrowheads(v: int) -> list[tuple[int, int]]:
+            return [(e.key, int(index[e.a] != v)) for _, head_v, _, e in self.adjacency[v] if head_v]
+
+        todo = [head for v, end in enumerate(line_end) if end for head in arrowheads(v)]
+        while todo:
+            if rng is not None:
+                pick = rng.randrange(len(todo))
+                todo[pick], todo[-1] = todo[-1], todo[pick]
+            key, side = todo.pop()
+            e = edges[key]
+            heads = changed.setdefault(key, [e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD])
+            heads[side] = False
+            if not heads[1 - side]:
+                for v in (index[e.a], index[e.b]):
+                    if not line_end[v]:
+                        line_end[v] = True
+                        todo += arrowheads(v)
+        return changed
+
     @cached_property
-    def cyclic(self) -> frozenset[int]:
-        """Nodes on a directed cycle: the members of the strongly connected
-        components of two or more nodes, by Kosaraju's two passes."""
+    def anterior_form(self) -> "CompiledGraph":
+        """The compiled anterior graph, derived from this form and kept; an
+        anterior form is its own. It shares the labels and indices, and its
+        rows are these rows in the same order, holding this graph's edges
+        with the rewritten arrowhead flags; parents, children and lines are
+        rebuilt from the rewritten edges. No graph is built and nothing is
+        re-sorted.
+        """
+        if self.anterior:
+            return self
+        changed, index, edges = self.rewrite(), self.index, self._edges
+        form = CompiledGraph(self.labels, index, edges, (
+            (index[e.a], index[e.b], *changed.get(e.key, (e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD)))
+            for e in edges
+        ))
+        rows = list(self.adjacency)
+        for v in {index[end] for key in changed for end in (edges[key].a, edges[key].b)}:
+            entries = []
+            for w, head_v, head_w, e in rows[v]:
+                if e.key in changed:
+                    head_a, head_b = changed[e.key]
+                    head_v, head_w = (head_a, head_b) if index[e.a] == v else (head_b, head_a)
+                entries.append((w, head_v, head_w, e))
+            rows[v] = tuple(entries)
+        # An instance attribute shadows the property that would sort the rows.
+        form.adjacency = tuple(rows)
+        return form
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The strongly connected components of the arrows, by Kosaraju's two
+        passes, in topological order: no arrow leads to an earlier one."""
         finished: list[int] = []
         seen: set[int] = set()
         for root in range(len(self.labels)):
@@ -196,7 +269,7 @@ class CompiledGraph:
                 else:
                     seen.add(w)
                     stack.append((w, iter(self.children[w])))
-        cyclic: set[int] = set()
+        components = []
         for root in reversed(finished):
             component = [root] if root in seen else []
             seen.discard(root)
@@ -204,9 +277,15 @@ class CompiledGraph:
                 fresh = [w for w in self.parents[v] if w in seen]
                 seen.difference_update(fresh)
                 component += fresh
-            if len(component) > 1:
-                cyclic.update(component)
-        return frozenset(cyclic)
+            if component:
+                components.append(tuple(component))
+        return tuple(components)
+
+    @cached_property
+    def cyclic(self) -> frozenset[int]:
+        """Nodes on a directed cycle: the members of the components of two or
+        more nodes."""
+        return frozenset(v for component in self.components if len(component) > 1 for v in component)
 
     def ancestors(self, targets: Iterable[int]) -> set[int]:
         """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""
@@ -268,7 +347,7 @@ class MixedGraph:
     @cached_property
     def compiled(self) -> CompiledGraph:
         """The integer form of this graph, built on first use."""
-        return CompiledGraph(self)
+        return CompiledGraph.of(self)
 
     def edges_between(self, u: str, v: str) -> tuple[Edge, ...]:
         w = self._position(v)
@@ -388,31 +467,21 @@ class MixedGraph:
         return self._rewrite(None)
 
     def _rewrite(self, rng: Optional[random.Random]) -> "MixedGraph":
-        """The rewrite as one worklist of (edge key, side) arrowheads, in
-        O(n + m): a node queues its arrowheads when it first ends a line, so
-        each is queued once, and ``rng`` only picks the entry to pop."""
-        compiled, edges = self.compiled, self._edges
-        marks = [[e.mark_a, e.mark_b] for e in edges]
-        ends = [bool(w) for w in compiled.lines]
-
-        def arrowheads(v: int) -> list[tuple[int, int]]:
-            label, row = compiled.labels[v], compiled.adjacency[v]
-            return [(e.key, int(e.a != label)) for _, head_v, _, e in row if head_v]
-
-        todo = [head for v, end in enumerate(ends) if end for head in arrowheads(v)]
-        while todo:
-            if rng is not None:
-                pick = rng.randrange(len(todo))
-                todo[pick], todo[-1] = todo[-1], todo[pick]
-            key, side = todo.pop()
-            marks[key][side] = Mark.TAIL
-            if marks[key][1 - side] is Mark.TAIL:
-                for v in (compiled.index[edges[key].a], compiled.index[edges[key].b]):
-                    if not ends[v]:
-                        ends[v] = True
-                        todo += arrowheads(v)
-        rewritten = [Edge(e.a, e.b, ma, mb, e.key) for e, (ma, mb) in zip(edges, marks)]
+        changed = self.compiled.rewrite(rng)
+        rewritten = [
+            Edge(e.a, e.b, *(Mark.HEAD if head else Mark.TAIL for head in changed[e.key]), e.key)
+            if e.key in changed else e
+            for e in self._edges
+        ]
         return MixedGraph(self.node_list(), rewritten)
+
+    @cached_property
+    def ribbonless(self) -> bool:
+        """True when no ribbon is an induced subgraph; one scan, kept per
+        graph. Raises GraphError on a graph with loops."""
+        from .structure import find_ribbons  # the scan is built on this module
+
+        return not find_ribbons(self)
 
     def anteriors(self, node: str) -> set[str]:
         """ant(node): nodes that reach ``node`` in the anterior graph along a

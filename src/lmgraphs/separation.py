@@ -70,11 +70,12 @@ def _reach(
 
     Breadth-first over mark states: a state leaves v over an edge when v, as
     collider of the two marks, lies in C or an(C), or, as non-collider, lies
-    outside C. On anterior graphs the state is (node, arrived-with-arrowhead).
-    Elsewhere a walk may bounce off a line below a collider and fake a
-    connection, so the state also carries the visited nodes as a bit mask
-    (exponential in the worst case). One pass from all sources is exact: a
-    state's future does not depend on where its path began.
+    outside C. On an anterior form the state is (node, arrived-with-arrowhead),
+    linear in states. On any other form a walk may bounce off a line below a
+    collider and fake a connection, so the state also carries the visited
+    nodes as a bit mask (exponential in the worst case); ``_search_form``
+    sends only graphs with ribbons here. One pass from all sources is exact:
+    a state's future does not depend on where its path began.
     """
     adjacency = compiled.adjacency
     simple = not compiled.anterior
@@ -101,16 +102,27 @@ def _reach(
     return reached
 
 
+def _search_form(graph: MixedGraph) -> CompiledGraph:
+    """The compiled form that answers a separation query, by graph class. An
+    anterior graph answers on its own form, in the linear walk lane. A
+    ribbonless graph answers on the form of its anterior graph, in the same
+    lane: the two graphs induce the same separation model. Only a graph with
+    ribbons keeps its own form and the visited-mask lane. The forms share
+    labels and indices, and each brings its own an(C)."""
+    compiled = graph.compiled
+    return compiled.anterior_form if not compiled.anterior and graph.ribbonless else compiled
+
+
 def _m_reachable(
     graph: MixedGraph, x: str, c: frozenset[str], stop_at: Optional[str] = None
 ) -> set[str]:
     """All nodes joined to x by an m-connecting path given C."""
-    compiled = graph.compiled
-    index = compiled.index
+    form = _search_form(graph)
+    index = form.index
     stop = () if stop_at is None else (index[stop_at],)
     given = {index[n] for n in c}
-    found = _reach(compiled, [index[x]], given, given | compiled.ancestors(given), stop)
-    return {compiled.labels[v] for v in found}
+    found = _reach(form, [index[x]], given, given | form.ancestors(given), stop)
+    return {form.labels[v] for v in found}
 
 
 def m_connecting_path_exists(
@@ -135,12 +147,13 @@ def m_separated(
     is licensed by decomposition and composition of the induced model.
     """
     query = SeparationQuery.of(a, b, c)
-    compiled = _compiled_for(graph, sorted(query.a | query.b | query.c))
-    index = compiled.index
+    _compiled_for(graph, sorted(query.a | query.b | query.c))
+    form = _search_form(graph)
+    index = form.index
     targets = {index[n] for n in query.b}
     sources = [index[n] for n in query.a]
     given = {index[n] for n in query.c}
-    found = _reach(compiled, sources, given, given | compiled.ancestors(given), targets)
+    found = _reach(form, sources, given, given | form.ancestors(given), targets)
     return found.isdisjoint(targets)
 
 
@@ -259,9 +272,12 @@ def find_m_connecting_path(
     The first path of the depth-first search in ``_admissible_paths``, which
     prunes a partial path as soon as its newest inner node violates the
     predicate. Deterministic: edges are explored in ``MixedGraph.edges_at``
-    order, so the same witness is returned every run. Exponential in the
-    worst case; ``m_connecting_path_exists`` answers the yes/no question in
-    linear time on anterior graphs.
+    order, so the same witness is returned every run. The search runs on the
+    graph itself, whatever its class, since a path of the anterior graph
+    need not be a path here. Exponential in the worst case;
+    ``m_connecting_path_exists`` answers the yes/no question in linear time
+    on anterior graphs, and on ribbonless graphs once their ribbon scan and
+    anterior form are built.
     """
     c = frozenset(given)
     compiled = _check_pair(graph, x, y, c)

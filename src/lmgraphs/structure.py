@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .graph import Edge, EdgeKind, GraphError, Mark, MixedGraph, Path
+from .graph import CompiledGraph, Edge, EdgeKind, GraphError, Mark, MixedGraph, Path
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _compiled_for, m_separated
 
 
@@ -35,24 +35,31 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
     """All ribbons of the graph, one per distinct mark signature of a node
     triple; parallel copies of the same shape are not repeated.
 
-    Only an inner node in M | an(M), M the line ends and cycle nodes, can
-    qualify; its witness is the first line end, else the first cycle node, of
-    the node and then its descendants by label. The shortcut test consults
-    every edge between the tripath's endpoints, as the induced subgraph does.
+    An inner node's witness is the node itself when it ends a line, else the
+    first line end of its descendants by label; failing both, the same for
+    directed-cycle nodes. The shortcut test consults every edge between the
+    tripath's endpoints, as the induced subgraph does.
     """
     graph.require_loopless()
     compiled = graph.compiled
-    labels, rows, cyclic = compiled.labels, compiled.adjacency, compiled.cyclic
-    line_ends = {v for v, ends in enumerate(compiled.lines) if ends}
-    marked = line_ends | cyclic
+    labels, rows = compiled.labels, compiled.adjacency
+    colliders = {}
+    for inner, row in enumerate(rows):
+        incident = [(w, head_w, e) for w, head_v, head_w, e in row if head_v]
+        if len(incident) > 1:
+            colliders[inner] = incident
+    if not colliders:
+        return []
+    n, (mark, least) = len(labels), _marks_below(compiled)
     found: dict[tuple, Ribbon] = {}
-    for inner in marked | compiled.ancestors(marked):
-        incident = [(w, head_w, e) for w, head_v, head_w, e in rows[inner] if head_v]
-        if len(incident) < 2:
+    for inner, incident in colliders.items():
+        own, low = mark[inner], least[inner]
+        if low < n:
+            flavor, witness = RibbonFlavor.STRAIGHT, own if own < n else low
+        elif low < 2 * n:
+            flavor, witness = RibbonFlavor.CYCLIC, (own if own < 2 * n else low) - n
+        else:
             continue
-        below = [inner] + sorted(compiled.descendants([inner]) - {inner})
-        hits = [v for v in below if v in line_ends] or [v for v in below if v in cyclic]
-        flavor = RibbonFlavor.STRAIGHT if hits[0] in line_ends else RibbonFlavor.CYCLIC
         for (h, head_h, e1), (j, head_j, e2) in itertools.combinations(incident, 2):
             if h == j:
                 continue
@@ -62,12 +69,32 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
             if signature in found or (j, head_h, head_j) in (w[:3] for w in rows[h]):
                 continue
             tripath = Path((labels[h], labels[inner], labels[j]), (e1, e2))
-            found[signature] = Ribbon(tripath, flavor, labels[hits[0]])
+            found[signature] = Ribbon(tripath, flavor, labels[witness])
     return [found[k] for k in sorted(found)]
 
 
+def _marks_below(compiled: CompiledGraph) -> tuple[list[int], list[int]]:
+    """Each node's mark, and the least mark over the node and its
+    descendants. With n nodes, a line end v is marked v, another node v on a
+    directed cycle n + v and any other node 2n, so line ends come first and
+    each kind goes by label. One pass over the components, sinks first."""
+    n, children, cyclic = len(compiled.labels), compiled.children, compiled.cyclic
+    mark = [v if ends else n + v if v in cyclic else 2 * n for v, ends in enumerate(compiled.lines)]
+    least = mark[:]
+    for component in reversed(compiled.components):
+        first = 2 * n
+        for v in component:
+            first = min(first, mark[v])
+            for w in children[v]:
+                if least[w] < first:
+                    first = least[w]
+        for v in component:
+            least[v] = first
+    return mark, least
+
+
 def is_ribbonless(graph: MixedGraph) -> bool:
-    return not find_ribbons(graph)
+    return graph.ribbonless
 
 
 def find_primitive_inducing_paths(
@@ -96,7 +123,7 @@ def find_primitive_inducing_paths(
 
 
 def _require_ribbonless(graph: MixedGraph, what: str) -> None:
-    if find_ribbons(graph):
+    if not graph.ribbonless:
         raise GraphError(f"{what} requires a ribbonless graph")
 
 

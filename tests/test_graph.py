@@ -189,6 +189,22 @@ class TestAnteriorGraph:
             assert star.is_anterior()
             assert star.anterior_graph() is star
 
+    def test_derived_form_matches_compiled_anterior_graph(self, figures, lmg_corpus):
+        """The anterior form derived from a graph's rows has the flags and
+        facts of the compiled anterior graph, and the graph's row order."""
+        changed = 0
+        for g in [*figures.values(), *lmg_corpus]:
+            form, star = g.compiled.anterior_form, g.anterior_graph().compiled
+            assert form.anterior and form.labels == star.labels and form.index == star.index
+            changed += form is not g.compiled
+            for v, row in enumerate(form.adjacency):
+                assert [e.key for *_, e in row] == [e.key for *_, e in g.compiled.adjacency[v]]
+                flags = sorted((w, head_v, head_w, e.key) for w, head_v, head_w, e in row)
+                assert flags == sorted((w, head_v, head_w, e.key) for w, head_v, head_w, e in star.adjacency[v])
+                for facts in ("parents", "children", "lines"):
+                    assert sorted(getattr(form, facts)[v]) == sorted(getattr(star, facts)[v]), (g, facts)
+        assert changed > 100
+
     def test_long_arrow_chain(self):
         n = 1600
         names = [f"a{k:04d}" for k in range(n)]
@@ -282,6 +298,17 @@ class TestCompiledFacts:
         for g in [*lmg_corpus, *self.LOOPS]:
             for v in g.nodes:
                 assert g.on_directed_cycle(v) == (v in g.ancestors([v]))
+
+    def test_components_in_topological_order(self, lmg_corpus):
+        for g in [*lmg_corpus, *self.LOOPS]:
+            compiled = g.compiled
+            position = {v: k for k, component in enumerate(compiled.components) for v in component}
+            assert sorted(position) == list(range(len(g.nodes)))
+            for v, children in enumerate(compiled.children):
+                assert all(position[v] <= position[w] for w in children)
+            for component in (c for c in compiled.components if len(c) > 1):
+                cycle = compiled.descendants(component[:1]) & compiled.ancestors(component[:1])
+                assert set(component) <= cycle
 
     def test_loop_message_names_the_loop(self):
         for g, at in zip(self.LOOPS, "iji"):

@@ -21,13 +21,38 @@ from lmgraphs import (
     make_path,
     oracle_m_separated,
 )
-from lmgraphs.separation import _simple_paths
+from lmgraphs import structure
+from lmgraphs.separation import _reach, _search_form, _simple_paths
 from strategies import lmgs
 
 try:
     import networkx as nx
 except ImportError:  # the cross-check below is skipped without it
     nx = None
+
+
+def mask_lane_separated(g, a, b, c):
+    """m_separated through ``_reach`` on g's own compiled form: the
+    visited-mask lane whenever g is not anterior, whatever else g is."""
+    compiled = g.compiled
+    index = compiled.index
+    given = {index[n] for n in c}
+    targets = {index[n] for n in b}
+    found = _reach(compiled, [index[n] for n in a], given, given | compiled.ancestors(given), targets)
+    return found.isdisjoint(targets)
+
+
+def line_grid(side):
+    """A side x side grid of lines with arrows into three inner nodes:
+    ribbonless and not anterior. The corners are separated given the far
+    corner's two neighbours."""
+    cell = lambda r, c: f"g{r}_{c}"  # noqa: E731
+    edges = [(cell(r, c), "--", cell(r, c + 1)) for r in range(side) for c in range(side - 1)]
+    edges += [(cell(r, c), "--", cell(r + 1, c)) for r in range(side - 1) for c in range(side)]
+    targets = [cell(1, 1), cell(side - 2, 1), cell(1, side - 1)]
+    edges += [(f"u{k}", "->", t) for k, t in enumerate(targets)]
+    nodes = [cell(r, c) for r in range(side) for c in range(side)] + ["u0", "u1", "u2"]
+    return build_graph(nodes, edges)
 
 
 def all_singleton_queries(g):
@@ -189,6 +214,7 @@ class TestEngineOracleAgreement:
         # connection between h and j; the engine must not fall for it.
         g = figures["fig4a"]
         assert not g.is_anterior()
+        assert not g.ribbonless and _search_form(g) is g.compiled  # the visited-mask lane
         assert m_separated(g, ["h"], ["j"], [])
         assert oracle_m_separated(g, ["h"], ["j"], [])
 
@@ -208,16 +234,95 @@ class TestSeparationInvariances:
             assert m_separated(g, [x], [y], c) == m_separated(g, [y], [x], c)
 
     def test_anterior_graph_equivalence_on_ribbonless(self, rg_corpus):
+        # m_separated answers a ribbonless g on its anterior form, so g's
+        # side runs the visited-mask lane on g itself.
         for g in rg_corpus[:80]:
             star = g.anterior_graph()
             for x, y, c in all_singleton_queries(g):
-                assert m_separated(g, [x], [y], c) == m_separated(star, [x], [y], c)
+                assert mask_lane_separated(g, [x], [y], c) == m_separated(star, [x], [y], c)
 
     def test_fig4a_breaks_anterior_equivalence(self, figures):
         g = figures["fig4a"]
         star = g.anterior_graph()
         assert m_separated(g, ["h"], ["j"], [])
         assert not m_separated(star, ["h"], ["j"], [])
+
+
+class TestRouting:
+    """A ribbonless graph that is not anterior answers on its anterior form;
+    only a graph with ribbons keeps the visited-mask lane."""
+
+    @pytest.fixture(scope="class")
+    def routed(self):
+        corpus = generate_corpus(CorpusSpec(
+            count=400, nodes=(3, 8), p_line=0.2, p_arrow=0.15, p_arc=0.1, p_multi=0.2,
+            constraint="ribbonless", seed=9090,
+        ))
+        graphs = [g for g in corpus if not g.is_anterior()]
+        assert len(graphs) > 200 and sum(len(g.nodes) > 6 for g in graphs) > 40
+        assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 100
+        return graphs
+
+    def test_lane_choice(self, figures, routed):
+        for g in routed:
+            assert _search_form(g) is g.compiled.anterior_form
+            assert _search_form(g).anterior
+        for g in figures.values():
+            expected = g.compiled if g.is_anterior() or not g.ribbonless else g.compiled.anterior_form
+            assert _search_form(g) is expected
+
+    def test_routed_singletons_match_mask_lane_and_oracle(self, routed):
+        queries = 0
+        for g in routed:
+            for x, y, c in all_singleton_queries(g):
+                answer = m_separated(g, [x], [y], c)
+                assert answer == mask_lane_separated(g, [x], [y], c), (g, x, y, c)
+                assert answer == oracle_m_separated(g, [x], [y], c), (g, x, y, c)
+                assert answer != m_connecting_path_exists(g, x, y, c)
+                queries += 1
+        assert queries > 50000
+
+    def test_routed_set_queries(self, routed):
+        rng = random.Random(9090)
+        outcomes = set()
+        for g in (g for g in routed if len(g.nodes) > 3):
+            nodes = g.node_list()
+            for _ in range(40):
+                pick = rng.sample(nodes, rng.randint(2, len(nodes)))
+                na = rng.randint(1, len(pick) - 1)
+                nb = rng.randint(1, len(pick) - na)
+                a, b, c = pick[:na], pick[na : na + nb], pick[na + nb :]
+                answer = m_separated(g, a, b, c)
+                assert answer == mask_lane_separated(g, a, b, c), (g, a, b, c)
+                assert answer == oracle_m_separated(g, a, b, c), (g, a, b, c)
+                outcomes.add((answer, len(a) + len(b) > 2))
+        assert len(outcomes) == 4
+
+    def test_large_grid_answers_on_its_anterior_form(self):
+        # Checked before the query runs: the visited-mask lane would not
+        # finish on this grid.
+        g = line_grid(9)
+        assert not g.is_anterior() and g.ribbonless
+        assert _search_form(g) is g.compiled.anterior_form and _search_form(g).anterior
+        assert m_separated(g, ["g0_0"], ["g8_8"], ["g7_8", "g8_7"])
+        assert not m_separated(g, ["g0_0"], ["g8_8"], ["g7_8"])
+        assert m_connecting_path_exists(g, "g0_0", "g8_8", ["g1_1"])
+
+    def test_ribbon_scan_runs_once_per_graph(self, figures, monkeypatch):
+        scans = []
+        real = structure.find_ribbons
+        monkeypatch.setattr(structure, "find_ribbons", lambda g: scans.append(g) or real(g))
+        g = line_grid(4)
+        for c in ([], ["g1_1"], ["g2_3", "g3_2"]):
+            m_separated(g, ["g0_0"], ["g3_3"], c)
+            m_connecting_path_exists(g, "g0_0", "g3_3", c)
+        assert structure.is_ribbonless(g) and structure.classify(g).ribbonless
+        structure.maximality_violations(g)
+        assert scans == [g]
+        anterior = figures["fig3"]
+        m_separated(anterior, ["i"], ["j"], ["l"])
+        m_connecting_path_exists(anterior, "i", "j", ["l"])
+        assert scans == [g]
 
 
 class TestCombineMConnecting:

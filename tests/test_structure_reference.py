@@ -201,13 +201,14 @@ def test_maximalize_matches_reference(corpus):
     assert completed > 2000 and refused >= 5
 
 
-def arc_hung_chain(k):
+def arc_hung_chain(k, line=False):
     """a_i -> a_(i+1) and a_i <-> b_i for i < k: ribbonless, no lines and no
-    directed cycles, and every a_i but the first has two arrowheads."""
+    directed cycles, and every a_i but the first has two arrowheads. With
+    ``line``, a final line a_(k-1) -- z puts a line end below every a_i."""
     a = [f"a{i:04d}" for i in range(k)]
     b = [f"b{i:04d}" for i in range(k)]
     edges = [(u, "->", v) for u, v in zip(a, a[1:])] + [(u, "<->", v) for u, v in zip(a, b)]
-    return build_graph(a + b, edges)
+    return build_graph(a + b + ["z"] * line, edges + [(a[-1], "--", "z")] * line)
 
 
 @pytest.fixture
@@ -228,6 +229,18 @@ def test_ribbon_scan_takes_no_descendant_closure_without_lines_or_cycles(closure
     g = arc_hung_chain(400)
     assert find_ribbons(g) == []
     assert not any(step is g.compiled.children for step in closures)
+
+
+def test_ribbon_witnesses_take_no_descendant_closure(closures):
+    """Every a_i with two arrowheads heads a straight ribbon; the witnesses
+    come from one pass over the components, not from each inner node's
+    descendants."""
+    g = arc_hung_chain(400, line=True)
+    ribbons = find_ribbons(g)
+    assert not any(step is g.compiled.children for step in closures)
+    assert len(ribbons) == 399 and {r.witness for r in ribbons} == {"a0399"}
+    small = arc_hung_chain(30, line=True)
+    assert ribbon_facts(find_ribbons(small)) == reference_ribbons(small)
 
 
 def test_violation_scan_takes_one_ancestor_set_per_node(closures, corpus):
