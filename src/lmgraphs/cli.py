@@ -15,7 +15,7 @@ import sys
 from typing import Any, Optional
 
 from .corpus import CONSTRAINTS, CorpusSpec, generate_corpus
-from .graph import MixedGraph
+from .graph import GraphError, MixedGraph
 from .independence import (
     AXIOM_SETS,
     IndependenceModel,
@@ -251,6 +251,9 @@ def _cmd_axioms(args) -> tuple[int, Report]:
     source = getattr(args, "from")
     if args.check_contains:
         target = parse_statement(args.check_contains)
+        unknown = sorted((target.a | target.b | target.c) - graph.nodes)
+        if unknown:  # a model over the graph would read a foreign label as "no"
+            raise GraphError(f"unknown node {unknown[0]!r}")
         closed = closure(_base_model(graph, args), AXIOM_SETS[args.set], limit=args.limit)
         contained = target in closed
         query = {"command": "closure-contains", "statement": format_statement(target),

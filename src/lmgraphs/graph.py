@@ -11,7 +11,6 @@ functions; values can be shared freely across threads.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -167,13 +166,6 @@ class CompiledGraph:
         self.lines = tuple(tuple(w) for w in lines)
         self.anterior = not any(lines[v] for v in headed)
 
-    @classmethod
-    def of(cls, graph: "MixedGraph") -> "CompiledGraph":
-        labels = graph.node_list()
-        index = {n: k for k, n in enumerate(labels)}
-        ends = ((index[e.a], index[e.b], e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD) for e in graph.edges)
-        return cls(labels, index, graph.edges, ends)
-
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, bool, bool, Edge], ...], ...]:
         index = self.index
@@ -192,14 +184,14 @@ class CompiledGraph:
             for row in rows
         )
 
-    def rewrite(self, rng: Optional[random.Random] = None) -> dict[int, list[bool]]:
+    def rewrite(self) -> dict[int, list[bool]]:
         """The edges that the anterior rewrite changes, by key, each with its
         new arrowheads ``[head_a, head_b]``: the fixpoint of removing
         arrowheads that meet the end of a line.
 
         One worklist of (edge key, side) arrowheads, in O(n + m): a node
         queues its arrowheads when it first ends a line, so each is queued
-        once, and ``rng`` only picks the entry to pop. Needs a loopless graph.
+        once. Needs a loopless graph.
         """
         edges, index = self._edges, self.index
         changed: dict[int, list[bool]] = {}
@@ -210,9 +202,6 @@ class CompiledGraph:
 
         todo = [head for v, end in enumerate(line_end) if end for head in arrowheads(v)]
         while todo:
-            if rng is not None:
-                pick = rng.randrange(len(todo))
-                todo[pick], todo[-1] = todo[-1], todo[pick]
             key, side = todo.pop()
             e = edges[key]
             heads = changed.setdefault(key, [e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD])
@@ -347,7 +336,10 @@ class MixedGraph:
     @cached_property
     def compiled(self) -> CompiledGraph:
         """The integer form of this graph, built on first use."""
-        return CompiledGraph.of(self)
+        labels = self.node_list()
+        index = {n: k for k, n in enumerate(labels)}
+        ends = ((index[e.a], index[e.b], e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD) for e in self._edges)
+        return CompiledGraph(labels, index, self._edges, ends)
 
     def edges_between(self, u: str, v: str) -> tuple[Edge, ...]:
         w = self._position(v)
@@ -446,28 +438,20 @@ class MixedGraph:
         """True when no arrowhead points at the endpoint of a line."""
         return self.compiled.anterior
 
-    def anterior_graph(self, rng: Optional[random.Random] = None) -> "MixedGraph":
+    def anterior_graph(self) -> "MixedGraph":
         """Fixpoint of removing arrowheads that point at endpoints of lines.
 
-        The fixpoint is independent of removal order; passing ``rng`` removes
-        the eligible arrowheads in random order, which exists so that
-        order-independence can be exercised by tests. Without ``rng`` the
-        result is built once per graph and kept; an anterior graph is its own
-        result, so no graph keeps a reference to itself. Edge keys are
-        preserved, so edges of the result correspond one-to-one to edges of
-        the input.
+        The fixpoint is independent of removal order. The result is built
+        once per graph and kept; an anterior graph is its own result, so no
+        graph keeps a reference to itself. Edge keys are preserved, so edges
+        of the result correspond one-to-one to edges of the input.
         """
         self.require_loopless()
-        if rng is not None:
-            return self._rewrite(rng)
         return self if self.compiled.anterior else self._anterior
 
     @cached_property
     def _anterior(self) -> "MixedGraph":
-        return self._rewrite(None)
-
-    def _rewrite(self, rng: Optional[random.Random]) -> "MixedGraph":
-        changed = self.compiled.rewrite(rng)
+        changed = self.compiled.rewrite()
         rewritten = [
             Edge(e.a, e.b, *(Mark.HEAD if head else Mark.TAIL for head in changed[e.key]), e.key)
             if e.key in changed else e
@@ -486,9 +470,12 @@ class MixedGraph:
     def anteriors(self, node: str) -> set[str]:
         """ant(node): nodes that reach ``node`` in the anterior graph along a
         path of lines followed by arrows. The node itself is never included.
+        Read on the kept compiled anterior form, which has this graph's
+        labels and indices and the anterior graph's parents and lines.
         """
         self._require(node)
-        g = self.anterior_graph().compiled
+        self.require_loopless()
+        g = self.compiled.anterior_form
         start = g.index[node]
         seeds = g.ancestors([start]) | {start}
         reached = (seeds | _closure(g.lines, seeds)) - {start}

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import GraphError, MixedGraph
-from .separation import _reach
+from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
 SINGLETON_MODEL_LIMIT = 8
@@ -249,17 +249,18 @@ def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
     """For each conditioning set C, a mask over ``graph.compiled.labels``, the
     row of reach masks R(x, C): the nodes outside C and x that some
     m-connecting path given C joins to x (0 for x in C). One engine search
-    per (x, C), each on its own, so no model-level structure is assumed."""
-    compiled = graph.compiled
-    n = len(compiled.labels)
+    per (x, C), each on its own, so no model-level structure is assumed; the
+    searches run on ``_search_form``, in the lane ``m_separated`` takes."""
+    form = _search_form(graph)
+    n = len(form.labels)
     for c in range(1 << n):
         given = set(_bits(c))
-        open_colliders = given | compiled.ancestors(given)
+        open_colliders = given | form.ancestors(given)
         row = []
         for x in range(n):
             reach = 0
             if not c >> x & 1:
-                for w in _reach(compiled, (x,), given, open_colliders):
+                for w in _reach(form, (x,), given, open_colliders):
                     reach |= 1 << w
             row.append(reach & ~c & ~(1 << x))
         yield c, row
@@ -447,10 +448,6 @@ def check_axioms(
     model: IndependenceModel, axioms: Iterable[Axiom] = COMPOSITIONAL_GRAPHOID
 ) -> dict[Axiom, Optional[AxiomViolation]]:
     return {ax: check_axiom(model, ax) for ax in sorted(axioms, key=lambda a: a.value)}
-
-
-def is_compositional_graphoid(model: IndependenceModel) -> bool:
-    return all(v is None for v in check_axioms(model).values())
 
 
 # -- closure under axiom subsets ----------------------------------------------

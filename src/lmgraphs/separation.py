@@ -73,9 +73,11 @@ def _reach(
     outside C. On an anterior form the state is (node, arrived-with-arrowhead),
     linear in states. On any other form a walk may bounce off a line below a
     collider and fake a connection, so the state also carries the visited
-    nodes as a bit mask (exponential in the worst case); ``_search_form``
-    sends only graphs with ribbons here. One pass from all sources is exact:
-    a state's future does not depend on where its path began.
+    nodes as a bit mask (exponential in the worst case). Every caller takes
+    its form from ``_search_form``, which sends only graphs with ribbons to
+    this lane; the tests also run it on ribbonless forms, to check the
+    anterior-graph route against it. One pass from all sources is exact: a
+    state's future does not depend on where its path began.
     """
     adjacency = compiled.adjacency
     simple = not compiled.anterior
@@ -108,7 +110,9 @@ def _search_form(graph: MixedGraph) -> CompiledGraph:
     ribbonless graph answers on the form of its anterior graph, in the same
     lane: the two graphs induce the same separation model. Only a graph with
     ribbons keeps its own form and the visited-mask lane. The forms share
-    labels and indices, and each brings its own an(C)."""
+    labels and indices, and each brings its own an(C). Every separation
+    reader but the witness search, whose paths must lie in the graph itself,
+    takes its form here, model enumeration and equivalence included."""
     compiled = graph.compiled
     return compiled.anterior_form if not compiled.anterior and graph.ribbonless else compiled
 

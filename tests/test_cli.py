@@ -259,6 +259,19 @@ class TestModelCommands:
         assert code == 0
         assert "result: derivable" in out
 
+    def test_axioms_check_contains_unknown_label_exits_two(self, capsys):
+        # A label outside the graph is in no model over it; it must not read
+        # as "not derivable". The message is the one msep gives.
+        fig9b = figure_path("fig9b")
+        for statement, label in (("i _||_ {k,zz} | {}", "zz"), ("i _||_ {yy,zz} | {aa}", "aa")):
+            code, out, err = run(
+                capsys, "axioms", fig9b, "--set", "graphoid", "--from", "pairwise",
+                "--check-contains", statement,
+            )
+            assert (code, out, err) == (2, "", f"error: unknown node '{label}'\n")
+        code, _, err = run(capsys, "msep", fig9b, "--a", "i", "--b", "zz")
+        assert (code, err) == (2, "error: unknown node 'zz'\n")
+
     def test_closure_lists_statements(self, capsys):
         code, out, _ = run(
             capsys, "closure", figure_path("fig9b"), "--set", "compositional-graphoid"

@@ -166,7 +166,7 @@ class TestAnteriorGraph:
         for g in figures.values():
             expected = g.anterior_graph()
             for seed in range(10):
-                assert g.anterior_graph(rng=random.Random(seed)) == expected
+                assert random_order_anterior_graph(g, random.Random(seed)) == expected
 
     def test_rejects_loops(self):
         g = build_graph(["i", "j"], [("i", "->", "i"), ("i", "--", "j")])
@@ -177,7 +177,7 @@ class TestAnteriorGraph:
         for k, g in enumerate(lmg_corpus):
             expected = g.anterior_graph()
             assert expected == naive_anterior_graph(g)
-            assert g.anterior_graph(rng=random.Random(k)) == expected
+            assert random_order_anterior_graph(g, random.Random(k)) == expected
 
     def test_built_once_per_graph(self, figures):
         for g in figures.values():
@@ -272,6 +272,27 @@ def naive_anterior_graph(g):
         if rewritten == edges:
             return MixedGraph(g.node_list(), edges)
         edges = rewritten
+
+
+def random_order_anterior_graph(g, rng):
+    """The anterior graph by removing one arrowhead at an end of a line at a
+    time, picked at random, recomputing the line ends, until none is left."""
+    edges = list(g.edges)
+    while True:
+        ends = {v for e in edges if e.kind is EdgeKind.LINE for v in (e.a, e.b)}
+        eligible = [
+            (k, side)
+            for k, e in enumerate(edges)
+            for side, (v, mark) in enumerate(((e.a, e.mark_a), (e.b, e.mark_b)))
+            if mark is Mark.HEAD and v in ends
+        ]
+        if not eligible:
+            return MixedGraph(g.node_list(), edges)
+        k, side = rng.choice(eligible)
+        e = edges[k]
+        marks = [e.mark_a, e.mark_b]
+        marks[side] = Mark.TAIL
+        edges[k] = Edge(e.a, e.b, *marks, e.key)
 
 
 class TestCompiledFacts:

@@ -10,6 +10,9 @@ from lmgraphs import (
     CorpusSpec,
     EdgeKind,
     GraphError,
+    IndependenceModel,
+    IndependenceStatement,
+    MixedGraph,
     build_graph,
     combine_m_connecting,
     enumerate_model,
@@ -19,9 +22,12 @@ from lmgraphs import (
     m_connecting_path_exists,
     m_separated,
     make_path,
+    markov_equivalent,
     oracle_m_separated,
+    pairwise_model,
 )
-from lmgraphs import structure
+from lmgraphs import independence, structure
+from lmgraphs.graph import CompiledGraph
 from lmgraphs.separation import _reach, _search_form, _simple_paths
 from strategies import lmgs
 
@@ -40,6 +46,19 @@ def mask_lane_separated(g, a, b, c):
     targets = {index[n] for n in b}
     found = _reach(compiled, [index[n] for n in a], given, given | compiled.ancestors(given), targets)
     return found.isdisjoint(targets)
+
+
+def mask_lane_model(g):
+    """g's singleton model, each statement confirmed by ``mask_lane_separated``."""
+    nodes = g.node_list()
+    statements = []
+    for x, y in itertools.permutations(nodes, 2):
+        rest = [n for n in nodes if n not in (x, y)]
+        for r in range(len(rest) + 1):
+            for c in itertools.combinations(rest, r):
+                if mask_lane_separated(g, [x], [y], c):
+                    statements.append(IndependenceStatement.of([x], [y], c))
+    return IndependenceModel(g.nodes, statements)
 
 
 def line_grid(side):
@@ -297,6 +316,49 @@ class TestRouting:
                 assert answer == oracle_m_separated(g, a, b, c), (g, a, b, c)
                 outcomes.add((answer, len(a) + len(b) > 2))
         assert len(outcomes) == 4
+
+    def test_routed_enumeration_matches_mask_lane(self, routed, monkeypatch):
+        # enumerate_model and markov_equivalent take m_separated's lane; the
+        # visited-mask lane on g's own form is the check.
+        forms = []
+
+        def recorded(form, *args):
+            forms.append(form)
+            return _reach(form, *args)
+
+        monkeypatch.setattr(independence, "_reach", recorded)
+        for g in routed:
+            assert enumerate_model(g, singleton_only=True) == mask_lane_model(g), g
+            star = g.anterior_graph()
+            assert markov_equivalent(g, star)
+            assert set(map(id, forms)) == {id(_search_form(g)), id(star.compiled)}, g
+            forms.clear()
+
+    def test_one_anterior_form_per_graph(self, monkeypatch):
+        """Every reader of the anterior graph reads g's kept anterior form:
+        two compiled forms, g's and its anterior form, and no new graph."""
+        g = build_graph(
+            ["i", "j", "k", "l", "m"],
+            [("i", "->", "j"), ("j", "--", "k"), ("k", "<-", "l"), ("l", "<->", "m"), ("i", "->", "m")],
+        )
+        built = []
+
+        def counted(init):
+            def __init__(self, *args):
+                built.append(type(self))
+                init(self, *args)
+            return __init__
+
+        for cls in (CompiledGraph, MixedGraph):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        for v in g.nodes:
+            g.anteriors(v)
+        pairwise_model(g)
+        m_separated(g, ["i"], ["k"], ["j"])
+        enumerate_model(g)
+        assert markov_equivalent(g, g)
+        assert g.ribbonless and not g.is_anterior()
+        assert built == [CompiledGraph, CompiledGraph]
 
     def test_large_grid_answers_on_its_anterior_form(self):
         # Checked before the query runs: the visited-mask lane would not
