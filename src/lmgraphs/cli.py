@@ -119,8 +119,8 @@ def _cmd_msep(args) -> tuple[int, Report]:
     if not separated:
         pairs = ((x, y) for x in sorted(a) for y in sorted(b))
         x, y = next((x, y) for x, y in pairs if m_connecting_path_exists(graph, x, y, c))
-        path = find_m_connecting_path(graph, x, y, c)
-        rep.witness(str(path), [f"witness: {path}"])
+        path = str(find_m_connecting_path(graph, x, y, c))
+        rep.witness(path, [f"witness: {path}"])
     return (OK if separated else NO), rep
 
 

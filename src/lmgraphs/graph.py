@@ -133,8 +133,9 @@ class CompiledGraph:
     the deterministic order (neighbour label, canonical form, key) that every
     search and every edge listing uses. The graph's structural facts are read
     here and nowhere else: ``loopless``, ``anterior`` (no arrowhead meets the
-    end of a line) and, on first use, ``components``, ``cyclic`` and
-    ``anterior_form``, the compiled anterior graph. Everything is O(n + m).
+    end of a line) and, on first use, ``components``, ``cyclic``,
+    ``changed`` (the anterior rewrite) and ``anterior_form``, the compiled
+    anterior graph. Everything is O(n + m).
     """
 
     def __init__(
@@ -214,6 +215,12 @@ class CompiledGraph:
         return changed
 
     @cached_property
+    def changed(self) -> dict[int, list[bool]]:
+        """``rewrite()``, run once per form and kept: the anterior form and
+        ``MixedGraph.anterior_graph()`` both read it."""
+        return self.rewrite()
+
+    @cached_property
     def anterior_form(self) -> "CompiledGraph":
         """The compiled anterior graph, derived from this form and kept; an
         anterior form is its own. It shares the labels and indices, and its
@@ -224,7 +231,7 @@ class CompiledGraph:
         """
         if self.anterior:
             return self
-        changed, index, edges = self.rewrite(), self.index, self._edges
+        changed, index, edges = self.changed, self.index, self._edges
         form = CompiledGraph(self.labels, index, edges, (
             (index[e.a], index[e.b], *changed.get(e.key, (e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD)))
             for e in edges
@@ -451,7 +458,7 @@ class MixedGraph:
 
     @cached_property
     def _anterior(self) -> "MixedGraph":
-        changed = self.compiled.rewrite()
+        changed = self.compiled.changed
         rewritten = [
             Edge(e.a, e.b, *(Mark.HEAD if head else Mark.TAIL for head in changed[e.key]), e.key)
             if e.key in changed else e

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import GraphError, MixedGraph
+from .graph import CompiledGraph, GraphError, MixedGraph
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -245,24 +245,81 @@ def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional
     graph.require_loopless()
 
 
+def _open_masks(form: CompiledGraph) -> list[int]:
+    """C together with an(C) on ``form``, the colliders that C opens, as a
+    mask for every conditioning set C, indexed by C. an(C) is the union of
+    an(v) over v in C, so each set adds its lowest node and that node's
+    ancestors to the entry of the set without it: one closure per node."""
+    n = len(form.labels)
+    single = [sum(1 << w for w in form.ancestors((v,))) for v in range(n)]
+    opened = [0] * (1 << n)
+    for c in range(1, 1 << n):
+        low = c & -c
+        opened[c] = opened[c ^ low] | low | single[low.bit_length() - 1]
+    return opened
+
+
 def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
     """For each conditioning set C, a mask over ``graph.compiled.labels``, the
     row of reach masks R(x, C): the nodes outside C and x that some
-    m-connecting path given C joins to x (0 for x in C). One engine search
-    per (x, C), each on its own, so no model-level structure is assumed; the
-    searches run on ``_search_form``, in the lane ``m_separated`` takes."""
+    m-connecting path given C joins to x (0 for x in C). One search per
+    (x, C), each on its own, so no model-level structure is assumed; the
+    searches run on ``_search_form``, the form ``m_separated`` answers on.
+
+    On an anterior form a walk state carries no history, so the search fits
+    in one int: state (w, arrived without an arrowhead) is bit w and (w,
+    arrived with one) bit n + w. ``into[v]`` and ``out[v]`` are the states
+    entered from v over an edge with, and without, an arrowhead at v. Given
+    C, a state at v outside C may leave over every edge; a state that came
+    in with an arrowhead leaves over edges with an arrowhead at v only when
+    v is in C or an(C). Each search pops the lowest bit of its frontier
+    until no new state turns up. A graph with ribbons keeps its own form and
+    ``_reach``'s visited-mask lane, one call per (x, C); both lanes take C
+    and an(C) from ``_open_masks``."""
     form = _search_form(graph)
     n = len(form.labels)
+    opened = _open_masks(form)
+    if not form.anterior:
+        for c in range(1 << n):
+            given, open_colliders = set(_bits(c)), set(_bits(opened[c]))
+            row = []
+            for x in range(n):
+                reach = 0
+                if not c >> x & 1:
+                    for w in _reach(form, (x,), given, open_colliders):
+                        reach |= 1 << w
+                row.append(reach & ~c & ~(1 << x))
+            yield c, row
+        return
+    into, out = [0] * n, [0] * n
+    for v, edges in enumerate(form.adjacency):
+        for w, head_v, head_w, _ in edges:
+            if head_v:
+                into[v] |= 1 << (w + n * head_w)
+            else:
+                out[v] |= 1 << (w + n * head_w)
+    leave = [into[v] | out[v] for v in range(n)]
+    full = (1 << n) - 1
     for c in range(1 << n):
-        given = set(_bits(c))
-        open_colliders = given | form.ancestors(given)
+        succ = [0] * (2 * n)
+        for v in range(n):
+            if not c >> v & 1:
+                succ[v], succ[n + v] = leave[v], out[v]
+            if opened[c] >> v & 1:
+                succ[n + v] |= into[v]
         row = []
         for x in range(n):
-            reach = 0
-            if not c >> x & 1:
-                for w in _reach(form, (x,), given, open_colliders):
-                    reach |= 1 << w
-            row.append(reach & ~c & ~(1 << x))
+            if c >> x & 1:
+                row.append(0)
+                continue
+            seen = frontier = leave[x]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                fresh = succ[low.bit_length() - 1] & ~seen
+                seen |= fresh
+                frontier |= fresh
+            row.append((seen | seen >> n) & full & ~c & ~(1 << x))
         yield c, row
 
 
@@ -271,12 +328,14 @@ def enumerate_model(
 ) -> IndependenceModel:
     """The independence model induced by m-separation on ``graph``.
 
-    For each conditioning set C and node x outside it, one engine search
-    gives R(x, C), the nodes m-connected to x given C. <A, B | C> is stored
-    exactly when B avoids R(x, C) for every x in A, which is the definition
-    of separation, so symmetry and composition of the model are observed,
-    never assumed. A ranges over the non-empty subsets of V - C, and B over
-    the non-empty subsets of what A leaves free, both as bit masks.
+    For each conditioning set C and node x outside it, one search gives
+    R(x, C), the nodes m-connected to x given C: an int-mask walk on an
+    anterior form, ``_reach``'s visited-mask lane on a graph with ribbons
+    (see ``_reach_masks``). <A, B | C> is stored exactly when B avoids
+    R(x, C) for every x in A, which is the definition of separation, so
+    symmetry and composition of the model are observed, never assumed. A
+    ranges over the non-empty subsets of V - C, and B over the non-empty
+    subsets of what A leaves free, both as bit masks.
     ``singleton_only`` restricts A and B to single nodes, which determines
     the full model via decomposition and composition. Graphs with loops are
     refused.

@@ -73,9 +73,12 @@ def _reach(
     outside C. On an anterior form the state is (node, arrived-with-arrowhead),
     linear in states. On any other form a walk may bounce off a line below a
     collider and fake a connection, so the state also carries the visited
-    nodes as a bit mask (exponential in the worst case). Every caller takes
-    its form from ``_search_form``, which sends only graphs with ribbons to
-    this lane; the tests also run it on ribbonless forms, to check the
+    nodes as a bit mask (exponential in the worst case). ``m_separated`` and
+    ``m_connecting_path_exists`` search the form ``_search_form`` picks, in
+    either lane, so only graphs with ribbons reach the visited-mask lane;
+    ``independence._reach_masks`` calls this only on such forms and walks
+    anterior forms in its own bit-parallel copy of the linear lane. The
+    tests also run the visited-mask lane on ribbonless forms, to check the
     anterior-graph route against it. One pass from all sources is exact: a
     state's future does not depend on where its path began.
     """

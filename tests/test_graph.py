@@ -16,8 +16,11 @@ from lmgraphs import (
     classify_tripath,
     combine_paths,
     endpoint_identical,
+    m_separated,
     make_path,
 )
+from lmgraphs.graph import CompiledGraph
+from conftest import figure
 from strategies import lmgs
 
 
@@ -182,6 +185,19 @@ class TestAnteriorGraph:
     def test_built_once_per_graph(self, figures):
         for g in figures.values():
             assert g.anterior_graph() is g.anterior_graph()
+
+    def test_rewrite_runs_once_per_graph(self, monkeypatch):
+        # A query reads the compiled anterior form, anterior_graph() builds
+        # the anterior graph: both read one kept rewrite of fig2a.
+        calls = []
+        rewrite = CompiledGraph.rewrite
+        monkeypatch.setattr(CompiledGraph, "rewrite", lambda self: calls.append(self) or rewrite(self))
+        g = figure("fig2a")
+        assert not g.is_anterior() and g.ribbonless
+        m_separated(g, ["i"], ["k"], [])
+        assert g.anterior_graph() == figure("fig2b")
+        g.anteriors("i")
+        assert calls == [g.compiled]
 
     def test_anterior_graph_is_its_own(self, figures, lmg_corpus):
         for g in [*figures.values(), *lmg_corpus]:

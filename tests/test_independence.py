@@ -352,6 +352,15 @@ class TestMainTheoremSamples:
             for s in induced.statements:
                 assert s in closed
 
+    def test_closure_of_pairwise_equals_induced_model(self, maximal_rg_corpus):
+        # J_m(G) is a compositional graphoid holding the pairwise statements,
+        # and on maximal ribbonless G the main theorem puts all of J_m(G) in
+        # their closure: the two models are one.
+        assert len(maximal_rg_corpus) >= 100
+        for g in maximal_rg_corpus:
+            closed = closure(pairwise_model(g), COMPOSITIONAL_GRAPHOID)
+            assert closed.statements == enumerate_model(g).statements, g
+
     def test_induced_model_contains_pairwise_on_maximal(self, maximal_rg_corpus):
         for g in maximal_rg_corpus[:25]:
             induced = enumerate_model(g, limit=6)

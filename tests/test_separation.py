@@ -318,20 +318,23 @@ class TestRouting:
         assert len(outcomes) == 4
 
     def test_routed_enumeration_matches_mask_lane(self, routed, monkeypatch):
-        # enumerate_model and markov_equivalent take m_separated's lane; the
-        # visited-mask lane on g's own form is the check.
+        # enumerate_model and markov_equivalent search the forms that
+        # _search_form hands _reach_masks, all anterior here, so every row
+        # comes from the bit-parallel walk; the visited-mask lane on g's own
+        # form is the check.
         forms = []
 
-        def recorded(form, *args):
-            forms.append(form)
-            return _reach(form, *args)
+        def recorded(graph):
+            forms.append(_search_form(graph))
+            return forms[-1]
 
-        monkeypatch.setattr(independence, "_reach", recorded)
+        monkeypatch.setattr(independence, "_search_form", recorded)
         for g in routed:
             assert enumerate_model(g, singleton_only=True) == mask_lane_model(g), g
             star = g.anterior_graph()
             assert markov_equivalent(g, star)
-            assert set(map(id, forms)) == {id(_search_form(g)), id(star.compiled)}, g
+            assert set(map(id, forms)) == {id(g.compiled.anterior_form), id(star.compiled)}, g
+            assert all(form.anterior for form in forms), g
             forms.clear()
 
     def test_one_anterior_form_per_graph(self, monkeypatch):
@@ -385,6 +388,72 @@ class TestRouting:
         m_separated(anterior, ["i"], ["j"], ["l"])
         m_connecting_path_exists(anterior, "i", "j", ["l"])
         assert scans == [g]
+
+
+def reach_row_mismatches(graphs):
+    """Each (graph, C, x) whose row R(x, C) from ``_reach_masks`` differs from
+    one ``_reach`` call on the same form, given C and C's ancestors there."""
+    for g in graphs:
+        form = _search_form(g)
+        for c, row in independence._reach_masks(g):
+            given = {v for v in range(len(row)) if c >> v & 1}
+            open_colliders = given | form.ancestors(given)
+            for x, reach in enumerate(row):
+                expected = 0
+                if x not in given:
+                    for w in _reach(form, (x,), given, open_colliders):
+                        expected |= 1 << w
+                if reach != expected & ~c & ~(1 << x):
+                    yield g, c, x
+
+
+class TestReachRows:
+    """The rows behind enumerate_model and markov_equivalent: the bit-parallel
+    walk on anterior forms, and the visited-mask lane with an(C) from one
+    table on graphs with ribbons, each equal to one ``_reach`` per (x, C)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        graphs = []
+        for seed in range(3):
+            for constraint in ("ribbonless", "none"):
+                graphs += generate_corpus(CorpusSpec(
+                    count=60, nodes=(3, 7), p_line=0.2, p_arrow=0.3, p_arc=0.2, p_multi=0.2,
+                    constraint=constraint, seed=7000 + seed,
+                ))
+            # no lines: anterior graphs, many with directed cycles
+            graphs += generate_corpus(CorpusSpec(
+                count=50, nodes=(3, 7), p_line=0.0, p_arrow=0.6, p_arc=0.2, p_multi=0.2, seed=7100 + seed,
+            ))
+        forms = [_search_form(g) for g in graphs]
+        assert sum(not g.ribbonless for g in graphs) > 60
+        assert sum(form.anterior and form is not g.compiled for g, form in zip(graphs, forms)) > 60
+        assert sum(bool(form.cyclic) for form in forms if form.anterior) > 40
+        assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 100
+        return graphs
+
+    def test_rows_equal_one_reach_per_query(self, corpus):
+        assert next(reach_row_mismatches(corpus), None) is None
+
+    # A walk may run down from a collider in an(C) to C and back, so with
+    # C alone for an(C) the walk lane still reaches the same nodes; only the
+    # visited-mask lane, whose walks cannot come back, sees that fault.
+    @pytest.mark.parametrize("fault, lanes", [
+        ("every collider open", {True, False}),
+        ("an(C) ignored", {False}),
+    ])
+    def test_planted_fault_is_caught(self, corpus, monkeypatch, fault, lanes):
+        def planted(form):
+            n = len(form.labels)
+            return [(1 << n) - 1 if fault == "every collider open" else c for c in range(1 << n)]
+
+        monkeypatch.setattr(independence, "_open_masks", planted)
+        caught = set()  # by lane: whether the form is anterior
+        for g, _, _ in reach_row_mismatches(corpus):
+            caught.add(_search_form(g).anterior)
+            if caught >= lanes:
+                break
+        assert caught == lanes
 
 
 class TestCombineMConnecting:
@@ -447,6 +516,52 @@ class TestCombineMConnecting:
                         assert combined.first == x and combined.last == y
                         assert is_m_connecting_path(g, combined, c)
         assert returned > 20
+
+
+def augmented_separated(g, a, b, c):
+    """The augmented-graph test of Richardson and Spirtes (2002), with anterior
+    sets read in g itself: over S, A, B and C with their anteriors in g, join
+    two nodes when a path of g[S] on which every inner node is a collider
+    joins them, and ask whether C blocks every route from A to B there."""
+    s, stack = set(a | b | c), list(a | b | c)
+    while stack:
+        v = stack.pop()
+        for e in g.edges_at(v):
+            u = e.other(v)
+            if not e.head_at(u) and u not in s:  # u -- v or u -> v
+                s.add(u)
+                stack.append(u)
+    sub = MixedGraph(s, [e for e in g.edges if e.a in s and e.b in s])
+    joined = {
+        (x, y) for x, y in itertools.permutations(sorted(s), 2)
+        if any(all(p.is_collider_at(k) for k in range(1, len(p.nodes) - 1)) for p in _simple_paths(sub, x, y))
+    }
+    reached, stack = set(a), list(a)
+    while stack:
+        v = stack.pop()
+        for x, y in joined:
+            if x == v and y not in reached and y not in c:
+                reached.add(y)
+                stack.append(y)
+    return reached.isdisjoint(b)
+
+
+class TestAugmentedCriterion:
+    """Why no polynomial augmented-graph lane: on this graph with a ribbon,
+    reading anterior sets in the graph itself, the criterion answers both
+    queries wrongly, where the engine and the path oracle agree."""
+
+    def test_smallest_counterexample(self):
+        g = build_graph(["a", "b", "c", "d"], [("a", "->", "b"), ("a", "<->", "d"), ("b", "--", "d"), ("c", "<->", "d")])
+        assert not g.ribbonless
+        # Given b, the collider d is an anterior of b but not an ancestor:
+        # the criterion joins a and c through it.
+        assert m_separated(g, ["a"], ["c"], ["b"]) and oracle_m_separated(g, ["a"], ["c"], ["b"])
+        assert not augmented_separated(g, {"a"}, {"c"}, {"b"})
+        # Given nothing, S is {a, c}, which drops the path a -> b -- d <-> c.
+        assert not m_separated(g, ["a"], ["c"], []) and not oracle_m_separated(g, ["a"], ["c"], [])
+        assert augmented_separated(g, {"a"}, {"c"}, set())
+        assert find_m_connecting_path(g, "a", "c", []).nodes == ("a", "b", "d", "c")
 
 
 class TestModelsViaOracle:
