@@ -118,7 +118,9 @@ def _cmd_msep(args) -> tuple[int, Report]:
     rep.result(separated, "separated" if separated else "connected")
     if not separated:
         pairs = ((x, y) for x in sorted(a) for y in sorted(b))
-        x, y = next((x, y) for x, y in pairs if m_connecting_path_exists(graph, x, y, c))
+        if len(a) * len(b) > 1:  # one pair is the connected one already
+            pairs = (pair for pair in pairs if m_connecting_path_exists(graph, *pair, c))
+        x, y = next(pairs)
         path = str(find_m_connecting_path(graph, x, y, c))
         rep.witness(path, [f"witness: {path}"])
     return (OK if separated else NO), rep

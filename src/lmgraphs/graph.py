@@ -115,11 +115,14 @@ class Edge:
         return f"{l} {op} {r}"
 
 
+_OP_MARKS = {text: marks for marks, text in EDGE_OPS.items()}
+
+
 def _edge_from_spec(a: str, op: str, b: str, key: int) -> Edge:
-    for (ma, mb), text in EDGE_OPS.items():
-        if text == op:
-            return Edge(a, b, ma, mb, key)
-    raise GraphError(f"unknown edge operator {op!r}")
+    marks = _OP_MARKS.get(op)
+    if marks is None:
+        raise GraphError(f"unknown edge operator {op!r}")
+    return Edge(a, b, *marks, key)
 
 
 class CompiledGraph:
@@ -131,11 +134,12 @@ class CompiledGraph:
     ``adjacency[v]``, built on first use since ancestry alone does not need
     it, holds one ``(w, head_at_v, head_at_w, edge)`` entry per edge at v, in
     the deterministic order (neighbour label, canonical form, key) that every
-    search and every edge listing uses. The graph's structural facts are read
-    here and nowhere else: ``loopless``, ``anterior`` (no arrowhead meets the
-    end of a line) and, on first use, ``components``, ``cyclic``,
-    ``changed`` (the anterior rewrite) and ``anterior_form``, the compiled
-    anterior graph. Everything is O(n + m).
+    search and every edge listing uses; ``successors``, also built on first
+    use, holds the same edges as walk states for the linear walk lane. The
+    graph's structural facts are read here and nowhere else: ``loopless``,
+    ``anterior`` (no arrowhead meets the end of a line) and, on first use,
+    ``components``, ``cyclic``, ``changed`` (the anterior rewrite) and
+    ``anterior_form``, the compiled anterior graph. Everything is O(n + m).
     """
 
     def __init__(
@@ -174,16 +178,33 @@ class CompiledGraph:
         for e in self._edges:
             a, b = index[e.a], index[e.b]
             head_a, head_b = e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD
-            rank = (e.canonical(), e.key)
+            # The canonical form's order: marks at the lower label first, a
+            # head before a tail, then the key.
+            rank = (not head_a, not head_b, e.key) if a <= b else (not head_b, not head_a, e.key)
             rows[a].append((b, rank, head_a, head_b, e))
             if a != b:
                 rows[b].append((a, rank, head_b, head_a, e))
-        # (neighbour, canonical form, key) is unique within a row, so the
-        # tuples sort without comparing their edges.
+        # (neighbour, rank) is unique within a row, so the tuples sort
+        # without comparing their edges.
         return tuple(
             tuple((w, head_v, head_w, e) for w, _, head_v, head_w, e in sorted(row))
             for row in rows
         )
+
+    @cached_property
+    def successors(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The walk states each node leaves to, ``(into, out)``: ``into[v]``
+        over the edges with an arrowhead at v, ``out[v]`` over those without.
+        The state entered at w is ``2 * w + 1`` when the edge has an
+        arrowhead at w, else ``2 * w``; parallel edges that enter the same
+        state give it once. Read from the rows, so an anterior form's lists
+        carry its rewritten marks."""
+        into: list[list[int]] = [[] for _ in self.labels]
+        out: list[list[int]] = [[] for _ in self.labels]
+        for v, row in enumerate(self.adjacency):
+            for w, head_v, head_w, _ in row:
+                (into if head_v else out)[v].append(2 * w + head_w)
+        return tuple(tuple(dict.fromkeys(s)) for s in into), tuple(tuple(dict.fromkeys(s)) for s in out)
 
     def rewrite(self) -> dict[int, list[bool]]:
         """The edges that the anterior rewrite changes, by key, each with its
@@ -321,7 +342,7 @@ class MixedGraph:
         for k, e in enumerate(edges):
             if e.a not in self._nodes or e.b not in self._nodes:
                 raise GraphError(f"unknown endpoint label in edge {e}")
-            rekeyed.append(Edge(e.a, e.b, e.mark_a, e.mark_b, k))
+            rekeyed.append(e if e.key == k else Edge(e.a, e.b, e.mark_a, e.mark_b, k))
         self._edges = tuple(rekeyed)
 
     @property

@@ -246,10 +246,14 @@ def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional
 
 
 def _open_masks(form: CompiledGraph) -> list[int]:
-    """C together with an(C) on ``form``, the colliders that C opens, as a
-    mask for every conditioning set C, indexed by C. an(C) is the union of
-    an(v) over v in C, so each set adds its lowest node and that node's
-    ancestors to the entry of the set without it: one closure per node."""
+    """C together with an(C) on ``form``, the colliders that C opens on a
+    simple path, as a mask for every conditioning set C, indexed by C. Only
+    the visited-mask lane reads it: a path cannot come back along an edge,
+    so it passes a collider in an(C) outside C only when that collider is
+    open, while a walk takes the shortest directed path from it into C and
+    comes back (see ``_walk_successors``). an(C) is the union of an(v) over
+    v in C, so each set adds its lowest node and that node's ancestors to
+    the entry of the set without it: one closure per node."""
     n = len(form.labels)
     single = [sum(1 << w for w in form.ancestors((v,))) for v in range(n)]
     opened = [0] * (1 << n)
@@ -257,6 +261,22 @@ def _open_masks(form: CompiledGraph) -> list[int]:
         low = c & -c
         opened[c] = opened[c ^ low] | low | single[low.bit_length() - 1]
     return opened
+
+
+def _walk_successors(into: list[int], out: list[int], c: int) -> list[int]:
+    """The bit-parallel walk's successor masks given C, one per state: state
+    (v, arrived without an arrowhead) is bit v and (v, arrived with one) bit
+    n + v; ``into[v]`` and ``out[v]`` are the states entered from v over an
+    edge with, and without, an arrowhead at v. The gate is that of
+    ``separation._reach``'s linear lane, by C alone."""
+    n = len(into)
+    succ = [0] * (2 * n)
+    for v in range(n):
+        if c >> v & 1:
+            succ[n + v] = into[v]
+        else:
+            succ[v], succ[n + v] = into[v] | out[v], out[v]
+    return succ
 
 
 def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
@@ -267,19 +287,18 @@ def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
     searches run on ``_search_form``, the form ``m_separated`` answers on.
 
     On an anterior form a walk state carries no history, so the search fits
-    in one int: state (w, arrived without an arrowhead) is bit w and (w,
-    arrived with one) bit n + w. ``into[v]`` and ``out[v]`` are the states
-    entered from v over an edge with, and without, an arrowhead at v. Given
-    C, a state at v outside C may leave over every edge; a state that came
-    in with an arrowhead leaves over edges with an arrowhead at v only when
-    v is in C or an(C). Each search pops the lowest bit of its frontier
-    until no new state turns up. A graph with ribbons keeps its own form and
-    ``_reach``'s visited-mask lane, one call per (x, C); both lanes take C
-    and an(C) from ``_open_masks``."""
+    in one int over the states of ``_walk_successors``. C alone opens a
+    collider: from a collider in an(C) outside C a walk takes the shortest
+    directed path into C and comes back the same way, arriving over a tail.
+    Each search pops the lowest bit of its frontier until no new state
+    turns up. A graph with ribbons keeps its own form and ``_reach``'s
+    visited-mask lane, one call per (x, C); its simple paths cannot come
+    back from C, so it opens the colliders in C and an(C), taken from one
+    ``_open_masks`` table."""
     form = _search_form(graph)
     n = len(form.labels)
-    opened = _open_masks(form)
     if not form.anterior:
+        opened = _open_masks(form)
         for c in range(1 << n):
             given, open_colliders = set(_bits(c)), set(_bits(opened[c]))
             row = []
@@ -291,28 +310,19 @@ def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
                 row.append(reach & ~c & ~(1 << x))
             yield c, row
         return
-    into, out = [0] * n, [0] * n
-    for v, edges in enumerate(form.adjacency):
-        for w, head_v, head_w, _ in edges:
-            if head_v:
-                into[v] |= 1 << (w + n * head_w)
-            else:
-                out[v] |= 1 << (w + n * head_w)
-    leave = [into[v] | out[v] for v in range(n)]
+    into, out = (
+        [sum(1 << ((s >> 1) + n * (s & 1)) for s in states) for states in lists]
+        for lists in form.successors
+    )
     full = (1 << n) - 1
     for c in range(1 << n):
-        succ = [0] * (2 * n)
-        for v in range(n):
-            if not c >> v & 1:
-                succ[v], succ[n + v] = leave[v], out[v]
-            if opened[c] >> v & 1:
-                succ[n + v] |= into[v]
+        succ = _walk_successors(into, out, c)
         row = []
         for x in range(n):
             if c >> x & 1:
                 row.append(0)
                 continue
-            seen = frontier = leave[x]
+            seen = frontier = into[x] | out[x]
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low

@@ -61,32 +61,63 @@ def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> Com
 
 
 def _reach(
-    compiled: CompiledGraph, sources: Iterable[int], c: set[int], open_colliders: set[int],
-    stop: Container[int] = (),
+    compiled: CompiledGraph, sources: Iterable[int], c: set[int],
+    open_colliders: Optional[set[int]] = None, stop: Container[int] = (),
 ) -> set[int]:
     """Indices joined to some source by an m-connecting path given C; returns
-    as soon as it reaches a node in ``stop``. ``open_colliders`` is C together
-    with an(C), so a caller with many searches under one C computes it once.
+    as soon as it reaches a node in ``stop``. One pass from all sources is
+    exact: a state's future does not depend on where its path began.
 
-    Breadth-first over mark states: a state leaves v over an edge when v, as
-    collider of the two marks, lies in C or an(C), or, as non-collider, lies
-    outside C. On an anterior form the state is (node, arrived-with-arrowhead),
-    linear in states. On any other form a walk may bounce off a line below a
-    collider and fake a connection, so the state also carries the visited
-    nodes as a bit mask (exponential in the worst case). ``m_separated`` and
-    ``m_connecting_path_exists`` search the form ``_search_form`` picks, in
-    either lane, so only graphs with ribbons reach the visited-mask lane;
-    ``independence._reach_masks`` calls this only on such forms and walks
-    anterior forms in its own bit-parallel copy of the linear lane. The
-    tests also run the visited-mask lane on ribbonless forms, to check the
-    anterior-graph route against it. One pass from all sources is exact: a
-    state's future does not depend on where its path began.
+    On an anterior form the search is linear: it walks the form's
+    ``successors``, states (node, arrived-with-arrowhead). A state at v
+    outside C leaves over every edge, or only over the edges without an
+    arrowhead at v when it came in with one; at v in C only a state that
+    came in with an arrowhead leaves, over the edges with one. C alone opens
+    a collider: a walk that meets a collider v in an(C) outside C takes the
+    shortest directed path from v into C, whose inner nodes avoid C, passes
+    the collider at its end in C and comes back the same way, arriving at v
+    over a tail, so it leaves v over any edge, as the path would through an
+    open collider. ``open_colliders`` is not read here.
+
+    On any other form a walk may bounce off a line below a collider and fake
+    a connection, so the search follows simple paths, the state also
+    carrying the visited nodes as a bit mask (exponential in the worst
+    case). A path cannot come back along an edge, so a collider is open
+    when it lies in ``open_colliders``, C together with an(C), computed here
+    unless the caller, with many searches under one C, passes it.
+    ``m_separated`` and ``m_connecting_path_exists`` search the form
+    ``_search_form`` picks, so only graphs with ribbons reach this lane;
+    ``independence._reach_masks`` calls it only on such forms and walks
+    anterior forms in its own bit-parallel copy of the linear lane.
     """
+    if compiled.anterior:
+        into, out = compiled.successors
+        reached: set[int] = set()
+        seen: set[int] = set()
+        todo = [state for s in sources for state in into[s] + out[s]]
+        while todo:
+            state = todo.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            v = state >> 1
+            reached.add(v)
+            if v in stop:
+                return reached
+            if v in c:
+                if state & 1:
+                    todo += into[v]
+            else:
+                todo += out[v]
+                if not state & 1:
+                    todo += into[v]
+        return reached
+    if open_colliders is None:
+        open_colliders = c | compiled.ancestors(c)
     adjacency = compiled.adjacency
-    simple = not compiled.anterior
-    reached: set[int] = set()
-    seen: set[tuple[int, int, bool]] = set()
-    queue = deque([(s, 1 << s if simple else 0, None) for s in sources])
+    reached = set()
+    visited: set[tuple[int, int, bool]] = set()
+    queue = deque([(s, 1 << s, None) for s in sources])
     while queue:
         v, mask, head_in = queue.popleft()
         if head_in is None:  # a source: no inner-node condition
@@ -100,9 +131,9 @@ def _reach(
             reached.add(w)
             if w in stop:
                 return reached
-            state = (w, mask | 1 << w if simple else 0, head_w)
-            if state not in seen:
-                seen.add(state)
+            state = (w, mask | 1 << w, head_w)
+            if state not in visited:
+                visited.add(state)
                 queue.append(state)
     return reached
 
@@ -123,12 +154,17 @@ def _search_form(graph: MixedGraph) -> CompiledGraph:
 def _m_reachable(
     graph: MixedGraph, x: str, c: frozenset[str], stop_at: Optional[str] = None
 ) -> set[str]:
-    """All nodes joined to x by an m-connecting path given C."""
+    """All nodes joined to x by an m-connecting path given C.
+
+    No an(C) is computed on an anterior form: a walk through a collider in
+    an(C) outside C takes the shortest directed path from it into C and
+    comes back the same way, so C alone gates the walk (see ``_reach``).
+    Only a graph with ribbons, searched path by path, needs an(C), once.
+    """
     form = _search_form(graph)
     index = form.index
     stop = () if stop_at is None else (index[stop_at],)
-    given = {index[n] for n in c}
-    found = _reach(form, [index[x]], given, given | form.ancestors(given), stop)
+    found = _reach(form, [index[x]], {index[n] for n in c}, stop=stop)
     return {form.labels[v] for v in found}
 
 
@@ -151,7 +187,12 @@ def m_separated(
 
     One search from all of A at once, stopping at the first node of B: any
     connected pair i in A, j in B is found, and the reduction to such pairs
-    is licensed by decomposition and composition of the induced model.
+    is licensed by decomposition and composition of the induced model. On
+    an anterior form, every ribbonless graph's, C alone gates the walk: from
+    a collider in an(C) outside C the walk runs the shortest directed path
+    down into C and back the same way, arriving over a tail (see
+    ``_reach``). an(C) is computed only for a graph with ribbons, whose
+    search follows simple paths that cannot come back along an edge.
     """
     query = SeparationQuery.of(a, b, c)
     _compiled_for(graph, sorted(query.a | query.b | query.c))
@@ -159,8 +200,7 @@ def m_separated(
     index = form.index
     targets = {index[n] for n in query.b}
     sources = [index[n] for n in query.a]
-    given = {index[n] for n in query.c}
-    found = _reach(form, sources, given, given | form.ancestors(given), targets)
+    found = _reach(form, sources, {index[n] for n in query.c}, stop=targets)
     return found.isdisjoint(targets)
 
 

@@ -1,5 +1,6 @@
 """Separation engine vs oracle, witnesses, and the path-combination rules."""
 
+import copy
 import itertools
 import random
 
@@ -37,14 +38,25 @@ except ImportError:  # the cross-check below is skipped without it
     nx = None
 
 
-def mask_lane_separated(g, a, b, c):
-    """m_separated through ``_reach`` on g's own compiled form: the
-    visited-mask lane whenever g is not anterior, whatever else g is."""
-    compiled = g.compiled
+def in_mask_lane(compiled):
+    """A copy of ``compiled`` that ``_reach`` searches in the visited-mask
+    lane, whatever the graph's class."""
+    compiled.adjacency  # built on the original, so the copies share it
+    form = copy.copy(compiled)
+    form.anterior = False
+    return form
+
+
+def mask_lane_separated(g, a, b, c, opens_ancestors=True):
+    """m_separated through ``_reach``'s visited-mask lane on g's own compiled
+    form, whatever g is. With ``opens_ancestors`` false the lane opens the
+    colliders in C alone, which is wrong for simple paths."""
+    compiled = in_mask_lane(g.compiled)
     index = compiled.index
     given = {index[n] for n in c}
     targets = {index[n] for n in b}
-    found = _reach(compiled, [index[n] for n in a], given, given | compiled.ancestors(given), targets)
+    opened = given | compiled.ancestors(given) if opens_ancestors else given
+    found = _reach(compiled, [index[n] for n in a], given, opened, targets)
     return found.isdisjoint(targets)
 
 
@@ -392,7 +404,8 @@ class TestRouting:
 
 def reach_row_mismatches(graphs):
     """Each (graph, C, x) whose row R(x, C) from ``_reach_masks`` differs from
-    one ``_reach`` call on the same form, given C and C's ancestors there."""
+    one ``_reach`` call on the same form, given C and, for the visited-mask
+    lane, C's ancestors there."""
     for g in graphs:
         form = _search_form(g)
         for c, row in independence._reach_masks(g):
@@ -435,9 +448,11 @@ class TestReachRows:
     def test_rows_equal_one_reach_per_query(self, corpus):
         assert next(reach_row_mismatches(corpus), None) is None
 
-    # A walk may run down from a collider in an(C) to C and back, so with
-    # C alone for an(C) the walk lane still reaches the same nodes; only the
-    # visited-mask lane, whose walks cannot come back, sees that fault.
+    # The walk lane gates colliders by C alone in ``_walk_successors`` and
+    # never reads ``_open_masks``: a walk may run down from a collider in
+    # an(C) to C and back. So "every collider open" is planted in both
+    # lanes' gates, and "an(C) ignored" only in the visited-mask lane's
+    # table, since only its paths, which cannot come back, need an(C).
     @pytest.mark.parametrize("fault, lanes", [
         ("every collider open", {True, False}),
         ("an(C) ignored", {False}),
@@ -447,13 +462,121 @@ class TestReachRows:
             n = len(form.labels)
             return [(1 << n) - 1 if fault == "every collider open" else c for c in range(1 << n)]
 
+        real_walk = independence._walk_successors
+
+        def every_collider_open(into, out, c):
+            succ = real_walk(into, out, c)
+            n = len(into)
+            for v in range(n):
+                succ[n + v] |= into[v]
+            return succ
+
         monkeypatch.setattr(independence, "_open_masks", planted)
+        if fault == "every collider open":
+            monkeypatch.setattr(independence, "_walk_successors", every_collider_open)
         caught = set()  # by lane: whether the form is anterior
         for g, _, _ in reach_row_mismatches(corpus):
             caught.add(_search_form(g).anterior)
             if caught >= lanes:
                 break
         assert caught == lanes
+
+
+class TestCGatedWalk:
+    """On an anterior form the walk lane opens a collider by C alone: a walk
+    through a collider in an(C) outside C runs the shortest directed path
+    down into C and comes back the same way. No an(C) is computed there."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        graphs = []
+        for seed in range(2):
+            # no lines: anterior graphs, many with directed cycles; the
+            # sparser 7-node ones have colliders above C
+            graphs += generate_corpus(CorpusSpec(
+                count=50, nodes=(3, 6), p_line=0.0, p_arrow=0.6, p_arc=0.2, p_multi=0.2, seed=2024 + seed,
+            ))
+            graphs += generate_corpus(CorpusSpec(
+                count=10, nodes=(7, 7), p_line=0.0, p_arrow=0.3, p_arc=0.2, p_multi=0.2, seed=2034 + seed,
+            ))
+            graphs += [g for g in generate_corpus(CorpusSpec(
+                count=60, nodes=(3, 6), p_line=0.25, p_arrow=0.3, p_arc=0.15, p_multi=0.2,
+                constraint="ribbonless", seed=2124 + seed,
+            )) if not g.is_anterior()]
+        assert all(_search_form(g).anterior for g in graphs)
+        assert sum(g.is_anterior() and bool(g.compiled.cyclic) for g in graphs) > 35
+        assert sum(not g.is_anterior() for g in graphs) > 60
+        assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 100
+        return graphs
+
+    def test_singletons_match_oracle_and_mask_lane(self, corpus):
+        queries = bounced = 0
+        for g in corpus:
+            for x, y, c in all_singleton_queries(g):
+                answer = m_separated(g, [x], [y], c)
+                assert answer == oracle_m_separated(g, [x], [y], c), (g, x, y, c)
+                assert answer == mask_lane_separated(g, [x], [y], c), (g, x, y, c)
+                assert answer != m_connecting_path_exists(g, x, y, c), (g, x, y, c)
+                # connected only through a collider in an(C) outside C
+                bounced += answer != mask_lane_separated(g, [x], [y], c, opens_ancestors=False)
+                queries += 1
+        assert queries > 20000 and bounced > 100
+
+    def test_set_queries_match_oracle_and_mask_lane(self, corpus):
+        rng = random.Random(2024)
+        outcomes = set()
+        for g in (g for g in corpus if len(g.nodes) > 3):
+            nodes = g.node_list()
+            for _ in range(10):
+                pick = rng.sample(nodes, rng.randint(2, len(nodes)))
+                na = rng.randint(1, len(pick) - 1)
+                nb = rng.randint(1, len(pick) - na)
+                a, b, c = pick[:na], pick[na : na + nb], pick[na + nb :]
+                answer = m_separated(g, a, b, c)
+                assert answer == oracle_m_separated(g, a, b, c), (g, a, b, c)
+                assert answer == mask_lane_separated(g, a, b, c), (g, a, b, c)
+                outcomes.add((answer, g.is_anterior(), len(a) + len(b) > 2))
+        assert len(outcomes) == 8
+
+    def test_walk_bounces_off_c(self):
+        edges = [("a", "->", "v"), ("b", "->", "v"), ("v", "->", "c")]
+        g = build_graph(["a", "b", "c", "v"], edges)
+        assert g.is_anterior()
+        assert not m_separated(g, ["a"], ["b"], ["c"])
+        assert m_connecting_path_exists(g, "a", "b", ["c"])
+        assert not oracle_m_separated(g, ["a"], ["b"], ["c"])
+        assert find_m_connecting_path(g, "a", "b", ["c"]).nodes == ("a", "v", "b")
+        assert not mask_lane_separated(g, ["a"], ["b"], ["c"])
+        # With a ribbon h -> i <- j, i -- k beside it, the same query takes
+        # the visited-mask lane, which must open v through an(C).
+        ribbon = [("h", "->", "i"), ("j", "->", "i"), ("i", "--", "k")]
+        ribboned = build_graph(["a", "b", "c", "v", "h", "i", "j", "k"], edges + ribbon)
+        assert not ribboned.ribbonless and not _search_form(ribboned).anterior
+        assert not m_separated(ribboned, ["a"], ["b"], ["c"])
+        assert m_connecting_path_exists(ribboned, "a", "b", ["c"])
+        assert m_separated(ribboned, ["a"], ["b"], [])
+
+    def test_ancestors_only_on_graphs_with_ribbons(self, figures, monkeypatch):
+        anterior, ribbonless, ribboned = figures["fig3"], line_grid(4), figures["fig4a"]
+        assert anterior.is_anterior() and ribbonless.ribbonless and not ribboned.ribbonless
+        for g in (anterior, ribbonless, ribboned):
+            _search_form(g)  # the ribbon scan and the anterior form, once per graph
+        calls = []
+        real = CompiledGraph.ancestors
+        monkeypatch.setattr(CompiledGraph, "ancestors", lambda self, targets: calls.append(self) or real(self, targets))
+        queries = [
+            (anterior, "i", "j", ["l"]), (anterior, "i", "j", []),
+            (ribbonless, "g0_0", "g3_3", ["g1_1"]), (ribbonless, "g0_0", "g3_3", ["g2_3", "g3_2"]),
+        ]
+        for g, x, y, c in queries:
+            m_separated(g, [x], [y], c)
+            m_connecting_path_exists(g, x, y, c)
+        assert calls == []
+        nodes = ribboned.node_list()
+        for x, y, c in [(nodes[0], nodes[1], nodes[2:3]), (nodes[0], nodes[-1], []), (nodes[1], nodes[2], nodes[3:])]:
+            m_separated(ribboned, [x], [y], c)
+            m_connecting_path_exists(ribboned, x, y, c)
+        assert calls == [ribboned.compiled] * 6
 
 
 class TestCombineMConnecting:
@@ -611,7 +734,7 @@ class TestDSeparationCrossCheck:
                 dag.add_edges_from([(f"latent{k}", e.a), (f"latent{k}", e.b)])
         return dag
 
-    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
     @pytest.mark.parametrize("arcs", [0, 15])
     def test_agrees_with_networkx(self, n, arcs):
         rng = random.Random(n * 100 + arcs)
