@@ -44,7 +44,7 @@ OK, NO, USAGE = 0, 1, 2
 def _node_set(raw: Optional[str]) -> list[str]:
     if not raw:
         return []
-    return [part.strip() for part in raw.split(",") if part.strip()]
+    return list(dict.fromkeys(part.strip() for part in raw.split(",") if part.strip()))
 
 
 def _fmt_nodes(nodes) -> str:

@@ -138,8 +138,9 @@ class CompiledGraph:
     use, holds the same edges as walk states for the linear walk lane. The
     graph's structural facts are read here and nowhere else: ``loopless``,
     ``anterior`` (no arrowhead meets the end of a line) and, on first use,
-    ``components``, ``cyclic``, ``changed`` (the anterior rewrite) and
-    ``anterior_form``, the compiled anterior graph. Everything is O(n + m).
+    ``components``, ``cyclic``, ``ancestor_masks``, ``head_masks``,
+    ``changed`` (the anterior rewrite) and ``anterior_form``, the compiled
+    anterior graph. Everything is O(n + m), counting an n-bit mask as one.
     """
 
     def __init__(
@@ -205,6 +206,18 @@ class CompiledGraph:
             for w, head_v, head_w, _ in row:
                 (into if head_v else out)[v].append(2 * w + head_w)
         return tuple(tuple(dict.fromkeys(s)) for s in into), tuple(tuple(dict.fromkeys(s)) for s in out)
+
+    @cached_property
+    def head_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(heads, arcs)``: ``heads[v]`` masks the nodes w that an edge at v
+        gives an arrowhead at w, ``arcs[v]`` those joined to v by an arc."""
+        heads, arcs = [0] * len(self.labels), [0] * len(self.labels)
+        for v, row in enumerate(self.adjacency):
+            for w, head_v, head_w, _ in row:
+                if head_w:
+                    heads[v] |= 1 << w
+                    arcs[v] |= head_v << w
+        return tuple(heads), tuple(arcs)
 
     def rewrite(self) -> dict[int, list[bool]]:
         """The edges that the anterior rewrite changes, by key, each with its
@@ -303,6 +316,21 @@ class CompiledGraph:
         """Nodes on a directed cycle: the members of the components of two or
         more nodes."""
         return frozenset(v for component in self.components if len(component) > 1 for v in component)
+
+    @cached_property
+    def ancestor_masks(self) -> tuple[int, ...]:
+        """an(v) for every node as a mask, node w as bit w, in one pass over
+        the components. Every node of a cycle has a parent on it, so v's own
+        bit is set exactly when v is on a cycle, as in ``ancestors``."""
+        masks = [0] * len(self.labels)
+        for component in self.components:
+            mask = 0
+            for v in component:
+                for p in self.parents[v]:
+                    mask |= masks[p] | 1 << p
+            for v in component:
+                masks[v] = mask
+        return tuple(masks)
 
     def ancestors(self, targets: Iterable[int]) -> set[int]:
         """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""

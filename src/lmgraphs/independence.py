@@ -252,10 +252,9 @@ def _open_masks(form: CompiledGraph) -> list[int]:
     so it passes a collider in an(C) outside C only when that collider is
     open, while a walk takes the shortest directed path from it into C and
     comes back (see ``_walk_successors``). an(C) is the union of an(v) over
-    v in C, so each set adds its lowest node and that node's ancestors to
-    the entry of the set without it: one closure per node."""
-    n = len(form.labels)
-    single = [sum(1 << w for w in form.ancestors((v,))) for v in range(n)]
+    v in C, so each set adds its lowest node and that node's ancestor mask,
+    kept on the form, to the entry of the set without it."""
+    n, single = len(form.labels), form.ancestor_masks
     opened = [0] * (1 << n)
     for c in range(1, 1 << n):
         low = c & -c

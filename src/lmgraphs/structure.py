@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .graph import CompiledGraph, Edge, EdgeKind, GraphError, Mark, MixedGraph, Path
+from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _compiled_for, m_separated
 
 
@@ -104,22 +104,48 @@ def find_primitive_inducing_paths(
     all ancestors of {x, y}. Any single x-y edge qualifies.
 
     The first ``limit`` paths (all of them when None) of the depth-first
-    search that also finds m-connecting witnesses, pruning a partial path as
-    soon as its newest inner node fails either condition. Results come in
-    deterministic order.
+    search that also finds m-connecting witnesses, in deterministic order,
+    with inner nodes confined to ``_inducing_live``'s arc components: they
+    hold every inner node of every such path, so none is lost.
     """
+    compiled, source, target = _endpoints(graph, x, y)
+    if limit is not None and limit < 1:
+        raise GraphError(f"limit must be at least 1, got {limit}")
+    passes = _colliders_in(_inducing_live(compiled, source, target))
+    return list(itertools.islice(_admissible_paths(compiled, source, target, passes), limit))
+
+
+def _endpoints(graph: MixedGraph, x: str, y: str) -> tuple[CompiledGraph, int, int]:
     compiled = _compiled_for(graph, (x, y))
     if x == y:
         raise GraphError("endpoints must differ")
-    if limit is not None and limit < 1:
-        raise GraphError(f"limit must be at least 1, got {limit}")
-    source, target = compiled.index[x], compiled.index[y]
-    allowed = compiled.ancestors([source, target])
+    return compiled, compiled.index[x], compiled.index[y]
 
-    def passes(v: int, head_in: bool, head_out: bool) -> bool:
-        return head_in and head_out and v in allowed
 
-    return list(itertools.islice(_admissible_paths(compiled, source, target, passes), limit))
+def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
+    """The union of the arc components of an({x, y}) - {x, y} that both x
+    and y send an arrowhead into, as a mask, by two floods over the arcs.
+    The inner nodes of a primitive inducing path are colliders in an({x, y}),
+    so they lie in one such component; any two arrowheads that x and y send
+    into one are joined by a simple arc path. So it is 0 exactly when no
+    primitive inducing path from x to y has an inner node."""
+    (heads, arcs), an = compiled.head_masks, compiled.ancestor_masks
+    live = (an[x] | an[y]) & ~(1 << x | 1 << y)
+    for end in (x, y):
+        reached = frontier = heads[end] & live
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = arcs[low.bit_length() - 1] & live & ~reached
+            reached |= fresh
+            frontier |= fresh
+        live = reached
+    return live
+
+
+def _colliders_in(live: int) -> Callable[[int, bool, bool], bool]:
+    """``_admissible_paths``' test for colliders in the mask ``live``."""
+    return lambda v, head_in, head_out: head_in and head_out and bool(live >> v & 1)
 
 
 def _require_ribbonless(graph: MixedGraph, what: str) -> None:
@@ -130,21 +156,19 @@ def _require_ribbonless(graph: MixedGraph, what: str) -> None:
 def _violations(graph: MixedGraph) -> Iterator[tuple[str, str, Path]]:
     """Non-adjacent pairs x < y joined by a primitive inducing path, in label
     order, each with its first one, as found; the caller has checked that the
-    graph is ribbonless. One ancestor set per node serves every pair."""
+    graph is ribbonless. Pairs are tested by ``_inducing_live``; only a
+    violating pair is searched, inside its arc components, for a witness."""
     compiled = graph.compiled
     labels, rows = compiled.labels, compiled.adjacency
-    an = [compiled.ancestors([v]) for v in range(len(labels))]
-
-    def passes(v: int, head_in: bool, head_out: bool) -> bool:  # for the pair (x, y) below
-        return head_in and head_out and (v in an[x] or v in an[y])
-
     for x, row in enumerate(rows):
         adjacent = {w for w, *_ in row}
         for y in range(x + 1, len(labels)):
-            if y not in adjacent:
-                path = next(_admissible_paths(compiled, x, y, passes), None)
-                if path is not None:
-                    yield labels[x], labels[y], path
+            if y in adjacent or not (live := _inducing_live(compiled, x, y)):
+                continue
+            path = next(_admissible_paths(compiled, x, y, _colliders_in(live)), None)
+            if path is None:
+                raise RuntimeError(f"no inducing path found in the arc components of {labels[x]}, {labels[y]}")
+            yield labels[x], labels[y], path
 
 
 def maximality_violations(graph: MixedGraph) -> list[tuple[str, str, Path]]:
@@ -187,12 +211,13 @@ def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
     """The anterior-set separator (ant(x) | ant(y)) minus the pair itself.
 
     Guaranteed to m-separate x and y when they are non-adjacent and no
-    primitive inducing path joins them; both preconditions are enforced.
+    primitive inducing path joins them; both preconditions are enforced,
+    the second by ``_inducing_live``'s arc components, with no path search.
     """
     graph.require_loopless()
     if graph.adjacent(x, y):
         raise GraphError(f"{x!r} and {y!r} are adjacent")
-    if find_primitive_inducing_paths(graph, x, y, limit=1):
+    if _inducing_live(*_endpoints(graph, x, y)):
         raise GraphError(
             f"a primitive inducing path joins {x!r} and {y!r}; no separator exists"
         )
@@ -245,24 +270,23 @@ class GraphClass:
 
 
 def classify(graph: MixedGraph) -> GraphClass:
+    """The flags from the compiled form: edge kinds from the rows' arrowhead
+    flags, ``ancestral`` from the kept ancestor and arc masks (no arc v <-> w
+    with w in an(v)), and ``maximal`` from the arc-component violation scan."""
     if not graph.is_loopless():
         return GraphClass(False, False, False, False, False, False, False, None)
 
-    kinds, compiled = {e.kind for e in graph.edges}, graph.compiled
+    compiled = graph.compiled
+    # Arrowheads per edge: 0 on a line, 1 on an arrow, 2 on an arc.
+    kinds = {head_v + head_w for row in compiled.adjacency for _, head_v, head_w, _ in row}
     has_cycle = bool(compiled.cyclic)
-    undirected = kinds <= {EdgeKind.LINE}
-    bidirected = kinds <= {EdgeKind.ARC}
-    dag = kinds <= {EdgeKind.ARROW} and not has_cycle
-    admg = kinds <= {EdgeKind.ARROW, EdgeKind.ARC} and not has_cycle
-
-    arc_ancestor = any(
-        w in compiled.ancestors([v])
-        for v, row in enumerate(compiled.adjacency)
-        for w, head_v, head_w, _ in row
-        if head_v and head_w
+    undirected = kinds <= {0}
+    bidirected = kinds <= {2}
+    dag = kinds <= {1} and not has_cycle
+    admg = 0 not in kinds and not has_cycle
+    ancestral = not has_cycle and compiled.anterior and not any(
+        an & arcs for an, arcs in zip(compiled.ancestor_masks, compiled.head_masks[1])
     )
-    ancestral = not has_cycle and not arc_ancestor and graph.is_anterior()
-
     ribbonless = is_ribbonless(graph)
-    maximal = next(_violations(graph), None) is None if ribbonless else None
+    maximal = is_maximal(graph) if ribbonless else None
     return GraphClass(True, undirected, bidirected, dag, admg, ancestral, ribbonless, maximal)

@@ -70,6 +70,14 @@ class TestMsep:
         assert code == 1
         assert "witness: b -> c" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_repeated_labels_count_once(self, capsys, fmt):
+        query = ("msep", figure_path("fig3"), "--b", "j", "--format", fmt)
+        once = run(capsys, *query, "--a", "i", "--c", "l")
+        twice = run(capsys, *query, "--a", "i,i", "--c", "l,l")
+        assert once[0] == 1 and twice == once
+        assert "{i,i}" not in twice[1] and '"i", "i"' not in twice[1]
+
     def test_long_arrow_chain_gets_a_witness(self, capsys, tmp_path):
         # The witness search used to recurse once per node and overflow the
         # interpreter stack on this chain.
@@ -98,6 +106,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "RuntimeError: boom" in err
+
+    def test_arc_test_without_a_witness_exits_two_not_one(self, capsys, monkeypatch, tmp_path):
+        # A pair that the arc-component test calls violating but whose search
+        # finds no path is a fault, not a "not maximal" and not a skip.
+        import lmgraphs.structure as structure
+
+        graph = tmp_path / "apart.lmg"
+        graph.write_text("a -> b\nnode c\n")
+        monkeypatch.setattr(structure, "_inducing_live", lambda compiled, x, y: 0b111)
+        code, out, err = run(capsys, "maximal", str(graph))
+        assert code == 2 and out == ""
+        assert "internal: RuntimeError" in err
 
     def test_closure_limit_applies_unless_overridden(self, capsys, tmp_path):
         path = tmp_path / "bipath7.lmg"

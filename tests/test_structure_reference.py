@@ -5,16 +5,21 @@ from the library's scans on purpose:
 
 - a ribbon scan that lists every inner node's sorted descendants and tests
   each one for a line end, then for a directed cycle;
-- a violation list that asks ``find_primitive_inducing_paths(limit=1)`` once
-  for every non-adjacent pair;
-- a ``maximalize`` that reruns that whole list after every edge it adds.
+- primitive inducing paths from the depth-first search with no pruning but
+  the definition's: inner nodes that are colliders in an({x, y});
+- a violation list that asks that search for a first path once for every
+  non-adjacent pair;
+- a ``maximalize`` that reruns that whole list after every edge it adds;
+- subclass flags from edge kinds and ``graph.ancestors``.
 
 The library must give the same ribbons (edges, flavour and witness), the same
-violations with the same paths, the same completions and the same refusals on
-seeded corpora of 3-8 nodes with multi-edges and directed cycles. Two counting
-tests pin the cost: the ribbon scan takes no descendant closure on a graph
-without lines or cycles, and a violation scan takes at most one ancestor set
-per node plus the ribbon scan's one.
+inducing paths, the same violations with the same paths, the same completions
+and refusals and the same flags on seeded corpora of 3-8 nodes with
+multi-edges and directed cycles; its arc-component test must say "some path
+with an inner node" exactly when the search finds one, and two planted faults
+in that test must show. Counting tests pin the cost: the ribbon scan takes no
+descendant closure on a graph without lines or cycles, and a violation scan
+takes no ancestor closure at all.
 """
 
 import itertools
@@ -24,6 +29,7 @@ import pytest
 from lmgraphs import (
     CorpusSpec,
     Edge,
+    EdgeKind,
     GraphError,
     Mark,
     RibbonFlavor,
@@ -37,6 +43,8 @@ from lmgraphs import (
     maximalize,
 )
 from lmgraphs import graph as graph_module
+from lmgraphs.separation import _admissible_paths
+from lmgraphs.structure import _inducing_live
 
 
 def reference_ribbons(graph):
@@ -91,10 +99,54 @@ def reference_violations(graph):
     for x, y in itertools.combinations(graph.node_list(), 2):
         if graph.adjacent(x, y):
             continue
-        paths = find_primitive_inducing_paths(graph, x, y, limit=1)
-        if paths:
-            violations.append((x, y, paths[0]))
+        path = next(reference_inducing_paths(graph, x, y), None)
+        if path is not None:
+            violations.append((x, y, path))
     return violations
+
+
+def reference_inducing_paths(graph, x, y):
+    """The depth-first search for primitive inducing paths, pruned only by
+    the definition: an inner node must be a collider in an({x, y})."""
+    compiled = graph.compiled
+    allowed = graph.ancestors([x, y])
+    labels = compiled.labels
+
+    def passes(v, head_in, head_out):
+        return head_in and head_out and labels[v] in allowed
+
+    return _admissible_paths(compiled, compiled.index[x], compiled.index[y], passes)
+
+
+CLASS_FLAGS = (
+    "loopless_mixed", "undirected", "bidirected", "dag", "acyclic_directed_mixed",
+    "ancestral", "ribbonless", "maximal",
+)
+
+
+def reference_classify(graph):
+    """The eight subclass flags from edge kinds and label-level ancestry."""
+    if any(e.is_loop() for e in graph.edges):
+        return dict.fromkeys(CLASS_FLAGS[:-1], False) | {"maximal": None}
+    kinds = {e.kind for e in graph.edges}
+    cycle = any(graph.on_directed_cycle(v) for v in graph.nodes)
+    line_ends = graph.line_endpoints()
+    anterior = not any(e.head_at(v) for e in graph.edges for v in (e.a, e.b) if v in line_ends)
+    arc_below = any(
+        e.a in graph.ancestors([e.b]) or e.b in graph.ancestors([e.a])
+        for e in graph.edges if e.kind is EdgeKind.ARC
+    )
+    ribbonless = not reference_ribbons(graph)
+    return {
+        "loopless_mixed": True,
+        "undirected": kinds <= {EdgeKind.LINE},
+        "bidirected": kinds <= {EdgeKind.ARC},
+        "dag": kinds <= {EdgeKind.ARROW} and not cycle,
+        "acyclic_directed_mixed": kinds <= {EdgeKind.ARROW, EdgeKind.ARC} and not cycle,
+        "ancestral": not cycle and anterior and not arc_below,
+        "ribbonless": ribbonless,
+        "maximal": not reference_violations(graph) if ribbonless else None,
+    }
 
 
 def endpoint_identical_edge(path):
@@ -174,11 +226,74 @@ def test_violations_match_reference(corpus):
 
 
 def test_classify_matches_reference(corpus):
+    looped = build_graph(["a", "b", "c"], [("a", "->", "a"), ("a", "<->", "b"), ("b", "--", "c")])
+    graphs, counts = corpus + [looped], dict.fromkeys(CLASS_FLAGS, 0)
+    for g in graphs:
+        flags = classify(g).as_dict()
+        assert flags == reference_classify(g), g
+        for name, value in flags.items():
+            counts[name] += bool(value)
+    # every flag is both set and clear somewhere
+    assert all(0 < counts[name] < len(graphs) for name in CLASS_FLAGS), counts
+
+
+def test_ancestor_masks_match_ancestors(corpus):
+    forms = [form for g in corpus for form in {id(f): f for f in (g.compiled, g.compiled.anterior_form)}.values()]
+    assert sum(bool(form.cyclic) for form in forms) > 200
+    for form in forms:
+        for v, mask in enumerate(form.ancestor_masks):
+            assert mask == sum(1 << w for w in form.ancestors([v])), (form.labels, v)
+
+
+def live_mismatches(graphs, live=_inducing_live):
+    """(graph, x, y) wherever ``live`` disagrees with the reference search on
+    whether some primitive inducing path from x to y has an inner node."""
+    for g in graphs:
+        compiled = g.compiled
+        labels = compiled.labels
+        for x, y in itertools.permutations(range(len(labels)), 2):
+            expected = any(len(p.nodes) > 2 for p in reference_inducing_paths(g, labels[x], labels[y]))
+            if bool(live(compiled, x, y)) != expected:
+                yield g, labels[x], labels[y]
+
+
+def test_inducing_live_matches_reference(corpus):
+    assert next(live_mismatches(corpus), None) is None
+
+
+class Shim:
+    """A compiled form with some of its masks replaced."""
+
+    def __init__(self, compiled, **masks):
+        self.ancestor_masks, self.head_masks = compiled.ancestor_masks, compiled.head_masks
+        self.__dict__.update(masks)
+
+
+def flood_outside_ancestors(compiled, x, y):
+    full = (1 << len(compiled.labels)) - 1
+    return _inducing_live(Shim(compiled, ancestor_masks=[full] * len(compiled.labels)), x, y)
+
+
+def only_x_arrowheads(compiled, x, y):
+    heads, arcs = compiled.head_masks
+    heads = list(heads)
+    heads[y] = (1 << len(compiled.labels)) - 1
+    return _inducing_live(Shim(compiled, head_masks=(heads, arcs)), x, y)
+
+
+@pytest.mark.parametrize("planted", [flood_outside_ancestors, only_x_arrowheads])
+def test_planted_live_fault_is_caught(corpus, planted):
+    assert next(live_mismatches(corpus, planted), None) is not None
+
+
+def test_inducing_path_listings_match_reference(corpus):
+    listed = 0
     for g in corpus:
-        flags = classify(g)
-        ribbonless = not reference_ribbons(g)
-        assert flags.ribbonless == ribbonless
-        assert flags.maximal == ((not reference_violations(g)) if ribbonless else None)
+        for x, y in itertools.permutations(g.node_list(), 2):
+            paths = find_primitive_inducing_paths(g, x, y)
+            assert paths == list(reference_inducing_paths(g, x, y)), (g, x, y)
+            listed += len(paths)
+    assert listed > 10000
 
 
 def test_maximalize_matches_reference(corpus):
@@ -241,6 +356,15 @@ def test_ribbon_witnesses_take_no_descendant_closure(closures):
     assert len(ribbons) == 399 and {r.witness for r in ribbons} == {"a0399"}
     small = arc_hung_chain(30, line=True)
     assert ribbon_facts(find_ribbons(small)) == reference_ribbons(small)
+
+
+def test_violation_scan_takes_no_ancestor_closure(closures, corpus):
+    """Pairs are tested on the masks kept per form, which come from one pass
+    over the components, not from a closure per node."""
+    graphs = [arc_hung_chain(30)] + [g for g in corpus[600:] if not reference_ribbons(g)][:50]
+    for g in graphs:
+        maximality_violations(g)
+        assert not any(step is g.compiled.parents for step in closures), g
 
 
 def test_violation_scan_takes_one_ancestor_set_per_node(closures, corpus):
