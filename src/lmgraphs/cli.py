@@ -20,6 +20,7 @@ from .independence import (
     AXIOM_SETS,
     IndependenceModel,
     _counterexample,
+    _render_set,
     check_axioms,
     closure,
     enumerate_model,
@@ -45,10 +46,6 @@ def _node_set(raw: Optional[str]) -> list[str]:
     if not raw:
         return []
     return list(dict.fromkeys(part.strip() for part in raw.split(",") if part.strip()))
-
-
-def _fmt_nodes(nodes) -> str:
-    return "{" + ",".join(sorted(nodes)) + "}"
 
 
 class Report:
@@ -112,7 +109,7 @@ def _cmd_msep(args) -> tuple[int, Report]:
     rep = Report(
         {"command": "msep", "a": sorted(a), "b": sorted(b), "c": sorted(c)},
         args.graph,
-        query_text=f"msep {_fmt_nodes(a)} _||_ {_fmt_nodes(b)} | {_fmt_nodes(c)}",
+        query_text=f"msep {_render_set(a)} _||_ {_render_set(b)} | {_render_set(c)}",
     )
     separated = m_separated(graph, a, b, c)
     rep.result(separated, "separated" if separated else "connected")
@@ -139,7 +136,7 @@ def _cmd_anteriors(args) -> tuple[int, Report]:
     graph = load_graph(args.graph)
     ant = sorted(graph.anteriors(args.node))
     rep = Report({"command": "anteriors", "node": args.node}, args.graph)
-    rep.result(ant, _fmt_nodes(ant))
+    rep.result(ant, _render_set(ant))
     return OK, rep
 
 

@@ -128,69 +128,49 @@ def _edge_from_spec(a: str, op: str, b: str, key: int) -> Edge:
 class CompiledGraph:
     """Integer form of a graph, the only adjacency it has, built once per graph.
 
-    Nodes are numbered in label order. ``parents[v]`` and ``children[v]`` list
-    the tails of arrows into v and the heads of arrows out of v, and
-    ``lines[v]`` the other ends of the lines at v (v itself for a line loop).
-    ``adjacency[v]``, built on first use since ancestry alone does not need
-    it, holds one ``(w, head_at_v, head_at_w, edge)`` entry per edge at v, in
-    the deterministic order (neighbour label, canonical form, key) that every
-    search and every edge listing uses; ``successors``, also built on first
-    use, holds the same edges as walk states for the linear walk lane. The
-    graph's structural facts are read here and nowhere else: ``loopless``,
-    ``anterior`` (no arrowhead meets the end of a line) and, on first use,
-    ``components``, ``cyclic``, ``ancestor_masks``, ``head_masks``,
-    ``changed`` (the anterior rewrite) and ``anterior_form``, the compiled
-    anterior graph. Everything is O(n + m), counting an n-bit mask as one.
+    Nodes are numbered in label order. ``adjacency[v]`` holds one
+    ``(w, head_at_v, head_at_w, edge)`` entry per edge at v, in the
+    deterministic order (neighbour label, canonical form, key) that every
+    search and every edge listing uses; a loop sits once in its node's row.
+    Every other fact is read from these rows: ``parents[v]`` and
+    ``children[v]`` list the tails of arrows into v and the heads of arrows
+    out of v, ``lines[v]`` the other ends of the lines at v (v itself for a
+    line loop), and the flags ``loopless`` and ``anterior`` (no arrowhead
+    meets the end of a line) are set at once; ``successors``, the same edges
+    as walk states for the linear walk lane, and ``components``, ``cyclic``,
+    ``ancestor_masks``, ``head_masks``, ``changed`` (the anterior rewrite)
+    and ``anterior_form``, the compiled anterior graph, are built on first
+    use. Everything is O(n + m), counting an n-bit mask as one.
     """
 
     def __init__(
         self, labels: list[str], index: dict[str, int], edges: Sequence[Edge],
-        ends: Iterable[tuple[int, int, bool, bool]],
+        rows: tuple[tuple[tuple[int, bool, bool, Edge], ...], ...],
     ):
-        """``ends`` gives each edge's endpoint indices and whether it has an
-        arrowhead at each, ``(a, b, head_a, head_b)``."""
-        self.labels, self.index, self._edges = labels, index, edges
+        self.labels, self.index, self._edges, self.adjacency = labels, index, edges, rows
         parents, children, lines = ([set() for _ in labels] for _ in range(3))
-        headed: set[int] = set()
-        self.loopless = True
-        for a, b, head_a, head_b in ends:
-            self.loopless &= a != b
-            if not (head_a or head_b):
-                lines[a].add(b)
-                lines[b].add(a)
-                continue
-            if head_a:
-                headed.add(a)
-            if head_b:
-                headed.add(b)
-            if head_a != head_b and a != b:
-                s, t = (a, b) if head_b else (b, a)
-                parents[t].add(s)
-                children[s].add(t)
+        self.loopless = self.anterior = True
+        for v, row in enumerate(rows):
+            headed = False
+            for w, head_v, head_w, _ in row:
+                if w == v:
+                    # A loop sits once in the row, so an arrowhead at either
+                    # end meets v; it is no arrow between two nodes.
+                    self.loopless = False
+                    head_v = head_w = head_v or head_w
+                if head_v:
+                    headed = True
+                    if not head_w:
+                        parents[v].add(w)
+                elif head_w:
+                    children[v].add(w)
+                else:
+                    lines[v].add(w)
+            if headed and lines[v]:
+                self.anterior = False
         self.parents = tuple(tuple(p) for p in parents)
         self.children = tuple(tuple(c) for c in children)
         self.lines = tuple(tuple(w) for w in lines)
-        self.anterior = not any(lines[v] for v in headed)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, bool, bool, Edge], ...], ...]:
-        index = self.index
-        rows: list[list[tuple]] = [[] for _ in self.labels]
-        for e in self._edges:
-            a, b = index[e.a], index[e.b]
-            head_a, head_b = e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD
-            # The canonical form's order: marks at the lower label first, a
-            # head before a tail, then the key.
-            rank = (not head_a, not head_b, e.key) if a <= b else (not head_b, not head_a, e.key)
-            rows[a].append((b, rank, head_a, head_b, e))
-            if a != b:
-                rows[b].append((a, rank, head_b, head_a, e))
-        # (neighbour, rank) is unique within a row, so the tuples sort
-        # without comparing their edges.
-        return tuple(
-            tuple((w, head_v, head_w, e) for w, _, head_v, head_w, e in sorted(row))
-            for row in rows
-        )
 
     @cached_property
     def successors(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -259,17 +239,12 @@ class CompiledGraph:
         """The compiled anterior graph, derived from this form and kept; an
         anterior form is its own. It shares the labels and indices, and its
         rows are these rows in the same order, holding this graph's edges
-        with the rewritten arrowhead flags; parents, children and lines are
-        rebuilt from the rewritten edges. No graph is built and nothing is
-        re-sorted.
+        with the rewritten arrowhead flags; its other facts are read from
+        those rows. No graph is built and nothing is re-sorted.
         """
         if self.anterior:
             return self
         changed, index, edges = self.changed, self.index, self._edges
-        form = CompiledGraph(self.labels, index, edges, (
-            (index[e.a], index[e.b], *changed.get(e.key, (e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD)))
-            for e in edges
-        ))
         rows = list(self.adjacency)
         for v in {index[end] for key in changed for end in (edges[key].a, edges[key].b)}:
             entries = []
@@ -279,9 +254,7 @@ class CompiledGraph:
                     head_v, head_w = (head_a, head_b) if index[e.a] == v else (head_b, head_a)
                 entries.append((w, head_v, head_w, e))
             rows[v] = tuple(entries)
-        # An instance attribute shadows the property that would sort the rows.
-        form.adjacency = tuple(rows)
-        return form
+        return CompiledGraph(self.labels, index, edges, tuple(rows))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -394,8 +367,22 @@ class MixedGraph:
         """The integer form of this graph, built on first use."""
         labels = self.node_list()
         index = {n: k for k, n in enumerate(labels)}
-        ends = ((index[e.a], index[e.b], e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD) for e in self._edges)
-        return CompiledGraph(labels, index, self._edges, ends)
+        rows: list[list[tuple]] = [[] for _ in labels]
+        for e in self._edges:
+            a, b = index[e.a], index[e.b]
+            head_a, head_b = e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD
+            # The canonical form's order: marks at the lower label first, a
+            # head before a tail, then the key.
+            rank = (not head_a, not head_b, e.key) if a <= b else (not head_b, not head_a, e.key)
+            rows[a].append((b, rank, head_a, head_b, e))
+            if a != b:
+                rows[b].append((a, rank, head_b, head_a, e))
+        # (neighbour, rank) is unique within a row, so the tuples sort
+        # without comparing their edges.
+        return CompiledGraph(labels, index, self._edges, tuple(
+            tuple((w, head_v, head_w, e) for w, _, head_v, head_w, e in sorted(row))
+            for row in rows
+        ))
 
     def edges_between(self, u: str, v: str) -> tuple[Edge, ...]:
         w = self._position(v)

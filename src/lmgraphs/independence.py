@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import CompiledGraph, GraphError, MixedGraph
+from .graph import GraphError, MixedGraph
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -80,7 +80,7 @@ class IndependenceStatement:
         return format_statement(self)
 
 
-def _render_set(nodes: frozenset[str]) -> str:
+def _render_set(nodes: Iterable[str]) -> str:
     return "{" + ",".join(sorted(nodes)) + "}"
 
 
@@ -245,29 +245,12 @@ def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional
     graph.require_loopless()
 
 
-def _open_masks(form: CompiledGraph) -> list[int]:
-    """C together with an(C) on ``form``, the colliders that C opens on a
-    simple path, as a mask for every conditioning set C, indexed by C. Only
-    the visited-mask lane reads it: a path cannot come back along an edge,
-    so it passes a collider in an(C) outside C only when that collider is
-    open, while a walk takes the shortest directed path from it into C and
-    comes back (see ``_walk_successors``). an(C) is the union of an(v) over
-    v in C, so each set adds its lowest node and that node's ancestor mask,
-    kept on the form, to the entry of the set without it."""
-    n, single = len(form.labels), form.ancestor_masks
-    opened = [0] * (1 << n)
-    for c in range(1, 1 << n):
-        low = c & -c
-        opened[c] = opened[c ^ low] | low | single[low.bit_length() - 1]
-    return opened
-
-
 def _walk_successors(into: list[int], out: list[int], c: int) -> list[int]:
     """The bit-parallel walk's successor masks given C, one per state: state
     (v, arrived without an arrowhead) is bit v and (v, arrived with one) bit
     n + v; ``into[v]`` and ``out[v]`` are the states entered from v over an
     edge with, and without, an arrowhead at v. The gate is that of
-    ``separation._reach``'s linear lane, by C alone."""
+    ``separation._reach``'s linear lane, by C alone (see there why)."""
     n = len(into)
     succ = [0] * (2 * n)
     for v in range(n):
@@ -286,25 +269,20 @@ def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
     searches run on ``_search_form``, the form ``m_separated`` answers on.
 
     On an anterior form a walk state carries no history, so the search fits
-    in one int over the states of ``_walk_successors``. C alone opens a
-    collider: from a collider in an(C) outside C a walk takes the shortest
-    directed path into C and comes back the same way, arriving over a tail.
-    Each search pops the lowest bit of its frontier until no new state
-    turns up. A graph with ribbons keeps its own form and ``_reach``'s
-    visited-mask lane, one call per (x, C); its simple paths cannot come
-    back from C, so it opens the colliders in C and an(C), taken from one
-    ``_open_masks`` table."""
+    in one int over the states of ``_walk_successors``, gated by C alone as
+    in ``_reach``'s linear lane. Each search pops the lowest bit of its
+    frontier until no new state turns up. A graph with ribbons keeps its own
+    form and ``_reach``'s visited-mask lane, one call per (x, C)."""
     form = _search_form(graph)
     n = len(form.labels)
     if not form.anterior:
-        opened = _open_masks(form)
         for c in range(1 << n):
-            given, open_colliders = set(_bits(c)), set(_bits(opened[c]))
+            given = set(_bits(c))
             row = []
             for x in range(n):
                 reach = 0
                 if not c >> x & 1:
-                    for w in _reach(form, (x,), given, open_colliders):
+                    for w in _reach(form, (x,), given):
                         reach |= 1 << w
                 row.append(reach & ~c & ~(1 << x))
             yield c, row
@@ -338,13 +316,12 @@ def enumerate_model(
     """The independence model induced by m-separation on ``graph``.
 
     For each conditioning set C and node x outside it, one search gives
-    R(x, C), the nodes m-connected to x given C: an int-mask walk on an
-    anterior form, ``_reach``'s visited-mask lane on a graph with ribbons
-    (see ``_reach_masks``). <A, B | C> is stored exactly when B avoids
-    R(x, C) for every x in A, which is the definition of separation, so
-    symmetry and composition of the model are observed, never assumed. A
-    ranges over the non-empty subsets of V - C, and B over the non-empty
-    subsets of what A leaves free, both as bit masks.
+    R(x, C), the nodes m-connected to x given C (see ``_reach_masks``).
+    <A, B | C> is stored exactly when B avoids R(x, C) for every x in A,
+    which is the definition of separation, so symmetry and composition of
+    the model are observed, never assumed. A ranges over the non-empty
+    subsets of V - C, and B over the non-empty subsets of what A leaves
+    free, both as bit masks.
     ``singleton_only`` restricts A and B to single nodes, which determines
     the full model via decomposition and composition. Graphs with loops are
     refused.

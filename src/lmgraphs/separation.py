@@ -61,8 +61,7 @@ def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> Com
 
 
 def _reach(
-    compiled: CompiledGraph, sources: Iterable[int], c: set[int],
-    open_colliders: Optional[set[int]] = None, stop: Container[int] = (),
+    compiled: CompiledGraph, sources: Iterable[int], c: set[int], stop: Container[int] = (),
 ) -> set[int]:
     """Indices joined to some source by an m-connecting path given C; returns
     as soon as it reaches a node in ``stop``. One pass from all sources is
@@ -73,22 +72,20 @@ def _reach(
     outside C leaves over every edge, or only over the edges without an
     arrowhead at v when it came in with one; at v in C only a state that
     came in with an arrowhead leaves, over the edges with one. C alone opens
-    a collider: a walk that meets a collider v in an(C) outside C takes the
-    shortest directed path from v into C, whose inner nodes avoid C, passes
-    the collider at its end in C and comes back the same way, arriving at v
-    over a tail, so it leaves v over any edge, as the path would through an
-    open collider. ``open_colliders`` is not read here.
+    a collider, so no an(C) is computed: a walk that meets a collider v in
+    an(C) outside C takes the shortest directed path from v into C, whose
+    inner nodes avoid C, passes the collider at its end in C and comes back
+    the same way, arriving at v over a tail, so it leaves v over any edge,
+    as the path would through an open collider. The bit-parallel walk behind
+    ``independence.enumerate_model`` gates by C alone on the same argument.
 
     On any other form a walk may bounce off a line below a collider and fake
     a connection, so the search follows simple paths, the state also
     carrying the visited nodes as a bit mask (exponential in the worst
     case). A path cannot come back along an edge, so a collider is open
-    when it lies in ``open_colliders``, C together with an(C), computed here
-    unless the caller, with many searches under one C, passes it.
-    ``m_separated`` and ``m_connecting_path_exists`` search the form
-    ``_search_form`` picks, so only graphs with ribbons reach this lane;
-    ``independence._reach_masks`` calls it only on such forms and walks
-    anterior forms in its own bit-parallel copy of the linear lane.
+    when it lies in C or an(C), computed here once per call. Every
+    separation reader searches the form ``_search_form`` picks, so only
+    graphs with ribbons reach this lane.
     """
     if compiled.anterior:
         into, out = compiled.successors
@@ -112,8 +109,7 @@ def _reach(
                 if not state & 1:
                     todo += into[v]
         return reached
-    if open_colliders is None:
-        open_colliders = c | compiled.ancestors(c)
+    open_colliders = c | compiled.ancestors(c)
     adjacency = compiled.adjacency
     reached = set()
     visited: set[tuple[int, int, bool]] = set()
@@ -154,13 +150,8 @@ def _search_form(graph: MixedGraph) -> CompiledGraph:
 def _m_reachable(
     graph: MixedGraph, x: str, c: frozenset[str], stop_at: Optional[str] = None
 ) -> set[str]:
-    """All nodes joined to x by an m-connecting path given C.
-
-    No an(C) is computed on an anterior form: a walk through a collider in
-    an(C) outside C takes the shortest directed path from it into C and
-    comes back the same way, so C alone gates the walk (see ``_reach``).
-    Only a graph with ribbons, searched path by path, needs an(C), once.
-    """
+    """All nodes joined to x by an m-connecting path given C, by one
+    ``_reach`` on the form ``_search_form`` picks."""
     form = _search_form(graph)
     index = form.index
     stop = () if stop_at is None else (index[stop_at],)
@@ -188,11 +179,8 @@ def m_separated(
     One search from all of A at once, stopping at the first node of B: any
     connected pair i in A, j in B is found, and the reduction to such pairs
     is licensed by decomposition and composition of the induced model. On
-    an anterior form, every ribbonless graph's, C alone gates the walk: from
-    a collider in an(C) outside C the walk runs the shortest directed path
-    down into C and back the same way, arriving over a tail (see
-    ``_reach``). an(C) is computed only for a graph with ribbons, whose
-    search follows simple paths that cannot come back along an edge.
+    an anterior form, every ribbonless graph's, C alone gates the walk, and
+    an(C) is computed only for a graph with ribbons (see ``_reach``).
     """
     query = SeparationQuery.of(a, b, c)
     _compiled_for(graph, sorted(query.a | query.b | query.c))

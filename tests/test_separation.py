@@ -40,8 +40,7 @@ except ImportError:  # the cross-check below is skipped without it
 
 def in_mask_lane(compiled):
     """A copy of ``compiled`` that ``_reach`` searches in the visited-mask
-    lane, whatever the graph's class."""
-    compiled.adjacency  # built on the original, so the copies share it
+    lane, whatever the graph's class; it shares the original's rows."""
     form = copy.copy(compiled)
     form.anterior = False
     return form
@@ -49,14 +48,15 @@ def in_mask_lane(compiled):
 
 def mask_lane_separated(g, a, b, c, opens_ancestors=True):
     """m_separated through ``_reach``'s visited-mask lane on g's own compiled
-    form, whatever g is. With ``opens_ancestors`` false the lane opens the
-    colliders in C alone, which is wrong for simple paths."""
+    form, whatever g is. With ``opens_ancestors`` false the copy has no
+    ancestors, so the lane opens the colliders in C alone, which is wrong
+    for simple paths."""
     compiled = in_mask_lane(g.compiled)
+    if not opens_ancestors:
+        compiled.ancestors = lambda targets: set()
     index = compiled.index
-    given = {index[n] for n in c}
     targets = {index[n] for n in b}
-    opened = given | compiled.ancestors(given) if opens_ancestors else given
-    found = _reach(compiled, [index[n] for n in a], given, opened, targets)
+    found = _reach(compiled, [index[n] for n in a], {index[n] for n in c}, targets)
     return found.isdisjoint(targets)
 
 
@@ -404,26 +404,69 @@ class TestRouting:
 
 def reach_row_mismatches(graphs):
     """Each (graph, C, x) whose row R(x, C) from ``_reach_masks`` differs from
-    one ``_reach`` call on the same form, given C and, for the visited-mask
-    lane, C's ancestors there."""
+    one ``_reach`` call on the same form given C."""
     for g in graphs:
         form = _search_form(g)
         for c, row in independence._reach_masks(g):
             given = {v for v in range(len(row)) if c >> v & 1}
-            open_colliders = given | form.ancestors(given)
             for x, reach in enumerate(row):
                 expected = 0
                 if x not in given:
-                    for w in _reach(form, (x,), given, open_colliders):
+                    for w in _reach(form, (x,), given):
                         expected |= 1 << w
                 if reach != expected & ~c & ~(1 << x):
                     yield g, c, x
 
 
+def oracle_rows(g):
+    """The rows of ``_reach_masks(g)`` as the path oracle gives them, by C:
+    R(x, C) holds each y outside C and x that ``oracle_m_separated`` finds
+    connected to x given C, and is 0 for x in C."""
+    labels = g.compiled.labels
+    n = len(labels)
+    rows = {}
+    for c in range(1 << n):
+        given = [labels[v] for v in range(n) if c >> v & 1]
+        rows[c] = [
+            0 if c >> x & 1 else sum(
+                1 << y for y in range(n)
+                if y != x and not c >> y & 1 and not oracle_m_separated(g, [labels[x]], [labels[y]], given)
+            )
+            for x in range(n)
+        ]
+    return rows
+
+
+def rows_model(g, rows):
+    """The singleton model that holds <x, y | C> exactly when y, outside C
+    and x, is not in R(x, C)."""
+    labels = g.compiled.labels
+    n = len(labels)
+    statements = [
+        IndependenceStatement.of([labels[x]], [labels[y]], [labels[v] for v in range(n) if c >> v & 1])
+        for c, row in rows.items()
+        for x in range(n) if not c >> x & 1
+        for y in range(n) if y != x and not c >> y & 1 and not row[x] >> y & 1
+    ]
+    return IndependenceModel(g.nodes, statements)
+
+
+@pytest.fixture(scope="module")
+def ribboned():
+    """Seeded graphs with ribbons: their rows come from ``_reach``'s
+    visited-mask lane, one call per (x, C), so the path oracle checks them."""
+    graphs = [g for g in generate_corpus(CorpusSpec(count=150, nodes=(3, 6), p_multi=0.2, seed=4040))
+              if not g.ribbonless]
+    assert len(graphs) >= 60 and sum(len(g.nodes) == 6 for g in graphs) > 20
+    assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 40
+    return graphs
+
+
 class TestReachRows:
     """The rows behind enumerate_model and markov_equivalent: the bit-parallel
-    walk on anterior forms, and the visited-mask lane with an(C) from one
-    table on graphs with ribbons, each equal to one ``_reach`` per (x, C)."""
+    walk on anterior forms, each row equal to one ``_reach`` per (x, C), and
+    ``_reach``'s visited-mask lane on graphs with ribbons, held to the path
+    oracle."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -448,21 +491,33 @@ class TestReachRows:
     def test_rows_equal_one_reach_per_query(self, corpus):
         assert next(reach_row_mismatches(corpus), None) is None
 
+    def test_ribbon_rows_match_oracle(self, ribboned):
+        for g in ribboned:
+            assert not _search_form(g).anterior
+            rows = oracle_rows(g)
+            assert dict(independence._reach_masks(g)) == rows, g
+            assert enumerate_model(g, singleton_only=True) == rows_model(g, rows), g
+            assert markov_equivalent(g, g)
+
     # The walk lane gates colliders by C alone in ``_walk_successors`` and
-    # never reads ``_open_masks``: a walk may run down from a collider in
-    # an(C) to C and back. So "every collider open" is planted in both
-    # lanes' gates, and "an(C) ignored" only in the visited-mask lane's
-    # table, since only its paths, which cannot come back, need an(C).
+    # reads no an(C): a walk may run down from a collider in an(C) to C and
+    # back. So "every collider open" is planted in both lanes, and "an(C)
+    # ignored" only in the visited-mask lane, since only its paths, which
+    # cannot come back, need an(C). The ribbon rows are ``_reach`` calls, so
+    # the fault goes into the ancestors that lane reads, and the path oracle
+    # catches it there.
     @pytest.mark.parametrize("fault, lanes", [
         ("every collider open", {True, False}),
         ("an(C) ignored", {False}),
     ])
-    def test_planted_fault_is_caught(self, corpus, monkeypatch, fault, lanes):
-        def planted(form):
-            n = len(form.labels)
-            return [(1 << n) - 1 if fault == "every collider open" else c for c in range(1 << n)]
+    def test_planted_fault_is_caught(self, corpus, ribboned, monkeypatch, fault, lanes):
+        real_reach, real_walk = independence._reach, independence._walk_successors
 
-        real_walk = independence._walk_successors
+        def planted_reach(form, sources, c, stop=()):
+            faulty = copy.copy(form)
+            everything = set(range(len(form.labels)))
+            faulty.ancestors = lambda targets: everything if fault == "every collider open" else set()
+            return real_reach(faulty, sources, c, stop)
 
         def every_collider_open(into, out, c):
             succ = real_walk(into, out, c)
@@ -471,14 +526,14 @@ class TestReachRows:
                 succ[n + v] |= into[v]
             return succ
 
-        monkeypatch.setattr(independence, "_open_masks", planted)
+        monkeypatch.setattr(independence, "_reach", planted_reach)
         if fault == "every collider open":
             monkeypatch.setattr(independence, "_walk_successors", every_collider_open)
         caught = set()  # by lane: whether the form is anterior
-        for g, _, _ in reach_row_mismatches(corpus):
-            caught.add(_search_form(g).anterior)
-            if caught >= lanes:
-                break
+        if next(reach_row_mismatches(g for g in corpus if _search_form(g).anterior), None):
+            caught.add(True)
+        if any(dict(independence._reach_masks(g)) != oracle_rows(g) for g in ribboned):
+            caught.add(False)
         assert caught == lanes
 
 
