@@ -4,7 +4,10 @@ A model is a set of statements <A, B | C> over a ground set. Statements with
 an empty A or B side hold in every model and are never stored. Models are
 kept small and explicit on purpose: every axiom check below is an exhaustive
 quantification over the ground set, and closures are genuine least fixpoints,
-so they can serve as ground truth for the separation engine.
+so they can serve as ground truth for the separation engine. An axiom check
+does its quantification as int operations on rows of C-sets, one row per
+(A, B), visiting only the rows a failing instance must have non-empty (see
+``check_axiom``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .separation import _reach, _search_form
 FULL_MODEL_LIMIT = 6
 SINGLETON_MODEL_LIMIT = 8
 CLOSURE_LIMIT = 5
+AXIOM_LIMIT = 12
 
 
 class Axiom(Enum):
@@ -146,7 +150,6 @@ class IndependenceModel:
                 raise GraphError(f"statement {s} leaves the ground set")
         self.statements = stmts
         self.symmetry_closed = symmetry_closed
-        self._mask = _masker(sorted(self.ground_set))
 
     def contains(
         self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()
@@ -155,10 +158,10 @@ class IndependenceModel:
         fa, fb, fc = frozenset(a), frozenset(b), frozenset(c)
         if not fa or not fb:
             return True
-        if not fa | fb | fc <= self.ground_set:
+        if fa & fb or fa & fc or fb & fc:
             return False
-        n, mask = len(self.ground_set), self._mask
-        return (mask(fa) | mask(fb) << n | mask(fc) << 2 * n) in self._codes
+        s = IndependenceStatement(fa, fb, fc)
+        return s in self.statements or self.symmetry_closed and s.mirrored() in self.statements
 
     def __contains__(self, statement: IndependenceStatement) -> bool:
         return self.contains(statement.a, statement.b, statement.c)
@@ -192,27 +195,34 @@ class IndependenceModel:
         )
 
     @functools.cached_property
-    def _codes(self) -> frozenset[int]:
-        """Each statement as the int ``a | b << n | c << 2n``, with node k of
-        the sorted ground set as bit k; mirrored codes are added when the
-        model is symmetry closed, so membership matches ``contains``."""
-        n, mask = len(self.ground_set), self._mask
-        codes = set()
+    def _rows(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The statements as rows (membership, raw), node k of the sorted
+        ground set being bit k: the row at ``a | b << n`` has bit c set when
+        <A, B | C> is stored, so a row is 2^n bits wide. A symmetry-closed
+        model adds mirrors to its membership rows, as ``contains`` counts
+        them; otherwise one dict is both."""
+        n, mask = len(self.ground_set), _masker(sorted(self.ground_set))
+        raw: dict[int, int] = {}
         for s in self.statements:
-            a, b, c = mask(s.a), mask(s.b), mask(s.c) << 2 * n
-            codes.add(a | b << n | c)
-            if self.symmetry_closed:
-                codes.add(b | a << n | c)
-        return frozenset(codes)
+            key = mask(s.a) | mask(s.b) << n
+            raw[key] = raw.get(key, 0) | 1 << mask(s.c)
+        if not self.symmetry_closed:
+            return raw, raw
+        member, full = dict(raw), (1 << n) - 1
+        for key, row in raw.items():
+            mirror = key >> n | (key & full) << n
+            member[mirror] = member.get(mirror, 0) | row
+        return member, raw
 
 
 # -- node sets as bit masks ----------------------------------------------------
 
 
 def _masker(labels: Sequence[str]):
-    """The function taking a set of labels to its mask, label k being bit k."""
+    """The function taking a set of labels to its mask, label k being bit k,
+    memoised per set: ``enumerate_model`` shares one frozenset per mask."""
     bit = {label: 1 << k for k, label in enumerate(labels)}
-    return lambda nodes: sum(bit[v] for v in nodes)
+    return functools.cache(lambda nodes: sum(bit[v] for v in nodes))
 
 
 def _label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
@@ -221,6 +231,15 @@ def _label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
     for label in labels:
         sets += [s | {label} for s in sets]
     return sets
+
+
+@functools.lru_cache(maxsize=8)
+def _submask_rows(n: int) -> tuple[int, ...]:
+    """Indexed by each mask m over n nodes, the row with bit c set for each c <= m."""
+    rows = [1]
+    for k in range(n):
+        rows += [row | row << (1 << k) for row in rows]
+    return tuple(rows)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -388,22 +407,6 @@ class AxiomViolation:
         )
 
 
-@functools.lru_cache(maxsize=8)
-def _quad_space(n: int) -> tuple[tuple[int, ...], ...]:
-    """All assignments of n nodes, node k as bit k, into disjoint A, B, C, D
-    (rest unused) with A, B, D non-empty, in ``itertools.product`` order,
-    each as the masks (a, b, c, d, c|d, c|b, b|d) the axioms consume."""
-    quads = []
-    for assignment in itertools.product(range(5), repeat=n):
-        parts = [0] * 5
-        for k, slot in enumerate(assignment):
-            parts[slot] |= 1 << k
-        a, b, c, d, _ = parts
-        if a and b and d:
-            quads.append((a, b, c, d, c | d, c | b, b | d))
-    return tuple(quads)
-
-
 def _proper_splits(whole: frozenset[str]) -> Iterable[tuple[frozenset[str], frozenset[str]]]:
     items = sorted(whole)
     for r in range(1, len(items)):
@@ -414,79 +417,104 @@ def _proper_splits(whole: frozenset[str]) -> Iterable[tuple[frozenset[str], froz
 
 def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolation]:
     """Exhaustively check one axiom; None means it holds, otherwise the first
-    violating instantiation is returned.
+    violating instantiation is returned. Ground sets over AXIOM_LIMIT nodes
+    are refused: each row below is 2^n bits wide.
 
-    Symmetry, decomposition and weak union run over the sorted statements.
-    The other three quantify over every disjoint A, B, C, D of the ground
-    set, as bit masks, and look each statement they need up among the
-    model's statements encoded once as ints (see ``IndependenceModel``), so
-    orientation counts exactly as in ``contains``.
+    M[a,b] is the model's membership row at (A, B) (see
+    ``IndependenceModel._rows``). For disjoint C and D the mask of C u D is
+    c + d, so bit c of ``M[a,b] >> d`` says whether <A, B | C u D> is a
+    member. Per stored row R at (a, b) and proper submask k of b, with
+    d = b ^ k, the C that fail are ``R & ~M[b,a]`` (symmetry),
+    ``R & ~M[a,k]`` (decomposition) and ``R & ~(M[a,k] >> d)`` (weak union).
+    Per pair of non-empty rows at (a, b) and (a, d) with b, d disjoint they
+    are ``M[a,b] & M[a,d] & ~M[a,b|d]`` (composition),
+    ``(M[a,b] >> d) & (M[a,d] >> b) & ~M[a,b|d]`` (intersection) and
+    ``((M[a,b] >> d) & M[a,d]) ^ M[a,b|d]`` (contraction), each masked by
+    the submasks of V - a - b - d; for the converse of contraction the
+    proper splits of each non-empty row's B are added. A failing instance
+    has both antecedents stored, so both rows are non-empty, or, for the
+    converse, its consequent: these candidates, at most 5 ** n, see every
+    instance, and each covers every C at once. The violation reported is
+    the smallest failing statement by sort key with its first missing split
+    in ``_proper_splits`` order, or the failing instance first in
+    ``itertools.product`` order of the node slots A, B, C, D, none.
     """
-    labels = sorted(model.ground_set)
-    n, n2 = len(labels), 2 * len(labels)
-    codes = model._codes
-    sets = _label_sets(labels)
-
-    def statement(a: int, b: int, c: int) -> IndependenceStatement:
-        return IndependenceStatement(sets[a], sets[b], sets[c])
+    n = len(model.ground_set)
+    if n > AXIOM_LIMIT:
+        raise GraphError(f"axiom check limit exceeded: {n} nodes > {AXIOM_LIMIT}")
+    full = (1 << n) - 1
+    member, raw = model._rows
 
     if axiom in (Axiom.SYMMETRY, Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
-        mask = model._mask
-        for s in model.sorted_statements():
-            a, b, c = mask(s.a), mask(s.b), mask(s.c)
+        failing = []  # (a, b, c) of each failing statement
+        for key, row in raw.items():
+            a, b = key & full, key >> n
             if axiom is Axiom.SYMMETRY:
-                if (b | a << n | c << n2) not in codes:
-                    return AxiomViolation(axiom, s.a, s.b, s.c, frozenset(), s.mirrored())
-                continue
-            for kept, dropped in _proper_splits(s.b):
-                k, d = mask(kept), mask(dropped)
-                given = c if axiom is Axiom.DECOMPOSITION else c | d
-                if (a | k << n | given << n2) not in codes:
-                    return AxiomViolation(axiom, s.a, kept, s.c, dropped, statement(a, k, given))
+                bad = row & ~member.get(b | a << n, 0)
+            else:
+                bad, k = 0, (b - 1) & b
+                while k:
+                    kept = member.get(a | k << n, 0)
+                    bad |= row & ~(kept if axiom is Axiom.DECOMPOSITION else kept >> (b ^ k))
+                    k = (k - 1) & b
+            if bad:
+                failing.extend((a, b, c) for c in _bits(bad))
+        if not failing:
+            return None
+        first = min(failing, key=lambda t: [list(_bits(m)) for m in t])
+        sets = _label_sets(sorted(model.ground_set))
+        s = IndependenceStatement(*(sets[m] for m in first))
+        if axiom is Axiom.SYMMETRY:
+            return AxiomViolation(axiom, s.a, s.b, s.c, frozenset(), s.mirrored())
+        return next(
+            AxiomViolation(axiom, s.a, kept, s.c, dropped, IndependenceStatement(s.a, kept, c))
+            for kept, dropped in _proper_splits(s.b)
+            for c in [s.c if axiom is Axiom.DECOMPOSITION else s.c | dropped]
+            if not model.contains(s.a, kept, c)
+        )
+
+    if axiom not in (Axiom.CONTRACTION, Axiom.INTERSECTION, Axiom.COMPOSITION):
+        raise GraphError(f"unknown axiom {axiom!r}")
+    by_a: dict[int, list[tuple[int, int]]] = {}
+    for key, row in member.items():
+        by_a.setdefault(key & full, []).append((key >> n, row))
+    free = _submask_rows(n)
+    found = []  # (a, b, d, the C that fail)
+    for a, rows in by_a.items():
+        for b, rb in rows:
+            for d, rd in rows:
+                if b & d:
+                    continue
+                joint = member.get(a | (b | d) << n, 0)
+                if axiom is Axiom.COMPOSITION:
+                    bad = rb & rd & ~joint
+                elif axiom is Axiom.INTERSECTION:
+                    bad = (rb >> d) & (rd >> b) & ~joint
+                else:
+                    bad = ((rb >> d) & rd) ^ joint
+                bad &= free[full ^ a ^ b ^ d]
+                if bad:
+                    found.append((a, b, d, bad))
+        if axiom is Axiom.CONTRACTION:
+            for e, joint in rows:
+                k = (e - 1) & e
+                while k:
+                    if a | k << n not in member or a | (e ^ k) << n not in member:
+                        found.append((a, k, e ^ k, joint))
+                    k = (k - 1) & e
+    if not found:
         return None
-
-    quads = _quad_space(n)
-
-    if axiom is Axiom.CONTRACTION:
-        # Stated as an equivalence: both directions are checked.
-        for a, b, c, d, cud, _, bud in quads:
-            first = (a | b << n | cud << n2) in codes
-            lhs = first and (a | d << n | c << n2) in codes
-            rhs = (a | bud << n | c << n2) in codes
-            if lhs and not rhs:
-                return AxiomViolation(
-                    axiom, sets[a], sets[b], sets[c], sets[d], statement(a, bud, c)
-                )
-            if rhs and not lhs:
-                missing = statement(a, b, cud) if not first else statement(a, d, c)
-                return AxiomViolation(axiom, sets[a], sets[b], sets[c], sets[d], missing)
-        return None
-
-    if axiom is Axiom.INTERSECTION:
-        for a, b, c, d, cud, cub, bud in quads:
-            if (
-                (a | b << n | cud << n2) in codes
-                and (a | d << n | cub << n2) in codes
-                and (a | bud << n | c << n2) not in codes
-            ):
-                return AxiomViolation(
-                    axiom, sets[a], sets[b], sets[c], sets[d], statement(a, bud, c)
-                )
-        return None
-
-    if axiom is Axiom.COMPOSITION:
-        for a, b, c, d, _, _, bud in quads:
-            if (
-                (a | b << n | c << n2) in codes
-                and (a | d << n | c << n2) in codes
-                and (a | bud << n | c << n2) not in codes
-            ):
-                return AxiomViolation(
-                    axiom, sets[a], sets[b], sets[c], sets[d], statement(a, bud, c)
-                )
-        return None
-
-    raise GraphError(f"unknown axiom {axiom!r}")
+    a, b, c, d = min(  # by each node's slot, node 0 first: 0-3 in A-D, 4 in none
+        ((a, b, c, d) for a, b, d, bad in found for c in _bits(bad)),
+        key=lambda q: [next((j for j, m in enumerate(q) if m >> v & 1), 4) for v in range(n)],
+    )
+    missing = (a, b | d, c)
+    if axiom is Axiom.CONTRACTION and member.get(a | (b | d) << n, 0) >> c & 1:
+        missing = (a, d, c) if member.get(a | b << n, 0) >> (c | d) & 1 else (a, b, c | d)
+    sets = _label_sets(sorted(model.ground_set))
+    return AxiomViolation(
+        axiom, sets[a], sets[b], sets[c], sets[d], IndependenceStatement(*(sets[m] for m in missing))
+    )
 
 
 def check_axioms(

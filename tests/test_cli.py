@@ -130,6 +130,14 @@ class TestExitCodes:
         assert code == 0
         assert "statement: {a} _||_ {c} | {}" in out
 
+    def test_axioms_on_a_wide_graph_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "chain13.lmg"
+        labels = [f"n{k:02d}" for k in range(13)]
+        path.write_text("".join(f"{u} -> {v}\n" for u, v in zip(labels, labels[1:])))
+        code, out, err = run(capsys, "axioms", str(path), "--from", "pairwise")
+        assert code == 2 and out == ""
+        assert "axiom check limit exceeded: 13 nodes > 12" in err
+
 
 class TestAnterior:
     def test_fig2a_document_matches_fig2b(self, capsys):
@@ -248,6 +256,21 @@ class TestModelCommands:
         assert code == 0
         assert "result: compositional-graphoid" in out
         assert "intersection: pass" in out
+
+    @pytest.mark.parametrize(
+        "figure, axiom_set, failing",
+        [("fig9a", "semigraphoid", "intersection"), ("fig9b", "graphoid", "composition")],
+    )
+    def test_axioms_checks_only_the_chosen_set(self, capsys, figure, axiom_set, failing):
+        # The pairwise model of fig9a fails only intersection, that of fig9b
+        # only composition: each still satisfies a set without that axiom.
+        code, out, _ = run(capsys, "axioms", figure_path(figure), "--set", axiom_set, "--from", "pairwise")
+        assert code == 0
+        assert f"result: {axiom_set}" in out
+        assert f"\n{failing}:" not in out
+        code, out, _ = run(capsys, "axioms", figure_path(figure), "--from", "pairwise")
+        assert code == 1
+        assert f"{failing}: FAIL {failing} fails at A={{i}}" in out
 
     def test_axioms_check_contains_fig9b(self, capsys):
         code, out, _ = run(

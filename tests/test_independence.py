@@ -99,6 +99,25 @@ class TestModelBasics:
         with pytest.raises(GraphError, match="ground set"):
             IndependenceModel("ij", [S(["i"], ["z"], [])])
 
+    def test_contains_on_a_wide_ground_set(self):
+        # Membership reads the statements: the rows of check_axiom are 2^n
+        # bits wide, and a pairwise model has no node cap.
+        labels = [f"v{k:02d}" for k in range(20)]
+        g = build_graph(labels, [(u, "->", v) for u, v in zip(labels, labels[1:])])
+        model = pairwise_model(g)
+        assert satisfies_pairwise(model, g)
+        assert model.contains(["v19"], ["v00"], labels[1:19])
+        assert not model.contains(["v00"], ["v19"], labels[1:18])
+        assert not model.contains(["v00"], ["v00", "v19"], labels[1:19])
+        assert "_rows" not in vars(model)
+
+    def test_axiom_check_limit(self):
+        wide = IndependenceModel([f"n{k:02d}" for k in range(13)], [S(["n00"], ["n01"], [])])
+        for axiom in (Axiom.SYMMETRY, Axiom.COMPOSITION):
+            with pytest.raises(GraphError, match="axiom check limit exceeded: 13 nodes > 12"):
+                check_axiom(wide, axiom)
+        assert check_axiom(IndependenceModel(wide.ground_set - {"n12"}), Axiom.SYMMETRY) is None
+
 
 class TestEnumerateModel:
     def test_fig3_membership(self, figures):

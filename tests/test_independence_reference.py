@@ -134,6 +134,80 @@ def test_axiom_checks_equal_reference(corpus):
                     assert check_axiom(model, axiom) == reference_check_axiom(model, axiom), (g, axiom)
 
 
+def test_axiom_checks_equal_reference_on_six_nodes(corpus):
+    """Six-node models, full and thinned, both symmetry flags: rows of 64
+    conditioning sets, beyond the five-node cap of the acceptance tests."""
+    rng = random.Random(66)
+    six = [g for g in corpus if len(g.nodes) == 6][:10]
+    assert len(six) == 10
+    for k, g in enumerate(six):
+        full = enumerate_model(g)
+        for model in (
+            IndependenceModel(g.nodes, full.statements, symmetry_closed=k % 2 == 1),
+            thinned(full, rng, symmetry_closed=k % 2 == 0),
+        ):
+            for axiom in AXIOMS:
+                assert check_axiom(model, axiom) == reference_check_axiom(model, axiom), (g, axiom)
+
+
+def failing_instances(model, axiom):
+    """Every instance (A, B, C, D) at which the axiom fails, in the order
+    ``reference_check_axiom`` visits them."""
+    has = model.contains
+    found = []
+    if axiom in (Axiom.SYMMETRY, Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
+        for s in model.sorted_statements():
+            if axiom is Axiom.SYMMETRY:
+                if not has(s.b, s.a, s.c):
+                    found.append((s.a, s.b, s.c, frozenset()))
+                continue
+            for kept, dropped in _proper_splits(s.b):
+                if not has(s.a, kept, s.c if axiom is Axiom.DECOMPOSITION else s.c | dropped):
+                    found.append((s.a, kept, s.c, dropped))
+        return found
+    nodes = sorted(model.ground_set)
+    for assignment in itertools.product(range(5), repeat=len(nodes)):
+        a, b, c, d = (
+            frozenset(n for n, slot in zip(nodes, assignment) if slot == k)
+            for k in range(4)
+        )
+        if not a or not b or not d:
+            continue
+        if axiom is Axiom.CONTRACTION:
+            fails = (has(a, b, c | d) and has(a, d, c)) != has(a, b | d, c)
+        elif axiom is Axiom.INTERSECTION:
+            fails = has(a, b, c | d) and has(a, d, c | b) and not has(a, b | d, c)
+        else:
+            fails = has(a, b, c) and has(a, d, c) and not has(a, b | d, c)
+        if fails:
+            found.append((a, b, c, d))
+    return found
+
+
+@pytest.mark.parametrize("axiom", AXIOMS, ids=lambda a: a.value)
+def test_first_violation_is_the_minimum_instance(axiom):
+    """Raw models with several violations each, their statements given in
+    reverse sort order: the violation reported is the first one in the
+    reference's order, wherever its row sits in the model."""
+    graphs = generate_corpus(
+        CorpusSpec(count=40, nodes=(5, 5), p_line=0.25, p_arrow=0.3, p_arc=0.25, seed=6161)
+    )
+    rng = random.Random(63)
+    checked = 0
+    for g in graphs:
+        full = enumerate_model(g).sorted_statements()
+        kept = [s for s in full if rng.random() >= 0.3]
+        model = IndependenceModel(g.nodes, reversed(kept))
+        failing = failing_instances(model, axiom)
+        if len(failing) < 2:
+            continue
+        violation = check_axiom(model, axiom)
+        assert violation == reference_check_axiom(model, axiom), (g, axiom)
+        assert (violation.a, violation.b, violation.c, violation.d) == failing[0]
+        checked += 1
+    assert checked >= 10
+
+
 @settings(max_examples=60, deadline=None)
 @given(models())
 def test_axiom_checks_equal_reference_on_raw_models(m):
