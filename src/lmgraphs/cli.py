@@ -25,7 +25,6 @@ from .independence import (
     closure,
     enumerate_model,
     format_statement,
-    markov_equivalent,
     pairwise_model,
     parse_statement,
 )
@@ -276,16 +275,16 @@ def _cmd_axioms(args) -> tuple[int, Report]:
 def _cmd_equiv(args) -> tuple[int, Report]:
     g1, g2 = load_graph(args.graph1), load_graph(args.graph2)
     rep = Report({"command": "equiv"}, [args.graph1, args.graph2])
-    equivalent = markov_equivalent(g1, g2, limit=args.limit)
-    rep.result(equivalent, "equivalent" if equivalent else "not-equivalent")
-    if not equivalent:
-        diff, in_first = _counterexample(g1, g2)
+    found = _counterexample(g1, g2, limit=args.limit)
+    rep.result(found is None, "not-equivalent" if found else "equivalent")
+    if found:
+        diff, in_first = found
         where = args.graph1 if in_first else args.graph2
         rep.counterexample(
             {"statement": format_statement(diff), "holds_only_in": where},
             [f"counterexample: {format_statement(diff)} holds only in {where}"],
         )
-    return (OK if equivalent else NO), rep
+    return (NO if found else OK), rep
 
 
 def _cmd_gen(args) -> tuple[int, Report]:

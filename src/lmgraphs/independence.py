@@ -4,22 +4,22 @@ A model is a set of statements <A, B | C> over a ground set. Statements with
 an empty A or B side hold in every model and are never stored. Models are
 kept small and explicit on purpose: every axiom check below is an exhaustive
 quantification over the ground set, and closures are genuine least fixpoints,
-so they can serve as ground truth for the separation engine. An axiom check
-does its quantification as int operations on rows of C-sets, one row per
-(A, B), visiting only the rows a failing instance must have non-empty (see
-``check_axiom``).
+so they can serve as ground truth for the separation engine. Axiom checks
+and closures work on rows of C-sets, one int per (A, B) (see
+``IndependenceModel._rows``), which are the own form of the models that
+enumeration and closure return; an axiom check visits only the rows a
+failing instance must have non-empty (see ``check_axiom``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import GraphError, MixedGraph
+from .graph import GraphError, MixedGraph, _closure
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -151,6 +151,22 @@ class IndependenceModel:
         self.statements = stmts
         self.symmetry_closed = symmetry_closed
 
+    @classmethod
+    def _of_rows(cls, ground_set: Iterable[str], rows: dict[int, int], symmetry_closed: bool = False):
+        """The model whose raw rows (see ``_rows``) are ``rows``, symmetric
+        if ``symmetry_closed``; its statements are listed when first read."""
+        model = cls.__new__(cls)
+        model.ground_set, model.symmetry_closed = frozenset(ground_set), symmetry_closed
+        model._rows = rows, rows
+        return model
+
+    @functools.cached_property
+    def statements(self) -> frozenset[IndependenceStatement]:
+        """The stored statements; a model built from rows lists them here."""
+        n, sets = len(self.ground_set), _label_sets(sorted(self.ground_set))
+        return frozenset(IndependenceStatement(sets[key & ((1 << n) - 1)], sets[key >> n], sets[c])
+                         for key, row in self._rows[1].items() for c in _bits(row))
+
     def contains(
         self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()
     ) -> bool:
@@ -198,14 +214,17 @@ class IndependenceModel:
     def _rows(self) -> tuple[dict[int, int], dict[int, int]]:
         """The statements as rows (membership, raw), node k of the sorted
         ground set being bit k: the row at ``a | b << n`` has bit c set when
-        <A, B | C> is stored, so a row is 2^n bits wide. A symmetry-closed
-        model adds mirrors to its membership rows, as ``contains`` counts
-        them; otherwise one dict is both."""
-        n, mask = len(self.ground_set), _masker(sorted(self.ground_set))
+        <A, B | C> is stored, so a row is 2^n bits wide, and no row is 0. A
+        symmetry-closed model adds mirrors to its membership rows, as
+        ``contains`` counts them; otherwise one dict is both. Built from the
+        statements on first use, except in the models that
+        ``enumerate_model`` and ``closure`` make, which are their rows."""
+        n = len(self.ground_set)
+        mask = {nodes: m for m, nodes in enumerate(_label_sets(sorted(self.ground_set)))}
         raw: dict[int, int] = {}
         for s in self.statements:
-            key = mask(s.a) | mask(s.b) << n
-            raw[key] = raw.get(key, 0) | 1 << mask(s.c)
+            key = mask[s.a] | mask[s.b] << n
+            raw[key] = raw.get(key, 0) | 1 << mask[s.c]
         if not self.symmetry_closed:
             return raw, raw
         member, full = dict(raw), (1 << n) - 1
@@ -216,13 +235,6 @@ class IndependenceModel:
 
 
 # -- node sets as bit masks ----------------------------------------------------
-
-
-def _masker(labels: Sequence[str]):
-    """The function taking a set of labels to its mask, label k being bit k,
-    memoised per set: ``enumerate_model`` shares one frozenset per mask."""
-    bit = {label: 1 << k for k, label in enumerate(labels)}
-    return functools.cache(lambda nodes: sum(bit[v] for v in nodes))
 
 
 def _label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
@@ -264,126 +276,140 @@ def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional
     graph.require_loopless()
 
 
-def _walk_successors(into: list[int], out: list[int], c: int) -> list[int]:
-    """The bit-parallel walk's successor masks given C, one per state: state
-    (v, arrived without an arrowhead) is bit v and (v, arrived with one) bit
-    n + v; ``into[v]`` and ``out[v]`` are the states entered from v over an
-    edge with, and without, an arrowhead at v. The gate is that of
-    ``separation._reach``'s linear lane, by C alone (see there why)."""
-    n = len(into)
-    succ = [0] * (2 * n)
-    for v in range(n):
-        if c >> v & 1:
-            succ[n + v] = into[v]
-        else:
-            succ[v], succ[n + v] = into[v] | out[v], out[v]
-    return succ
+@functools.lru_cache(maxsize=8)
+def _gate_patterns(n: int) -> tuple[tuple[int, int], ...]:
+    """Per node v, the gates ``(in_v, out_v)`` of ``_reach_table``'s walk:
+    in each of n blocks of 2^n bits, bit C is set when C contains v, and
+    when C avoids v."""
+    full, avoid = (1 << n) - 1, _submask_rows(n)
+    repeat = sum(1 << x * (1 << n) for x in range(n))
+    every = avoid[full] * repeat
+    return tuple((every ^ out, out) for out in (avoid[full ^ 1 << v] * repeat for v in range(n)))
 
 
-def _reach_masks(graph: MixedGraph) -> Iterator[tuple[int, list[int]]]:
-    """For each conditioning set C, a mask over ``graph.compiled.labels``, the
-    row of reach masks R(x, C): the nodes outside C and x that some
-    m-connecting path given C joins to x (0 for x in C). One search per
-    (x, C), each on its own, so no model-level structure is assumed; the
-    searches run on ``_search_form``, the form ``m_separated`` answers on.
+def _reach_table(graph: MixedGraph) -> list[list[int]]:
+    """The reach table of the form ``_search_form`` picks: R[x][y] masks the
+    conditioning sets C, x and y outside C, given which an m-connecting path
+    joins x to y (x != y).
 
-    On an anterior form a walk state carries no history, so the search fits
-    in one int over the states of ``_walk_successors``, gated by C alone as
-    in ``_reach``'s linear lane. Each search pops the lowest bit of its
-    frontier until no new state turns up. A graph with ribbons keeps its own
-    form and ``_reach``'s visited-mask lane, one call per (x, C)."""
+    On an anterior form a walk state (v, arrived with an arrowhead) carries
+    no history, so one search covers every (x, C): each state holds n blocks
+    of 2^n bits, bit C of block x set when the walk from x given C enters
+    it. Sources leave over every edge; a state at v passes on what
+    ``_gate_patterns`` lets through, by C alone as in ``separation._reach``
+    (see there why): ``in_v`` after an arrowhead and ``out_v`` after a tail
+    over the edges with an arrowhead at v, ``out_v`` over the others. Sweeps
+    pass on only new bits; block x of the states at y is R[x][y]. A graph
+    with ribbons fills the table by ``_reach``'s visited-mask lane, one call
+    per (x, C)."""
     form = _search_form(graph)
     n = len(form.labels)
+    size, full, avoid = 1 << n, (1 << n) - 1, _submask_rows(n)
     if not form.anterior:
-        for c in range(1 << n):
+        table = [[0] * n for _ in range(n)]
+        for c in range(size):
             given = set(_bits(c))
-            row = []
-            for x in range(n):
-                reach = 0
-                if not c >> x & 1:
-                    for w in _reach(form, (x,), given):
-                        reach |= 1 << w
-                row.append(reach & ~c & ~(1 << x))
-            yield c, row
-        return
-    into, out = (
-        [sum(1 << ((s >> 1) + n * (s & 1)) for s in states) for states in lists]
-        for lists in form.successors
-    )
-    full = (1 << n) - 1
-    for c in range(1 << n):
-        succ = _walk_successors(into, out, c)
-        row = []
-        for x in range(n):
-            if c >> x & 1:
-                row.append(0)
-                continue
-            seen = frontier = into[x] | out[x]
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                fresh = succ[low.bit_length() - 1] & ~seen
-                seen |= fresh
-                frontier |= fresh
-            row.append((seen | seen >> n) & full & ~c & ~(1 << x))
-        yield c, row
+            for x in _bits(full ^ c):
+                for y in _reach(form, (x,), given) - given - {x}:
+                    table[x][y] |= 1 << c
+        return table
+    into, out = form.successors
+    gates = _gate_patterns(n)
+    seen = [0] * (2 * n)
+    for x in range(n):
+        for state in into[x] + out[x]:
+            seen[state] |= avoid[full ^ 1 << x] << x * size
+    new = list(seen)
+    while any(new):
+        for state, bits in enumerate(new):
+            if bits:
+                new[state], v = 0, state >> 1
+                gate_in, gate_out = gates[v]
+                for targets, passed in ((into[v], bits & (gate_in if state & 1 else gate_out)),
+                                        (out[v], bits & gate_out)):
+                    for target in targets:
+                        fresh = passed & ~seen[target]
+                        seen[target] |= fresh
+                        new[target] |= fresh
+    reached = [seen[2 * y] | seen[2 * y + 1] for y in range(n)]
+    return [[reached[y] >> x * size & avoid[full ^ 1 << x ^ 1 << y] if x != y else 0 for y in range(n)]
+            for x in range(n)]
 
 
 def enumerate_model(
     graph: MixedGraph, singleton_only: bool = False, limit: Optional[int] = None
 ) -> IndependenceModel:
-    """The independence model induced by m-separation on ``graph``.
+    """The independence model induced by m-separation on ``graph``, as rows.
 
-    For each conditioning set C and node x outside it, one search gives
-    R(x, C), the nodes m-connected to x given C (see ``_reach_masks``).
-    <A, B | C> is stored exactly when B avoids R(x, C) for every x in A,
-    which is the definition of separation, so symmetry and composition of
-    the model are observed, never assumed. A ranges over the non-empty
-    subsets of V - C, and B over the non-empty subsets of what A leaves
-    free, both as bit masks.
-    ``singleton_only`` restricts A and B to single nodes, which determines
-    the full model via decomposition and composition. Graphs with loops are
-    refused.
+    One search gives the reach table (see ``_reach_table``). Its complement
+    at (x, y), masked to the C that avoid x and y, is the singleton row
+    (see ``IndependenceModel._rows``) of <x, y | C>. <A, B | C> is stored
+    exactly when every x in A and y in B are separated given C, which is
+    the definition of separation, so symmetry and composition of the model
+    are observed, never assumed: the row at (A, B) is the AND of the
+    singleton rows over A x B, one AND per (A, B) from the row at
+    (A, B less its lowest node). Statements are listed only when read.
+    ``singleton_only`` keeps the singleton rows, which determine the full
+    model via decomposition and composition. Graphs with loops are refused.
     """
     _require_enumerable(graph, singleton_only, limit)
-    labels = graph.compiled.labels
-    n = len(labels)
-    sets = _label_sets(labels)
-    full = (1 << n) - 1
-    joined = [0] * (1 << n)  # union of R(x, C) over the x in A, by A
-    statements = []
-    for c, reach in _reach_masks(graph):
-        rest, given = full & ~c, sets[c]
-        if singleton_only:
-            for x in _bits(rest):
-                for y in _bits(rest & ~reach[x] & ~(1 << x)):
-                    statements.append(IndependenceStatement(sets[1 << x], sets[1 << y], given))
-            continue
-        a = (-rest) & rest  # submasks of rest in increasing order
-        while a:
-            low = a & -a
-            joined[a] = joined[a ^ low] | reach[low.bit_length() - 1]
-            free = rest & ~a & ~joined[a]
-            b = free
-            while b:
-                statements.append(IndependenceStatement(sets[a], sets[b], given))
-                b = (b - 1) & free
-            a = (a - rest) & rest
-    return IndependenceModel(graph.nodes, statements)
+    table = _reach_table(graph)
+    n = len(table)
+    full, avoid = (1 << n) - 1, _submask_rows(n)
+    pair = [[avoid[full ^ 1 << x ^ 1 << y] & ~reach if x != y else 0 for y, reach in enumerate(row)]
+            for x, row in enumerate(table)]
+    if singleton_only:
+        rows = {1 << x | 1 << y + n: r for x, by_y in enumerate(pair) for y, r in enumerate(by_y) if r}
+        return IndependenceModel._of_rows(graph.nodes, rows)
+    rows = {}
+    # By A: the AND over x in A of the singleton rows at (x, y), by y, and
+    # the y outside A where it is not 0, a subset of the same for A's subsets.
+    cols, frees = [[-1] * n], [full]
+    joint = [-1] * (1 << n)  # by B: the row at (A, B) for the A at hand
+    for a in range(1, 1 << n):
+        low = a & -a
+        col, free, row = cols[a ^ low][:], 0, pair[low.bit_length() - 1]
+        for y in _bits(frees[a ^ low] & ~low):
+            col[y] &= row[y]
+            if col[y]:
+                free |= 1 << y
+        cols.append(col)
+        frees.append(free)
+        b = free & -free  # the submasks of free in increasing order
+        while b:
+            low = b & -b
+            joint[b] = joint[b ^ low] & col[low.bit_length() - 1]
+            if joint[b]:
+                rows[a | b << n] = joint[b]
+            b = (b - free) & free
+    return IndependenceModel._of_rows(graph.nodes, rows)
 
 
 def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     """One statement per non-adjacent pair, conditioned on the union of the
-    pair's anterior sets; mirrored orientations included."""
+    pair's anterior sets; mirrored orientations included. Every anterior
+    set is read in one pass over the anterior form: ant(v), less v, is the
+    union of the line components of an(v) and v."""
     graph.require_loopless()
-    ant = {v: graph.anteriors(v) for v in graph.nodes}
-    statements = []
-    for x, y in itertools.combinations(graph.node_list(), 2):
-        if graph.adjacent(x, y):
-            continue
-        c = (ant[x] | ant[y]) - {x, y}
-        s = IndependenceStatement.of([x], [y], c)
-        statements.extend([s, s.mirrored()])
+    form = graph.compiled.anterior_form
+    labels, n = form.labels, len(form.labels)
+    component = [0] * n  # by node, its line component as a mask
+    for v in range(n):
+        if not component[v]:
+            mask = sum(1 << w for w in _closure(form.lines, [v]) | {v})
+            for w in _bits(mask):
+                component[w] = mask
+    ant = []  # by node, its anterior set and itself, as labels
+    for v, above in enumerate(form.ancestor_masks):
+        mask = 0
+        for w in _bits(above | 1 << v):
+            mask |= component[w]
+        ant.append(frozenset(labels[w] for w in _bits(mask)))
+    statements, near = [], [{w for w, *_ in row} for row in form.adjacency]
+    for x, y in itertools.combinations(range(n), 2):
+        if y not in near[x]:
+            s = IndependenceStatement.of([labels[x]], [labels[y]], (ant[x] | ant[y]) - {labels[x], labels[y]})
+            statements.extend([s, s.mirrored()])
     return IndependenceModel(graph.nodes, statements, symmetry_closed=True)
 
 
@@ -527,67 +553,67 @@ def check_axioms(
 
 
 def closure(
-    model: IndependenceModel,
-    axioms: Iterable[Axiom],
-    limit: Optional[int] = None,
+    model: IndependenceModel, axioms: Iterable[Axiom], limit: Optional[int] = None
 ) -> IndependenceModel:
     """Least fixpoint of the model under the chosen inference rules, over all
     disjoint triples of the ground set.
 
     Refuses ground sets larger than ``limit`` nodes (default CLOSURE_LIMIT).
-    Two-antecedent rules only ever pair statements sharing their first
-    component, so candidates are bucketed by it.
+    A worklist over raw rows (see ``IndependenceModel._rows``) in
+    ``check_axiom``'s shift and AND algebra. New bits r at (A, B) add r at
+    (B, A) (symmetry); per proper submask k of b, d = b ^ k, r at (A, K)
+    (decomposition) and ``r << d`` (weak union). Per row R at (A, D), D
+    disjoint from B, they add at (A, B u D) ``r & R`` (composition) and,
+    masked by the submasks of V - a - b - d, ``(r >> d) & R`` and
+    ``(R >> b) & r`` (contraction, both roles) and ``(r >> d) & (R >> b)``
+    (intersection). New bits meet whole partner rows, so each pair of
+    statements meets once the later one is taken.
     """
     cap = CLOSURE_LIMIT if limit is None else limit
-    if len(model.ground_set) > cap:
-        raise GraphError(
-            f"closure limit exceeded: {len(model.ground_set)} nodes > {cap}"
-        )
+    n = len(model.ground_set)
+    if n > cap:
+        raise GraphError(f"closure limit exceeded: {n} nodes > {cap}")
     rules = frozenset(axioms)
-    have: set[tuple[frozenset, frozenset, frozenset]] = set()
-    by_a: dict[frozenset, list[tuple[frozenset, frozenset, frozenset]]] = {}
-    queue: deque[tuple[frozenset, frozenset, frozenset]] = deque()
-
-    def add(a: frozenset, b: frozenset, c: frozenset) -> None:
-        t = (a, b, c)
-        if t not in have:
-            have.add(t)
-            by_a.setdefault(a, []).append(t)
-            queue.append(t)
-
-    for s in model.statements:
-        add(s.a, s.b, s.c)
-
-    while queue:
-        a, b, c = queue.popleft()
-        if Axiom.SYMMETRY in rules:
-            add(b, a, c)
-        if Axiom.DECOMPOSITION in rules:
-            for kept, _ in _proper_splits(b):
-                add(a, kept, c)
-        if Axiom.WEAK_UNION in rules:
-            for kept, dropped in _proper_splits(b):
-                add(a, kept, c | dropped)
-        if rules & {Axiom.CONTRACTION, Axiom.INTERSECTION, Axiom.COMPOSITION}:
-            for pa, pb, pc in list(by_a.get(a, ())):
-                if Axiom.CONTRACTION in rules:
-                    # self as <A,B|C u D>, partner as <A,D|C>
-                    if pb <= c and pc == c - pb:
-                        add(a, b | pb, pc)
-                    # partner as <A,B|C u D>, self as <A,D|C>
-                    if b <= pc and c == pc - b:
-                        add(a, pb | b, c)
-                if Axiom.INTERSECTION in rules:
-                    if pb <= c and b <= pc and c - pb == pc - b:
-                        add(a, b | pb, c - pb)
-                if Axiom.COMPOSITION in rules:
-                    if pc == c and not (pb & b):
-                        add(a, b | pb, c)
-
-    closed = [IndependenceStatement(a, b, c) for (a, b, c) in have]
-    return IndependenceModel(
-        model.ground_set, closed, symmetry_closed=Axiom.SYMMETRY in rules
+    symmetry, decomposition, weak_union, contraction, intersection, composition = (
+        axiom in rules for axiom in Axiom
     )
+    full, free = (1 << n) - 1, _submask_rows(n)
+    by_a: dict[int, dict[int, int]] = {}  # the rows, by A and then B
+    new: dict[int, int] = {}  # the bits not yet passed on, by row key
+
+    def add(a: int, b: int, bits: int) -> None:
+        rows = by_a.setdefault(a, {})
+        bits &= ~rows.get(b, 0)
+        if bits:
+            rows[b] = rows.get(b, 0) | bits
+            new[a | b << n] = new.get(a | b << n, 0) | bits
+
+    for key, row in model._rows[1].items():
+        add(key & full, key >> n, row)
+    while new:
+        key, r = new.popitem()
+        a, b = key & full, key >> n
+        if symmetry:
+            add(b, a, r)
+        k = (b - 1) & b if decomposition or weak_union else 0
+        while k:
+            if decomposition:
+                add(a, k, r)
+            if weak_union:
+                add(a, k, r << (b ^ k))
+            k = (k - 1) & b
+        if contraction or intersection or composition:
+            for d, rd in list(by_a[a].items()):
+                if b & d:
+                    continue
+                kept, bits = free[full ^ a ^ b ^ d], r & rd if composition else 0
+                if contraction:
+                    bits |= ((r >> d) & rd | (rd >> b) & r) & kept
+                if intersection:
+                    bits |= (r >> d) & (rd >> b) & kept
+                add(a, b | d, bits)
+    rows = {a | b << n: row for a, by_b in by_a.items() for b, row in by_b.items()}
+    return IndependenceModel._of_rows(model.ground_set, rows, symmetry_closed=symmetry)
 
 
 # -- Markov properties --------------------------------------------------------
@@ -636,42 +662,34 @@ def conforms(model: IndependenceModel, graph: MixedGraph) -> bool:
     return True
 
 
-def markov_equivalent(
-    g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = None
-) -> bool:
+def markov_equivalent(g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = None) -> bool:
     """Equality of the induced singleton independence models.
 
     Two graphs over one node set induce the same singleton model exactly
-    when every reach mask R(x, C) agrees, so the masks are compared
-    conditioning set by conditioning set, stopping at the first that
-    differs. ``limit`` caps the node count as for a singleton
-    ``enumerate_model``; graphs with loops are refused.
-    """
+    when their reach tables (see ``_reach_table``) agree, so one search per
+    graph decides. ``limit`` caps the node count as for a singleton
+    ``enumerate_model``; graphs with loops are refused."""
+    return _counterexample(g1, g2, limit) is None
+
+
+def _counterexample(g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = None) -> Optional[tuple]:
+    """None when two graphs over one node set are Markov equivalent, else
+    the smallest singleton statement, by sort key, that holds in just one of
+    them, and whether that is g1. Read from one reach table per graph: the
+    first (x, y) by index whose masks differ, and there the smallest C by
+    its sorted nodes; the statement holds in g1 when g1 does not join x, y."""
     if g1.nodes != g2.nodes:
         raise GraphError("graphs are over different node sets")
     _require_enumerable(g1, True, limit)
     _require_enumerable(g2, True, limit)
-    return next(_differences(g1, g2), None) is None
-
-
-def _differences(g1: MixedGraph, g2: MixedGraph) -> Iterator[tuple[tuple, bool]]:
-    """For each conditioning set C on which the reach masks of two graphs
-    over one node set differ, the smallest x, then y, by index, whose
-    statement <x, y | C> holds in just one graph: its sort key (x, y, C) by
-    index, and whether it holds in g1, which is when y is not in R1(x, C)."""
-    for (c, r1), (_, r2) in zip(_reach_masks(g1), _reach_masks(g2)):
-        if r1 != r2:
-            x = next(x for x in range(len(r1)) if r1[x] != r2[x])
-            y = next(_bits(r1[x] ^ r2[x]))
-            yield (x, y, tuple(_bits(c))), not r1[x] >> y & 1
-
-
-def _counterexample(g1: MixedGraph, g2: MixedGraph) -> tuple[IndependenceStatement, bool]:
-    """The smallest singleton statement, by sort key, that holds in just one
-    of two graphs that are not Markov equivalent, and whether that is g1."""
-    (x, y, c), in_g1 = min(_differences(g1, g2))
-    labels = g1.compiled.labels
-    return IndependenceStatement.of([labels[x]], [labels[y]], [labels[k] for k in c]), in_g1
+    t1, t2 = _reach_table(g1), _reach_table(g2)
+    if t1 == t2:
+        return None
+    n, labels = len(t1), g1.compiled.labels
+    x, y = next((x, y) for x in range(n) for y in range(n) if t1[x][y] != t2[x][y])
+    c = min(_bits(t1[x][y] ^ t2[x][y]), key=lambda c: list(_bits(c)))
+    statement = IndependenceStatement.of([labels[x]], [labels[y]], [labels[k] for k in _bits(c)])
+    return statement, not t1[x][y] >> c & 1
 
 
 def marginal_model(model: IndependenceModel, margin: Iterable[str]) -> IndependenceModel:

@@ -7,23 +7,27 @@ over every assignment to A, B, C, D and asks ``IndependenceModel.contains``;
 Markov equivalence compares two singleton statement sets, and its
 counterexample is the smallest statement in just one of them; membership is
 a lookup in the statement set; the pairwise model asks each node for its own
-anterior set. The library must return exactly what they return, first
-violations included.
+anterior set; a closure applies each rule to statements as frozenset
+triples until nothing new turns up. The library must return exactly what
+they return, first violations included.
 """
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 
 from lmgraphs import (
+    AXIOM_SETS,
     Axiom,
     CorpusSpec,
     IndependenceModel,
     IndependenceStatement,
     MixedGraph,
     check_axiom,
+    closure,
     enumerate_model,
     generate_corpus,
     m_separated,
@@ -96,6 +100,50 @@ def reference_check_axiom(model, axiom):
         elif has(a, b, c) and has(a, d, c) and not has(a, b | d, c):
             return AxiomViolation(axiom, a, b, c, d, S(a, b | d, c))
     return None
+
+
+def reference_closure(model, axioms):
+    """The least fixpoint of the rules as a frozenset worklist: each
+    statement taken meets every stored one with the same A."""
+    rules = frozenset(axioms)
+    have = set()
+    by_a = {}
+    queue = deque()
+
+    def add(a, b, c):
+        t = (a, b, c)
+        if t not in have:
+            have.add(t)
+            by_a.setdefault(a, []).append(t)
+            queue.append(t)
+
+    for s in model.statements:
+        add(s.a, s.b, s.c)
+    while queue:
+        a, b, c = queue.popleft()
+        if Axiom.SYMMETRY in rules:
+            add(b, a, c)
+        for kept, dropped in _proper_splits(b):
+            if Axiom.DECOMPOSITION in rules:
+                add(a, kept, c)
+            if Axiom.WEAK_UNION in rules:
+                add(a, kept, c | dropped)
+        for pa, pb, pc in list(by_a.get(a, ())):
+            if Axiom.CONTRACTION in rules:
+                # self as <A,B|C u D>, partner as <A,D|C>
+                if pb <= c and pc == c - pb:
+                    add(a, b | pb, pc)
+                # partner as <A,B|C u D>, self as <A,D|C>
+                if b <= pc and c == pc - b:
+                    add(a, pb | b, c)
+            if Axiom.INTERSECTION in rules:
+                if pb <= c and b <= pc and c - pb == pc - b:
+                    add(a, b | pb, c - pb)
+            if Axiom.COMPOSITION in rules:
+                if pc == c and not (pb & b):
+                    add(a, b | pb, c)
+    closed = [IndependenceStatement(a, b, c) for a, b, c in have]
+    return IndependenceModel(model.ground_set, closed, symmetry_closed=Axiom.SYMMETRY in rules)
 
 
 def thinned(model, rng, symmetry_closed):
@@ -274,3 +322,38 @@ def test_pairwise_model_equals_per_node_anteriors(corpus):
                 expected += [s, s.mirrored()]
         model = pairwise_model(g)
         assert model == IndependenceModel(g.nodes, expected) and model.symmetry_closed, g
+
+
+RULE_SETS = [*AXIOM_SETS.items(), *((axiom.value, frozenset({axiom})) for axiom in AXIOMS)]
+
+
+def assert_closure_equals_reference(model, axioms):
+    closed = closure(model, axioms)
+    assert closed == reference_closure(model, axioms), model
+    assert closed.symmetry_closed == (Axiom.SYMMETRY in axioms)
+
+
+@pytest.mark.parametrize("axioms", [rules for _, rules in RULE_SETS], ids=[name for name, _ in RULE_SETS])
+def test_closure_equals_reference_on_theorem_corpora(axioms, lmg_corpus, maximal_rg_corpus, bidirected_corpus):
+    """The pairwise models of the graphs c06, c09 and c11 quantify over."""
+    for g in lmg_corpus[:100] + maximal_rg_corpus + bidirected_corpus:
+        assert_closure_equals_reference(pairwise_model(g), axioms)
+
+
+@pytest.mark.parametrize("axioms", [rules for _, rules in RULE_SETS], ids=[name for name, _ in RULE_SETS])
+def test_closure_equals_reference_on_raw_models(axioms, corpus):
+    """Raw models, not symmetric, of up to five nodes: thinned enumerated
+    models, and pairwise models with about half the statements dropped, so
+    that many pairs keep one orientation only."""
+    rng = random.Random(64)
+    for g in [g for g in corpus if len(g.nodes) <= 5][:60]:
+        halved = [s for s in pairwise_model(g).sorted_statements() if rng.random() < 0.5]
+        for model in (thinned(enumerate_model(g), rng, False), IndependenceModel(g.nodes, halved)):
+            assert_closure_equals_reference(model, axioms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_closure_equals_reference_on_random_raw_models(m):
+    for _, axioms in RULE_SETS:
+        assert_closure_equals_reference(m, axioms)

@@ -331,7 +331,7 @@ class TestRouting:
 
     def test_routed_enumeration_matches_mask_lane(self, routed, monkeypatch):
         # enumerate_model and markov_equivalent search the forms that
-        # _search_form hands _reach_masks, all anterior here, so every row
+        # _search_form hands _reach_table, all anterior here, so every row
         # comes from the bit-parallel walk; the visited-mask lane on g's own
         # form is the check.
         forms = []
@@ -403,50 +403,46 @@ class TestRouting:
 
 
 def reach_row_mismatches(graphs):
-    """Each (graph, C, x) whose row R(x, C) from ``_reach_masks`` differs from
-    one ``_reach`` call on the same form given C."""
+    """Each (graph, C, x) whose row of the reach table, the y with bit C set
+    in R[x][y] from ``_reach_table``, differs from one ``_reach`` call on
+    the same form given C."""
     for g in graphs:
         form = _search_form(g)
-        for c, row in independence._reach_masks(g):
-            given = {v for v in range(len(row)) if c >> v & 1}
-            for x, reach in enumerate(row):
-                expected = 0
-                if x not in given:
-                    for w in _reach(form, (x,), given):
-                        expected |= 1 << w
-                if reach != expected & ~c & ~(1 << x):
+        table = independence._reach_table(g)
+        n = len(table)
+        for c in range(1 << n):
+            given = {v for v in range(n) if c >> v & 1}
+            for x in range(n):
+                expected = set() if x in given else _reach(form, (x,), given) - given - {x}
+                if {y for y in range(n) if table[x][y] >> c & 1} != expected:
                     yield g, c, x
 
 
 def oracle_rows(g):
-    """The rows of ``_reach_masks(g)`` as the path oracle gives them, by C:
-    R(x, C) holds each y outside C and x that ``oracle_m_separated`` finds
-    connected to x given C, and is 0 for x in C."""
+    """``_reach_table(g)`` as the path oracle gives it: bit C of R[x][y] is
+    set when x and y, distinct and outside C, are not ``oracle_m_separated``
+    given C."""
     labels = g.compiled.labels
     n = len(labels)
-    rows = {}
+    table = [[0] * n for _ in range(n)]
     for c in range(1 << n):
         given = [labels[v] for v in range(n) if c >> v & 1]
-        rows[c] = [
-            0 if c >> x & 1 else sum(
-                1 << y for y in range(n)
-                if y != x and not c >> y & 1 and not oracle_m_separated(g, [labels[x]], [labels[y]], given)
-            )
-            for x in range(n)
-        ]
-    return rows
+        for x, y in itertools.permutations(range(n), 2):
+            if not (c >> x | c >> y) & 1 and not oracle_m_separated(g, [labels[x]], [labels[y]], given):
+                table[x][y] |= 1 << c
+    return table
 
 
-def rows_model(g, rows):
-    """The singleton model that holds <x, y | C> exactly when y, outside C
-    and x, is not in R(x, C)."""
+def rows_model(g, table):
+    """The singleton model that holds <x, y | C> exactly when x and y,
+    distinct and outside C, have bit C clear in R[x][y]."""
     labels = g.compiled.labels
     n = len(labels)
     statements = [
         IndependenceStatement.of([labels[x]], [labels[y]], [labels[v] for v in range(n) if c >> v & 1])
-        for c, row in rows.items()
-        for x in range(n) if not c >> x & 1
-        for y in range(n) if y != x and not c >> y & 1 and not row[x] >> y & 1
+        for x, y in itertools.permutations(range(n), 2)
+        for c in range(1 << n)
+        if not (c >> x | c >> y | table[x][y] >> c) & 1
     ]
     return IndependenceModel(g.nodes, statements)
 
@@ -463,10 +459,10 @@ def ribboned():
 
 
 class TestReachRows:
-    """The rows behind enumerate_model and markov_equivalent: the bit-parallel
-    walk on anterior forms, each row equal to one ``_reach`` per (x, C), and
-    ``_reach``'s visited-mask lane on graphs with ribbons, held to the path
-    oracle."""
+    """The reach table behind enumerate_model and markov_equivalent: the
+    bit-parallel walk over every (x, C) at once on anterior forms, each row
+    equal to one ``_reach`` per (x, C), and ``_reach``'s visited-mask lane
+    on graphs with ribbons, held to the path oracle."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -495,11 +491,11 @@ class TestReachRows:
         for g in ribboned:
             assert not _search_form(g).anterior
             rows = oracle_rows(g)
-            assert dict(independence._reach_masks(g)) == rows, g
+            assert independence._reach_table(g) == rows, g
             assert enumerate_model(g, singleton_only=True) == rows_model(g, rows), g
             assert markov_equivalent(g, g)
 
-    # The walk lane gates colliders by C alone in ``_walk_successors`` and
+    # The walk lane gates colliders by C alone in ``_gate_patterns`` and
     # reads no an(C): a walk may run down from a collider in an(C) to C and
     # back. So "every collider open" is planted in both lanes, and "an(C)
     # ignored" only in the visited-mask lane, since only its paths, which
@@ -511,7 +507,7 @@ class TestReachRows:
         ("an(C) ignored", {False}),
     ])
     def test_planted_fault_is_caught(self, corpus, ribboned, monkeypatch, fault, lanes):
-        real_reach, real_walk = independence._reach, independence._walk_successors
+        real_reach, real_gates = independence._reach, independence._gate_patterns
 
         def planted_reach(form, sources, c, stop=()):
             faulty = copy.copy(form)
@@ -519,20 +515,17 @@ class TestReachRows:
             faulty.ancestors = lambda targets: everything if fault == "every collider open" else set()
             return real_reach(faulty, sources, c, stop)
 
-        def every_collider_open(into, out, c):
-            succ = real_walk(into, out, c)
-            n = len(into)
-            for v in range(n):
-                succ[n + v] |= into[v]
-            return succ
+        def every_collider_open(n):
+            # after an arrowhead, the edges with one pass every C
+            return tuple((-1, gate_out) for _, gate_out in real_gates(n))
 
         monkeypatch.setattr(independence, "_reach", planted_reach)
         if fault == "every collider open":
-            monkeypatch.setattr(independence, "_walk_successors", every_collider_open)
+            monkeypatch.setattr(independence, "_gate_patterns", every_collider_open)
         caught = set()  # by lane: whether the form is anterior
         if next(reach_row_mismatches(g for g in corpus if _search_form(g).anterior), None):
             caught.add(True)
-        if any(dict(independence._reach_masks(g)) != oracle_rows(g) for g in ribboned):
+        if any(independence._reach_table(g) != oracle_rows(g) for g in ribboned):
             caught.add(False)
         assert caught == lanes
 
