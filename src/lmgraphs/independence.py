@@ -277,14 +277,23 @@ def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional
 
 
 @functools.lru_cache(maxsize=8)
+def _avoiding(n: int) -> tuple[int, ...]:
+    """Per node v, the conditioning sets over n nodes that avoid v, as a mask
+    of 2^n bits: runs of 2^v set bits every 2^(v + 1). These n masks stand
+    in for ``_submask_rows(n)``, whose 2^n rows are too large for big n."""
+    every = (1 << (1 << n)) - 1
+    return tuple(every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n))
+
+
+@functools.lru_cache(maxsize=8)
 def _gate_patterns(n: int) -> tuple[tuple[int, int], ...]:
     """Per node v, the gates ``(in_v, out_v)`` of ``_reach_table``'s walk:
     in each of n blocks of 2^n bits, bit C is set when C contains v, and
     when C avoids v."""
-    full, avoid = (1 << n) - 1, _submask_rows(n)
-    repeat = sum(1 << x * (1 << n) for x in range(n))
-    every = avoid[full] * repeat
-    return tuple((every ^ out, out) for out in (avoid[full ^ 1 << v] * repeat for v in range(n)))
+    size = 1 << n
+    repeat = sum(1 << x * size for x in range(n))
+    every = ((1 << size) - 1) * repeat
+    return tuple((every ^ out * repeat, out * repeat) for out in _avoiding(n))
 
 
 def _reach_table(graph: MixedGraph) -> list[list[int]]:
@@ -304,7 +313,7 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
     per (x, C)."""
     form = _search_form(graph)
     n = len(form.labels)
-    size, full, avoid = 1 << n, (1 << n) - 1, _submask_rows(n)
+    size, full, avoid = 1 << n, (1 << n) - 1, _avoiding(n)
     if not form.anterior:
         table = [[0] * n for _ in range(n)]
         for c in range(size):
@@ -318,7 +327,7 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
     seen = [0] * (2 * n)
     for x in range(n):
         for state in into[x] + out[x]:
-            seen[state] |= avoid[full ^ 1 << x] << x * size
+            seen[state] |= avoid[x] << x * size
     new = list(seen)
     while any(new):
         for state, bits in enumerate(new):
@@ -332,8 +341,8 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
                         seen[target] |= fresh
                         new[target] |= fresh
     reached = [seen[2 * y] | seen[2 * y + 1] for y in range(n)]
-    return [[reached[y] >> x * size & avoid[full ^ 1 << x ^ 1 << y] if x != y else 0 for y in range(n)]
-            for x in range(n)]
+    # block x holds only C that avoid x, as its seeds do
+    return [[reached[y] >> x * size & avoid[y] if x != y else 0 for y in range(n)] for x in range(n)]
 
 
 def enumerate_model(
@@ -355,8 +364,8 @@ def enumerate_model(
     _require_enumerable(graph, singleton_only, limit)
     table = _reach_table(graph)
     n = len(table)
-    full, avoid = (1 << n) - 1, _submask_rows(n)
-    pair = [[avoid[full ^ 1 << x ^ 1 << y] & ~reach if x != y else 0 for y, reach in enumerate(row)]
+    full, avoid = (1 << n) - 1, _avoiding(n)
+    pair = [[avoid[x] & avoid[y] & ~reach if x != y else 0 for y, reach in enumerate(row)]
             for x, row in enumerate(table)]
     if singleton_only:
         rows = {1 << x | 1 << y + n: r for x, by_y in enumerate(pair) for y, r in enumerate(by_y) if r}
