@@ -138,9 +138,10 @@ class CompiledGraph:
     line loop), and the flags ``loopless`` and ``anterior`` (no arrowhead
     meets the end of a line) are set at once; ``successors``, the same edges
     as walk states for the linear walk lane, and ``components``, ``cyclic``,
-    ``ancestor_masks``, ``head_masks``, ``changed`` (the anterior rewrite)
-    and ``anterior_form``, the compiled anterior graph, are built on first
-    use. Everything is O(n + m), counting an n-bit mask as one.
+    ``ancestor_masks``, ``head_masks``, ``inducing_candidates`` (the pairs
+    the maximality scan tests), ``changed`` (the anterior rewrite) and
+    ``anterior_form``, the compiled anterior graph, are built on first use.
+    Everything is O(n + m), counting an n-bit mask as one.
     """
 
     def __init__(
@@ -198,6 +199,49 @@ class CompiledGraph:
                     heads[v] |= 1 << w
                     arcs[v] |= head_v << w
         return tuple(heads), tuple(arcs)
+
+    @cached_property
+    def inducing_candidates(self) -> tuple[int, ...]:
+        """For each x, a mask of the y > x not adjacent to x that send an
+        arrowhead into an arc component that x also sends one into. Every
+        inner node of a primitive inducing path is a collider in an({x, y}),
+        so its inner edges are arcs and each inner node has a child: the
+        inner nodes lie in one arc component of the nodes with a child, where
+        a node with no arc is its own component, and no other pair has a
+        path with an inner node. One flood over the arc masks numbers the
+        components, one pass over the rows groups the senders by component,
+        and one more gathers each x's candidates."""
+        arcs = self.head_masks[1]
+        inner = sum(1 << v for v, below in enumerate(self.children) if below)
+        component = [-1] * len(self.labels)
+        count = 0
+        for root, below in enumerate(self.children):
+            if not below or component[root] >= 0:
+                continue
+            members = frontier = 1 << root
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                component[v] = count
+                fresh = arcs[v] & inner & ~members
+                members |= fresh
+                frontier |= fresh
+            count += 1
+        senders = [0] * count
+        for v, row in enumerate(self.adjacency):
+            for w, _, head_w, _ in row:
+                if head_w and component[w] >= 0:
+                    senders[component[w]] |= 1 << v
+        candidates = []
+        for x, row in enumerate(self.adjacency):
+            sent = adjacent = 0
+            for w, _, head_w, _ in row:
+                adjacent |= 1 << w
+                if head_w and component[w] >= 0:
+                    sent |= senders[component[w]]
+            candidates.append(sent >> (x + 1) << (x + 1) & ~adjacent)
+        return tuple(candidates)
 
     def rewrite(self) -> dict[int, list[bool]]:
         """The edges that the anterior rewrite changes, by key, each with its

@@ -128,7 +128,9 @@ def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
     The inner nodes of a primitive inducing path are colliders in an({x, y}),
     so they lie in one such component; any two arrowheads that x and y send
     into one are joined by a simple arc path. So it is 0 exactly when no
-    primitive inducing path from x to y has an inner node."""
+    primitive inducing path from x to y has an inner node. A pair that sends
+    into no common arc component of the nodes with a child always gives 0, so
+    ``_violations`` calls this only on ``inducing_candidates``."""
     (heads, arcs), an = compiled.head_masks, compiled.ancestor_masks
     live = (an[x] | an[y]) & ~(1 << x | 1 << y)
     for end in (x, y):
@@ -156,14 +158,18 @@ def _require_ribbonless(graph: MixedGraph, what: str) -> None:
 def _violations(graph: MixedGraph) -> Iterator[tuple[str, str, Path]]:
     """Non-adjacent pairs x < y joined by a primitive inducing path, in label
     order, each with its first one, as found; the caller has checked that the
-    graph is ribbonless. Pairs are tested by ``_inducing_live``; only a
-    violating pair is searched, inside its arc components, for a witness."""
+    graph is ribbonless. Only the pairs in ``inducing_candidates``, which
+    send arrowheads into one arc component of the nodes with a child, can
+    violate; each is tested by ``_inducing_live``, and only a violating pair
+    is searched, inside its arc components, for a witness."""
     compiled = graph.compiled
-    labels, rows = compiled.labels, compiled.adjacency
-    for x, row in enumerate(rows):
-        adjacent = {w for w, *_ in row}
-        for y in range(x + 1, len(labels)):
-            if y in adjacent or not (live := _inducing_live(compiled, x, y)):
+    labels = compiled.labels
+    for x, candidates in enumerate(compiled.inducing_candidates):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            y = low.bit_length() - 1
+            if not (live := _inducing_live(compiled, x, y)):
                 continue
             path = next(_admissible_paths(compiled, x, y, _colliders_in(live)), None)
             if path is None:
@@ -210,11 +216,14 @@ def oracle_is_maximal(graph: MixedGraph, limit: int = DEFAULT_ORACLE_LIMIT) -> b
 def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
     """The anterior-set separator (ant(x) | ant(y)) minus the pair itself.
 
-    Guaranteed to m-separate x and y when they are non-adjacent and no
-    primitive inducing path joins them; both preconditions are enforced,
-    the second by ``_inducing_live``'s arc components, with no path search.
+    Guaranteed to m-separate x and y on a ribbonless graph when they are
+    non-adjacent and no primitive inducing path joins them. All three
+    preconditions are enforced, the last by ``_inducing_live``'s arc
+    components, with no path search; on a graph with ribbons the set can
+    fail to separate (fig4a's h and j), so such a graph is refused.
     """
     graph.require_loopless()
+    _require_ribbonless(graph, "pairwise separator")
     if graph.adjacent(x, y):
         raise GraphError(f"{x!r} and {y!r} are adjacent")
     if _inducing_live(*_endpoints(graph, x, y)):
@@ -270,20 +279,21 @@ class GraphClass:
 
 
 def classify(graph: MixedGraph) -> GraphClass:
-    """The flags from the compiled form: edge kinds from the rows' arrowhead
-    flags, ``ancestral`` from the kept ancestor and arc masks (no arc v <-> w
-    with w in an(v)), and ``maximal`` from the arc-component violation scan."""
+    """The flags from the compiled form: which edge kinds occur from one test
+    per node on the kept line lists, parent lists and arc masks, so O(n)
+    once those are built; ``ancestral`` from the kept ancestor and arc masks
+    (no arc v <-> w with w in an(v)), and ``maximal`` from the arc-component
+    violation scan."""
     if not graph.is_loopless():
         return GraphClass(False, False, False, False, False, False, False, None)
 
     compiled = graph.compiled
-    # Arrowheads per edge: 0 on a line, 1 on an arrow, 2 on an arc.
-    kinds = {head_v + head_w for row in compiled.adjacency for _, head_v, head_w, _ in row}
-    has_cycle = bool(compiled.cyclic)
-    undirected = kinds <= {0}
-    bidirected = kinds <= {2}
-    dag = kinds <= {1} and not has_cycle
-    admg = 0 not in kinds and not has_cycle
+    has_line, has_arrow = any(compiled.lines), any(compiled.parents)
+    has_arc, has_cycle = any(compiled.head_masks[1]), bool(compiled.cyclic)
+    undirected = not has_arrow and not has_arc
+    bidirected = not has_line and not has_arrow
+    dag = not has_line and not has_arc and not has_cycle
+    admg = not has_line and not has_cycle
     ancestral = not has_cycle and compiled.anterior and not any(
         an & arcs for an, arcs in zip(compiled.ancestor_masks, compiled.head_masks[1])
     )

@@ -109,11 +109,14 @@ class TestExitCodes:
 
     def test_arc_test_without_a_witness_exits_two_not_one(self, capsys, monkeypatch, tmp_path):
         # A pair that the arc-component test calls violating but whose search
-        # finds no path is a fault, not a "not maximal" and not a skip.
+        # finds no path is a fault, not a "not maximal" and not a skip. The
+        # pair (a, b) sends into one arc component, {d}, whose node has a
+        # child, so it is tested; the planted mask leaves d out, so the
+        # search finds nothing.
         import lmgraphs.structure as structure
 
         graph = tmp_path / "apart.lmg"
-        graph.write_text("a -> b\nnode c\n")
+        graph.write_text("a -> d\nb -> d\nd -> e\nnode c\n")
         monkeypatch.setattr(structure, "_inducing_live", lambda compiled, x, y: 0b111)
         code, out, err = run(capsys, "maximal", str(graph))
         assert code == 2 and out == ""

@@ -20,6 +20,7 @@ from lmgraphs import (
     maximality_violations,
     maximalize,
     oracle_is_maximal,
+    oracle_m_separated,
     pairwise_separator,
 )
 from lmgraphs.separation import _simple_paths
@@ -185,6 +186,29 @@ class TestPairwiseSeparator:
     def test_rejects_inducing_path(self, figures):
         with pytest.raises(GraphError, match="primitive inducing"):
             pairwise_separator(figures["fig6"], "i", "j")
+
+    def test_rejects_ribbons(self, figures):
+        # On fig4a the anterior sets of h and j give {i, k, l}, which does
+        # not separate them: the guarantee holds only without ribbons.
+        g = figures["fig4a"]
+        assert not oracle_m_separated(g, ["h"], ["j"], ["i", "k", "l"])
+        with pytest.raises(GraphError, match="pairwise separator requires a ribbonless graph"):
+            pairwise_separator(g, "h", "j")
+
+    def test_separates_on_ribbonless_corpus(self, rg_corpus):
+        checked = 0
+        for g in rg_corpus:
+            for x, y in itertools.combinations(g.node_list(), 2):
+                if g.adjacent(x, y):
+                    continue
+                try:
+                    separator = pairwise_separator(g, x, y)
+                except GraphError as refusal:
+                    assert "primitive inducing" in str(refusal)
+                    continue
+                assert oracle_m_separated(g, [x], [y], separator), (g, x, y, separator)
+                checked += 1
+        assert checked > 500
 
 
 class TestMaximalize:

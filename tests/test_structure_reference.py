@@ -17,9 +17,13 @@ inducing paths, the same violations with the same paths, the same completions
 and refusals and the same flags on seeded corpora of 3-8 nodes with
 multi-edges and directed cycles; its arc-component test must say "some path
 with an inner node" exactly when the search finds one, and two planted faults
-in that test must show. Counting tests pin the cost: the ribbon scan takes no
-descendant closure on a graph without lines or cycles, and a violation scan
-takes no ancestor closure at all.
+in that test must show. The maximality scan's candidate pairs must hold every
+pair that test does not clear, and a planted fault must show there too.
+``classify``'s edge-kind flags must match the set of edge kinds read from
+every adjacency entry. Counting tests pin the cost: the ribbon scan takes no
+descendant closure on a graph without lines or cycles, a violation scan
+takes no ancestor closure at all, and on the arc-hung chain it runs the
+arc-component test at most once per node.
 """
 
 import itertools
@@ -43,6 +47,8 @@ from lmgraphs import (
     maximalize,
 )
 from lmgraphs import graph as graph_module
+from lmgraphs import structure as structure_module
+from lmgraphs.graph import CompiledGraph
 from lmgraphs.separation import _admissible_paths
 from lmgraphs.structure import _inducing_live
 
@@ -225,6 +231,47 @@ def test_violations_match_reference(corpus):
         assert is_maximal(g) == (not expected)
 
 
+def rows_kind_flags(graph):
+    """The four edge-kind flags from the set of arrowhead counts over every
+    adjacency entry (0 on a line, 1 on an arrow, 2 on an arc): the reading
+    that ``classify``'s per-node tests replace."""
+    compiled = graph.compiled
+    kinds = {head_v + head_w for row in compiled.adjacency for _, head_v, head_w, _ in row}
+    cycle = bool(compiled.cyclic)
+    return {
+        "undirected": kinds <= {0},
+        "bidirected": kinds <= {2},
+        "dag": kinds <= {1} and not cycle,
+        "acyclic_directed_mixed": 0 not in kinds and not cycle,
+    }
+
+
+KIND_CASES = [
+    # edges, then (undirected, bidirected, dag, acyclic_directed_mixed)
+    pytest.param([], (True, True, True, True), id="edgeless"),
+    pytest.param([("a", "--", "b"), ("b", "--", "c")], (True, False, False, False), id="lines"),
+    pytest.param([("a", "->", "b"), ("b", "->", "c"), ("a", "->", "c")], (False, False, True, True), id="arrows"),
+    pytest.param([("a", "<->", "b"), ("b", "<->", "c")], (False, True, False, True), id="arcs"),
+    pytest.param([("a", "--", "b"), ("a", "->", "b")], (False, False, False, False), id="parallel line and arrow"),
+    pytest.param([("a", "->", "b"), ("b", "->", "c"), ("c", "->", "a")], (False, False, False, False), id="directed cycle"),
+]
+
+
+@pytest.mark.parametrize("edges, expected", KIND_CASES)
+def test_classify_kind_flags_on_edge_cases(edges, expected):
+    g = build_graph(["a", "b", "c"], edges)
+    flags = classify(g).as_dict()
+    reference = rows_kind_flags(g)
+    assert {k: flags[k] for k in reference} == reference == dict(zip(reference, expected))
+    assert flags == reference_classify(g)
+
+
+def test_classify_kind_flags_match_rows(corpus):
+    for g in corpus:
+        flags, reference = classify(g).as_dict(), rows_kind_flags(g)
+        assert {k: flags[k] for k in reference} == reference, g
+
+
 def test_classify_matches_reference(corpus):
     looped = build_graph(["a", "b", "c"], [("a", "->", "a"), ("a", "<->", "b"), ("b", "--", "c")])
     graphs, counts = corpus + [looped], dict.fromkeys(CLASS_FLAGS, 0)
@@ -286,6 +333,46 @@ def test_planted_live_fault_is_caught(corpus, planted):
     assert next(live_mismatches(corpus, planted), None) is not None
 
 
+def candidate_misses(graphs, candidates=lambda compiled: compiled.inducing_candidates):
+    """(graph, x, y) for every non-adjacent x < y that the arc-component test
+    does not clear but ``candidates`` leaves out."""
+    for g in graphs:
+        compiled = g.compiled
+        masks = candidates(compiled)
+        for x, y in itertools.combinations(range(len(compiled.labels)), 2):
+            if any(w == y for w, *_ in compiled.adjacency[x]) or not _inducing_live(compiled, x, y):
+                continue
+            if not masks[x] >> y & 1:
+                yield g, compiled.labels[x], compiled.labels[y]
+
+
+def arrowheads_into_arc_nodes_only(compiled):
+    """The library's candidates with the arrowheads into nodes without an
+    arc dropped, as if only the nodes with an arc had a component."""
+    arcs = compiled.head_masks[1]
+    rows = tuple(
+        tuple((w, head_v, head_w and bool(arcs[w]), e) for w, head_v, head_w, e in row)
+        for row in compiled.adjacency
+    )
+    shim = Shim(compiled, adjacency=rows, labels=compiled.labels, children=compiled.children)
+    return CompiledGraph.inducing_candidates.func(shim)
+
+
+def test_candidates_hold_every_live_pair(corpus):
+    assert next(candidate_misses(corpus), None) is None
+    candidates = sum(bin(mask).count("1") for g in corpus for mask in g.compiled.inducing_candidates)
+    apart = sum(
+        not any(w == y for w, *_ in g.compiled.adjacency[x])
+        for g in corpus for x, y in itertools.combinations(range(len(g.nodes)), 2)
+    )
+    # about 3,800 candidates of about 19,000 non-adjacent pairs
+    assert 2000 < candidates < apart / 3
+
+
+def test_planted_candidate_fault_is_caught(corpus):
+    assert next(candidate_misses(corpus, arrowheads_into_arc_nodes_only), None) is not None
+
+
 def test_inducing_path_listings_match_reference(corpus):
     listed = 0
     for g in corpus:
@@ -338,6 +425,29 @@ def closures(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_closure", counting)
     return steps
+
+
+@pytest.fixture
+def inducing_calls(monkeypatch):
+    """The pair of every arc-component test taken while the fixture is
+    active."""
+    pairs = []
+    real = structure_module._inducing_live
+
+    def counting(compiled, x, y):
+        pairs.append((x, y))
+        return real(compiled, x, y)
+
+    monkeypatch.setattr(structure_module, "_inducing_live", counting)
+    return pairs
+
+
+def test_violation_scan_tests_at_most_one_pair_per_node(inducing_calls):
+    """Only pairs that send into one arc component are tested: on the chain
+    that is a_(i-1) with b_i, not all 318,801 non-adjacent pairs."""
+    g = arc_hung_chain(400)
+    assert maximality_violations(g) == []
+    assert 0 < len(inducing_calls) <= len(g.nodes)
 
 
 def test_ribbon_scan_takes_no_descendant_closure_without_lines_or_cycles(closures):
