@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -138,8 +138,9 @@ class CompiledGraph:
     line loop), and the flags ``loopless`` and ``anterior`` (no arrowhead
     meets the end of a line) are set at once; ``successors``, the same edges
     as walk states for the linear walk lane, and ``components``, ``cyclic``,
-    ``ancestor_masks``, ``head_masks``, ``inducing_candidates`` (the pairs
-    the maximality scan tests), ``changed`` (the anterior rewrite) and
+    ``ancestor_masks``, ``anterior_masks`` (which confine the separation
+    searches), ``head_masks``, ``inducing_candidates`` (the pairs the
+    maximality scan tests), ``changed`` (the anterior rewrite) and
     ``anterior_form``, the compiled anterior graph, are built on first use.
     Everything is O(n + m), counting an n-bit mask as one.
     """
@@ -304,28 +305,36 @@ class CompiledGraph:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The strongly connected components of the arrows, by Kosaraju's two
         passes, in topological order: no arrow leads to an earlier one."""
+        children, parents = self.children, self.parents
         finished: list[int] = []
-        seen: set[int] = set()
-        for root in range(len(self.labels)):
-            stack = [] if root in seen else [(root, iter(self.children[root]))]
-            seen.add(root)
+        seen = [False] * len(self.labels)
+        for root in range(len(seen)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [(root, iter(children[root]))]
             while stack:
-                w = next((w for w in stack[-1][1] if w not in seen), None)
-                if w is None:
-                    finished.append(stack.pop()[0])
+                v, below = stack[-1]
+                for w in below:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append((w, iter(children[w])))
+                        break
                 else:
-                    seen.add(w)
-                    stack.append((w, iter(self.children[w])))
+                    finished.append(v)
+                    stack.pop()
         components = []
         for root in reversed(finished):
-            component = [root] if root in seen else []
-            seen.discard(root)
+            if not seen[root]:
+                continue
+            seen[root] = False
+            component = [root]
             for v in component:  # grows while it is read
-                fresh = [w for w in self.parents[v] if w in seen]
-                seen.difference_update(fresh)
-                component += fresh
-            if component:
-                components.append(tuple(component))
+                for w in parents[v]:
+                    if seen[w]:
+                        seen[w] = False
+                        component.append(w)
+            components.append(tuple(component))
         return tuple(components)
 
     @cached_property
@@ -349,6 +358,47 @@ class CompiledGraph:
                 masks[v] = mask
         return tuple(masks)
 
+    @cached_property
+    def anterior_masks(self) -> tuple[int, ...]:
+        """ant(v) and v itself for every node as a mask, exact on an anterior
+        form only: read it there. One pass over the components in
+        topological order: v's bit, its line component and its parents'
+        masks. A node that ends a line has no arrowhead on an anterior form,
+        so it has no parent and is its own component, and its line
+        component, flooded once from its first member, is its mask; the
+        floods cover each line once, so the pass is O(n + m)."""
+        lines, parents = self.lines, self.parents
+        masks = [0] * len(self.labels)
+        for component in self.components:
+            root = component[0]
+            if lines[root]:
+                if not masks[root]:
+                    members, todo = 1 << root, [root]
+                    for v in todo:  # grows while it is read
+                        for w in lines[v]:
+                            if not members >> w & 1:
+                                members |= 1 << w
+                                todo.append(w)
+                    for v in todo:
+                        masks[v] = members
+                continue
+            mask = 0
+            for v in component:
+                mask |= 1 << v
+                for p in parents[v]:
+                    mask |= masks[p]
+            for v in component:
+                masks[v] = mask
+        return tuple(masks)
+
+    def anterior_scope(self, nodes: Iterable[int]) -> int:
+        """ant(nodes) and the nodes themselves as a mask: the union of their
+        ``anterior_masks``, exact on an anterior form only."""
+        masks, scope = self.anterior_masks, 0
+        for v in nodes:
+            scope |= masks[v]
+        return scope
+
     def ancestors(self, targets: Iterable[int]) -> set[int]:
         """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""
         return _closure(self.parents, targets)
@@ -356,6 +406,14 @@ class CompiledGraph:
     def descendants(self, sources: Iterable[int]) -> set[int]:
         """Union of de(s) over the sources, by index; see MixedGraph.descendants."""
         return _closure(self.children, sources)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _closure(step: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
@@ -557,16 +615,13 @@ class MixedGraph:
     def anteriors(self, node: str) -> set[str]:
         """ant(node): nodes that reach ``node`` in the anterior graph along a
         path of lines followed by arrows. The node itself is never included.
-        Read on the kept compiled anterior form, which has this graph's
-        labels and indices and the anterior graph's parents and lines.
+        Read from the kept compiled anterior form's ``anterior_masks``.
         """
         self._require(node)
         self.require_loopless()
-        g = self.compiled.anterior_form
-        start = g.index[node]
-        seeds = g.ancestors([start]) | {start}
-        reached = (seeds | _closure(g.lines, seeds)) - {start}
-        return {g.labels[v] for v in reached}
+        form = self.compiled.anterior_form
+        start = form.index[node]
+        return {form.labels[v] for v in _bits(form.anterior_masks[start] & ~(1 << start))}
 
     # -- structural identity ----------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import GraphError, MixedGraph, _closure
+from .graph import GraphError, MixedGraph, _bits
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -254,14 +254,6 @@ def _submask_rows(n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- models induced by separation -------------------------------------------
 
 
@@ -397,23 +389,11 @@ def enumerate_model(
 def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     """One statement per non-adjacent pair, conditioned on the union of the
     pair's anterior sets; mirrored orientations included. Every anterior
-    set is read in one pass over the anterior form: ant(v), less v, is the
-    union of the line components of an(v) and v."""
+    set is read from the anterior form's ``anterior_masks``."""
     graph.require_loopless()
     form = graph.compiled.anterior_form
     labels, n = form.labels, len(form.labels)
-    component = [0] * n  # by node, its line component as a mask
-    for v in range(n):
-        if not component[v]:
-            mask = sum(1 << w for w in _closure(form.lines, [v]) | {v})
-            for w in _bits(mask):
-                component[w] = mask
-    ant = []  # by node, its anterior set and itself, as labels
-    for v, above in enumerate(form.ancestor_masks):
-        mask = 0
-        for w in _bits(above | 1 << v):
-            mask |= component[w]
-        ant.append(frozenset(labels[w] for w in _bits(mask)))
+    ant = [frozenset(labels[w] for w in _bits(mask)) for mask in form.anterior_masks]
     statements, near = [], [{w for w, *_ in row} for row in form.adjacency]
     for x, y in itertools.combinations(range(n), 2):
         if y not in near[x]:

@@ -16,11 +16,30 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, combine_paths, path_in_graph
 
 DEFAULT_ORACLE_LIMIT = 8
+
+
+def _query_sets(
+    a: Iterable[str], b: Iterable[str], c: Iterable[str], graph: Optional[MixedGraph] = None,
+) -> tuple[set[str], set[str], set[str]]:
+    """A, B and C as sets, once they are non-empty (A and B) and pairwise
+    disjoint and, given a graph, the graph is loopless and has every node;
+    the first unknown label, by sort order, is named."""
+    a, b, c = set(a), set(b), set(c)
+    if not a or not b:
+        raise GraphError("separation queries need non-empty A and B")
+    if not (a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)):
+        raise GraphError("A, B, C must be pairwise disjoint")
+    if graph is not None:
+        graph.require_loopless()
+        nodes = graph.nodes
+        if not (a <= nodes and b <= nodes and c <= nodes):
+            raise GraphError(f"unknown node {min((a | b | c) - nodes)!r}")
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -32,10 +51,7 @@ class SeparationQuery:
     c: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not self.a or not self.b:
-            raise GraphError("separation queries need non-empty A and B")
-        if self.a & self.b or self.a & self.c or self.b & self.c:
-            raise GraphError("A, B, C must be pairwise disjoint")
+        _query_sets(self.a, self.b, self.c)
 
     @staticmethod
     def of(a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> "SeparationQuery":
@@ -61,7 +77,7 @@ def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> Com
 
 
 def _reach(
-    compiled: CompiledGraph, sources: Iterable[int], c: set[int], stop: Container[int] = (),
+    compiled: CompiledGraph, sources: Sequence[int], c: set[int], stop: Collection[int] = (),
 ) -> set[int]:
     """Indices joined to some source by an m-connecting path given C; returns
     as soon as it reaches a node in ``stop``. One pass from all sources is
@@ -78,6 +94,15 @@ def _reach(
     the same way, arriving at v over a tail, so it leaves v over any edge,
     as the path would through an open collider. The bit-parallel walk behind
     ``independence.enumerate_model`` gates by C alone on the same argument.
+    Given a ``stop``, the walk keeps to ant(sources, stop, C), the form's
+    ``anterior_scope``, and drops every state outside it (-1 holds every
+    node). That is exact on
+    an anterior form: a collider of an m-connecting path lies in C or an(C);
+    from a non-collider the path leaves over an edge with no arrowhead there
+    and, since no arrowhead meets a line, keeps going along lines and arrows
+    toward their heads until it reaches a collider or an end, so every node
+    of the path lies in that set, and so does the detour from a collider
+    into C. Without a ``stop`` every reached node is returned.
 
     On any other form a walk may bounce off a line below a collider and fake
     a connection, so the search follows simple paths, the state also
@@ -89,15 +114,16 @@ def _reach(
     """
     if compiled.anterior:
         into, out = compiled.successors
+        scope = compiled.anterior_scope((*sources, *stop, *c)) if stop else -1
         reached: set[int] = set()
         seen: set[int] = set()
         todo = [state for s in sources for state in into[s] + out[s]]
         while todo:
             state = todo.pop()
-            if state in seen:
+            v = state >> 1
+            if state in seen or not scope >> v & 1:
                 continue
             seen.add(state)
-            v = state >> 1
             reached.add(v)
             if v in stop:
                 return reached
@@ -182,13 +208,11 @@ def m_separated(
     an anterior form, every ribbonless graph's, C alone gates the walk, and
     an(C) is computed only for a graph with ribbons (see ``_reach``).
     """
-    query = SeparationQuery.of(a, b, c)
-    _compiled_for(graph, sorted(query.a | query.b | query.c))
+    a, b, c = _query_sets(a, b, c, graph)
     form = _search_form(graph)
     index = form.index
-    targets = {index[n] for n in query.b}
-    sources = [index[n] for n in query.a]
-    found = _reach(form, sources, {index[n] for n in query.c}, stop=targets)
+    targets = {index[n] for n in b}
+    found = _reach(form, [index[n] for n in a], {index[n] for n in c}, stop=targets)
     return found.isdisjoint(targets)
 
 
@@ -254,12 +278,11 @@ def oracle_m_separated(
         raise GraphError(
             f"oracle limit exceeded: {len(graph.nodes)} nodes > {limit}"
         )
-    query = SeparationQuery.of(a, b, c)
-    for i in sorted(query.a):
-        for j in sorted(query.b):
-            _check_pair(graph, i, j, query.c)
+    a, b, c = _query_sets(a, b, c, graph)
+    for i in sorted(a):
+        for j in sorted(b):
             for path in _simple_paths(graph, i, j):
-                if is_m_connecting_path(graph, path, query.c):
+                if is_m_connecting_path(graph, path, c):
                     return False
     return True
 
@@ -309,7 +332,11 @@ def find_m_connecting_path(
     predicate. Deterministic: edges are explored in ``MixedGraph.edges_at``
     order, so the same witness is returned every run. The search runs on the
     graph itself, whatever its class, since a path of the anterior graph
-    need not be a path here. Exponential in the worst case;
+    need not be a path here. On an anterior graph it also prunes every inner
+    node outside ant({x, y} | C), where no m-connecting path goes (see
+    ``_reach``), so the witness is the same; on any other graph a path may
+    leave that set (x -> v -- w <- y), and nothing is pruned. Exponential in
+    the worst case;
     ``m_connecting_path_exists`` answers the yes/no question in linear time
     on anterior graphs, and on ribbonless graphs once their ribbon scan and
     anterior form are built.
@@ -319,8 +346,11 @@ def find_m_connecting_path(
     index = compiled.index
     c_idx = {index[n] for n in c}
     open_colliders = c_idx | compiled.ancestors(c_idx)
+    scope = compiled.anterior_scope((index[x], index[y], *c_idx)) if compiled.anterior else -1
 
     def passes(v: int, head_in: bool, head_out: bool) -> bool:
+        if not scope >> v & 1:
+            return False
         return v in open_colliders if head_in and head_out else v not in c_idx
 
     return next(_admissible_paths(compiled, index[x], index[y], passes), None)

@@ -1,5 +1,6 @@
 """Separation engine vs oracle, witnesses, and the path-combination rules."""
 
+import collections
 import copy
 import itertools
 import random
@@ -27,9 +28,9 @@ from lmgraphs import (
     oracle_m_separated,
     pairwise_model,
 )
-from lmgraphs import independence, structure
+from lmgraphs import independence, separation, structure
 from lmgraphs.graph import CompiledGraph
-from lmgraphs.separation import _reach, _search_form, _simple_paths
+from lmgraphs.separation import _admissible_paths, _reach, _search_form, _simple_paths
 from strategies import lmgs
 
 try:
@@ -625,6 +626,215 @@ class TestCGatedWalk:
             m_separated(ribboned, [x], [y], c)
             m_connecting_path_exists(ribboned, x, y, c)
         assert calls == [ribboned.compiled] * 6
+
+
+def diamond_chain(k):
+    """x -> p -> z with k arrow diamonds hanging off p. Their labels sort
+    before z, so a witness search that does not prune walks all 2**k
+    dead-end paths through them before it tries p -> z."""
+    edges = [("x", "->", "p"), ("p", "->", "z")]
+    top = "p"
+    for i in range(k):
+        a, b, q = f"d{i:02d}a", f"d{i:02d}b", f"d{i:02d}q"
+        edges += [(top, "->", a), (top, "->", b), (a, "->", q), (b, "->", q)]
+        top = q
+    return build_graph(sorted({n for a, _, b in edges for n in (a, b)}), edges)
+
+
+def reference_anteriors(g, v):
+    """ant(v) in g's anterior graph, v left out: a backward search from v
+    over the edges with a tail at the far end, lines and arrows pointing
+    toward v."""
+    star = g.anterior_graph()
+    found, stack = set(), [v]
+    while stack:
+        w = stack.pop()
+        for e in star.edges_at(w):
+            u = e.other(w)
+            if not e.head_at(u) and u not in found:
+                found.add(u)
+                stack.append(u)
+    return found - {v}
+
+
+def unpruned_witness(g, x, y, c):
+    """``find_m_connecting_path`` without its anterior pruning: the same
+    depth-first search, every inner node held to the m-connecting
+    predicate alone."""
+    compiled = g.compiled
+    index = compiled.index
+    c_idx = {index[n] for n in c}
+    open_colliders = c_idx | compiled.ancestors(c_idx)
+
+    def passes(v, head_in, head_out):
+        return v in open_colliders if head_in and head_out else v not in c_idx
+
+    return next(_admissible_paths(compiled, index[x], index[y], passes), None)
+
+
+def confinement_queries(g, rng):
+    """Every singleton query on a graph of up to six nodes, and twelve
+    random set queries on any graph, as (A, B, C)."""
+    nodes = g.node_list()
+    if len(nodes) <= 6:
+        yield from (([x], [y], c) for x, y, c in all_singleton_queries(g))
+    for _ in range(12):
+        pick = rng.sample(nodes, rng.randint(2, len(nodes)))
+        na = rng.randint(1, len(pick) - 1)
+        nb = rng.randint(1, len(pick) - na)
+        yield pick[:na], pick[na:na + nb], pick[na + nb:]
+
+
+def check_confinement(graphs):
+    """The (graph, A, B, C) where the walk lane, confined to ant(A | B | C)
+    because it is given B as ``stop``, answers otherwise than the same lane
+    without ``stop`` or than the path oracle, or reaches a node the
+    unconfined lane does not; and a count of the queries by (answer, whether
+    the confinement left some node out)."""
+    rng = random.Random(8080)
+    mismatches, counts = [], collections.Counter()
+    for g in graphs:
+        form = _search_form(g)
+        index, everything = form.index, (1 << len(form.labels)) - 1
+        for a, b, c in confinement_queries(g, rng):
+            sources, targets, given = [index[n] for n in a], {index[n] for n in b}, {index[n] for n in c}
+            confined, unconfined = _reach(form, sources, given, targets), _reach(form, sources, given)
+            answer = confined.isdisjoint(targets)
+            if (answer != unconfined.isdisjoint(targets) or not confined <= unconfined
+                    or answer != oracle_m_separated(g, a, b, c)):
+                mismatches.append((g, a, b, c))
+            counts[answer, form.anterior_scope([*sources, *targets, *given]) != everything] += 1
+    return mismatches, counts
+
+
+def mask_mismatches(graphs):
+    """Each (graph, node) whose ``anterior_masks`` entry, on the form the
+    separation lanes search, is not the node and its anterior set."""
+    for g in graphs:
+        form = _search_form(g)
+        for v, mask in enumerate(form.anterior_masks):
+            label = form.labels[v]
+            if {form.labels[w] for w in range(len(form.labels)) if mask >> w & 1} != {label} | reference_anteriors(g, label):
+                yield g, label
+
+
+def masks_without_lines(compiled):
+    """A planted fault: each node's ancestors and itself, line components left out."""
+    return tuple(mask | 1 << v for v, mask in enumerate(compiled.ancestor_masks))
+
+
+class TestAnteriorConfinement:
+    """On an anterior form every node of an m-connecting path between A and
+    B given C lies in ant(A | B | C). The walk lane drops every state
+    outside that set when it is given a ``stop``, and the witness search
+    prunes every inner node outside ant({x, y} | C) on an anterior graph.
+    Neither holds on a graph that is not anterior, so the visited-mask lane
+    and the witness search there are never confined."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """Graphs whose search form is anterior: anterior graphs with lines
+        and arcs (the anterior graphs of unconstrained draws), with directed
+        cycles (no lines), and ribbonless graphs that are not anterior,
+        through their anterior forms."""
+        graphs = []
+        for seed in range(2):
+            graphs += [g.anterior_graph() for g in generate_corpus(CorpusSpec(
+                count=100, nodes=(3, 7), p_line=0.2, p_arrow=0.3, p_arc=0.2, p_multi=0.2, seed=8080 + seed,
+            ))]
+            graphs += generate_corpus(CorpusSpec(
+                count=40, nodes=(3, 7), p_line=0.0, p_arrow=0.6, p_arc=0.2, p_multi=0.2, seed=8180 + seed,
+            ))
+            graphs += [g for g in generate_corpus(CorpusSpec(
+                count=100, nodes=(3, 7), p_line=0.25, p_arrow=0.3, p_arc=0.15, p_multi=0.2,
+                constraint="ribbonless", seed=8280 + seed,
+            )) if not g.is_anterior()]
+        forms = [_search_form(g) for g in graphs]
+        assert all(form.anterior for form in forms)
+        assert sum(any(form.lines) and any(form.parents) for form in forms) > 60
+        assert sum(any(form.head_masks[1]) for form in forms) > 60
+        assert sum(bool(form.cyclic) for form in forms) > 30
+        assert sum(not g.is_anterior() for g in graphs) > 60
+        assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 100
+        return graphs
+
+    def test_confined_lane_matches_unconfined_lane_and_oracle(self, corpus):
+        mismatches, counts = check_confinement(corpus)
+        assert mismatches == []
+        assert min(counts[answer, True] for answer in (True, False)) > 1500, counts
+
+    def test_masks_are_anterior_sets(self, corpus):
+        assert next(mask_mismatches(corpus), None) is None
+        for g in corpus[::4]:
+            for v in g.node_list():
+                assert g.anteriors(v) == reference_anteriors(g, v), (g, v)
+
+    def test_masks_without_line_components_are_caught(self, corpus, monkeypatch):
+        monkeypatch.setattr(CompiledGraph, "anterior_masks", property(masks_without_lines))
+        assert next(mask_mismatches(corpus), None) is not None
+        assert check_confinement(corpus)[0]
+
+    def test_witnesses_match_unpruned_search(self, corpus):
+        rng = random.Random(8081)
+        pruned = found = 0
+        for g in corpus:
+            nodes = g.node_list()
+            for x, y in itertools.permutations(nodes, 2):
+                rest = [n for n in nodes if n not in (x, y)]
+                for c in (rest[:0], rest[:1], rng.sample(rest, rng.randint(0, len(rest)))):
+                    expected = unpruned_witness(g, x, y, c)
+                    assert find_m_connecting_path(g, x, y, c) == expected, (g, x, y, c)
+                    found += expected is not None
+                    if g.is_anterior():
+                        scope = g.compiled.anterior_scope(g.compiled.index[n] for n in (x, y, *c))
+                        pruned += scope != (1 << len(nodes)) - 1
+        assert found > 2000 and pruned > 2000
+
+    def test_witness_pruning_needs_an_anterior_graph(self, monkeypatch):
+        # Neither v nor w lies in ant({x, y}), yet x -> v -- w <- y connects
+        # x and y given nothing.
+        g = build_graph(["v", "w", "x", "y"], [("x", "->", "v"), ("v", "--", "w"), ("w", "<-", "y")])
+        assert not g.is_anterior()
+        expected = unpruned_witness(g, "x", "y", [])
+        assert expected.nodes == ("x", "v", "w", "y")
+        assert find_m_connecting_path(g, "x", "y", []) == expected
+        # Planted fault: prune whatever the graph's class.
+        faulty = copy.copy(g.compiled)
+        faulty.anterior = True
+        monkeypatch.setitem(g.__dict__, "compiled", faulty)
+        assert find_m_connecting_path(g, "x", "y", []) != expected
+
+    def test_visited_mask_lane_is_not_confined(self):
+        # README's augmented-graph counterexample: a -> b -- d <-> c
+        # connects a and c given nothing, through b and d, which lie in
+        # neither's anterior set on g's own rows.
+        g = build_graph(["a", "b", "c", "d"], [("a", "->", "b"), ("a", "<->", "d"), ("b", "--", "d"), ("c", "<->", "d")])
+        assert not g.ribbonless and _search_form(g) is g.compiled
+        index = g.compiled.index
+        a, c = index["a"], index["c"]
+        assert not oracle_m_separated(g, ["a"], ["c"], [])
+        assert c in _reach(g.compiled, [a], set(), {c})
+        # Planted fault: the visited-mask lane keeps to the anterior sets
+        # its form's masks give, as the walk lane does.
+        scope = g.compiled.anterior_masks[a] | g.compiled.anterior_masks[c]
+        confined = copy.copy(g.compiled)
+        confined.adjacency = tuple(
+            tuple(entry for entry in row if scope >> entry[0] & 1) for row in g.compiled.adjacency
+        )
+        assert c not in _reach(confined, [a], set(), {c})
+
+    def test_diamond_chain_witness_is_pruned(self, monkeypatch):
+        """A count guard, not a clock: unpruned, the search at k = 16 tries
+        every one of the 2**16 dead-end paths through the diamonds."""
+        g = diamond_chain(16)
+        calls = []
+
+        def counted(compiled, source, target, passes):
+            return _admissible_paths(compiled, source, target, lambda *args: calls.append(args) or passes(*args))
+
+        monkeypatch.setattr(separation, "_admissible_paths", counted)
+        assert find_m_connecting_path(g, "x", "z", []).nodes == ("x", "p", "z")
+        assert len(calls) <= len(g.nodes)
 
 
 class TestCombineMConnecting:
