@@ -218,7 +218,8 @@ class IndependenceModel:
         symmetry-closed model adds mirrors to its membership rows, as
         ``contains`` counts them; otherwise one dict is both. Built from the
         statements on first use, except in the models that
-        ``enumerate_model`` and ``closure`` make, which are their rows."""
+        ``enumerate_model`` and ``closure`` make, which are their rows, and
+        in ``pairwise_model``'s, which builds them from its masks."""
         n = len(self.ground_set)
         mask = {nodes: m for m, nodes in enumerate(_label_sets(sorted(self.ground_set)))}
         raw: dict[int, int] = {}
@@ -337,12 +338,29 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
     return [[reached[y] >> x * size & avoid[y] if x != y else 0 for y in range(n)] for x in range(n)]
 
 
+def _kept_table(graph: MixedGraph) -> tuple[tuple[int, ...], ...]:
+    """``_reach_table(graph)`` as tuples, computed on first use and kept as
+    ``_kept_reach_table`` on the form ``_search_form`` picks, which only
+    this function sets or reads: n * n ints of 2^n bits, for as long as the
+    form lives. Only queries that come back to the same graph object read a
+    kept table; a graph parsed afresh builds its own. Callers pass
+    ``_require_enumerable`` first, so no table is built or read above a node
+    cap or on a graph with loops."""
+    form = _search_form(graph)
+    table = getattr(form, "_kept_reach_table", None)
+    if table is None:
+        table = form._kept_reach_table = tuple(map(tuple, _reach_table(graph)))
+    return table
+
+
 def enumerate_model(
     graph: MixedGraph, singleton_only: bool = False, limit: Optional[int] = None
 ) -> IndependenceModel:
     """The independence model induced by m-separation on ``graph``, as rows.
 
-    One search gives the reach table (see ``_reach_table``). Its complement
+    The graph's kept reach table (see ``_kept_table`` and ``_reach_table``),
+    one search per graph whatever asks for it, under the node cap that
+    ``limit`` or the default sets for this call. Its complement
     at (x, y), masked to the C that avoid x and y, is the singleton row
     (see ``IndependenceModel._rows``) of <x, y | C>. <A, B | C> is stored
     exactly when every x in A and y in B are separated given C, which is
@@ -354,7 +372,7 @@ def enumerate_model(
     model via decomposition and composition. Graphs with loops are refused.
     """
     _require_enumerable(graph, singleton_only, limit)
-    table = _reach_table(graph)
+    table = _kept_table(graph)
     n = len(table)
     full, avoid = (1 << n) - 1, _avoiding(n)
     pair = [[avoid[x] & avoid[y] & ~reach if x != y else 0 for y, reach in enumerate(row)]
@@ -386,20 +404,46 @@ def enumerate_model(
     return IndependenceModel._of_rows(graph.nodes, rows)
 
 
+class _PairwiseModel(IndependenceModel):
+    """A symmetry-closed model of one statement <x, y | C> per triple
+    ``(x, y, C mask)`` over ``labels``, node k being bit k as in ``_rows``,
+    and its mirror. Both orientations are listed as statements, and the
+    rows built, only when first read; the readers of the rows check their
+    node caps first, since a row is 2^n bits wide."""
+
+    def __init__(self, labels: Sequence[str], pairs: list[tuple[int, int, int]]):
+        self.ground_set, self.symmetry_closed = frozenset(labels), True
+        self._labels, self._pairs = labels, pairs
+
+    @functools.cached_property
+    def statements(self) -> frozenset[IndependenceStatement]:
+        labels, listed = self._labels, []
+        for x, y, c in self._pairs:
+            given = [label for label, bit in zip(labels, bin(c)[:1:-1]) if bit == "1"]  # bit k at k
+            s = IndependenceStatement(frozenset((labels[x],)), frozenset((labels[y],)), frozenset(given))
+            listed += (s, s.mirrored())
+        return frozenset(listed)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[dict[int, int], dict[int, int]]:
+        n, rows = len(self._labels), {}
+        for x, y, c in self._pairs:
+            rows[1 << x | 1 << y + n] = rows[1 << y | 1 << x + n] = 1 << c
+        return rows, rows
+
+
 def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     """One statement per non-adjacent pair, conditioned on the union of the
-    pair's anterior sets; mirrored orientations included. Every anterior
-    set is read from the anterior form's ``anterior_masks``."""
+    pair's anterior sets; mirrored orientations included. Each pair is one
+    ``(x, y, C mask)`` triple, C read from the anterior form's
+    ``anterior_masks`` (ant(v) and v): the model lists its statements, and
+    builds its rows, only when they are read. No node cap applies here."""
     graph.require_loopless()
     form = graph.compiled.anterior_form
-    labels, n = form.labels, len(form.labels)
-    ant = [frozenset(labels[w] for w in _bits(mask)) for mask in form.anterior_masks]
-    statements, near = [], [{w for w, *_ in row} for row in form.adjacency]
-    for x, y in itertools.combinations(range(n), 2):
-        if y not in near[x]:
-            s = IndependenceStatement.of([labels[x]], [labels[y]], (ant[x] | ant[y]) - {labels[x], labels[y]})
-            statements.extend([s, s.mirrored()])
-    return IndependenceModel(graph.nodes, statements, symmetry_closed=True)
+    ant, near = form.anterior_masks, [{w for w, *_ in row} for row in form.adjacency]
+    return _PairwiseModel(form.labels, [(x, y, (ant[x] | ant[y]) & ~(1 << x | 1 << y))
+                                        for x, y in itertools.combinations(range(len(ant)), 2)
+                                        if y not in near[x]])
 
 
 # -- axiom checking -----------------------------------------------------------
@@ -633,7 +677,9 @@ def satisfies_pairwise(model: IndependenceModel, graph: MixedGraph) -> MarkovChe
 def satisfies_global(
     model: IndependenceModel, graph: MixedGraph, limit: Optional[int] = None
 ) -> MarkovCheck:
-    """Does the model contain everything m-separation derives on the graph?"""
+    """Does the model contain everything m-separation derives on the graph?
+    The induced model comes from ``enumerate_model``, so from the graph's
+    kept reach table, under that function's node cap or ``limit``."""
     _require_shared_ground(model, graph)
     induced = enumerate_model(graph, limit=limit).sorted_statements()
     missing = next((s for s in induced if s not in model), None)
@@ -656,22 +702,24 @@ def markov_equivalent(g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = Non
 
     Two graphs over one node set induce the same singleton model exactly
     when their reach tables (see ``_reach_table``) agree, so one search per
-    graph decides. ``limit`` caps the node count as for a singleton
-    ``enumerate_model``; graphs with loops are refused."""
+    graph decides, and none once a graph's table is kept (``_kept_table``).
+    ``limit`` caps the node count as for a singleton ``enumerate_model``,
+    checked on every call; graphs with loops are refused."""
     return _counterexample(g1, g2, limit) is None
 
 
 def _counterexample(g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = None) -> Optional[tuple]:
     """None when two graphs over one node set are Markov equivalent, else
     the smallest singleton statement, by sort key, that holds in just one of
-    them, and whether that is g1. Read from one reach table per graph: the
+    them, and whether that is g1. Read from each graph's kept reach table
+    (see ``_kept_table``), once both pass the cap and the loop check: the
     first (x, y) by index whose masks differ, and there the smallest C by
     its sorted nodes; the statement holds in g1 when g1 does not join x, y."""
     if g1.nodes != g2.nodes:
         raise GraphError("graphs are over different node sets")
     _require_enumerable(g1, True, limit)
     _require_enumerable(g2, True, limit)
-    t1, t2 = _reach_table(g1), _reach_table(g2)
+    t1, t2 = _kept_table(g1), _kept_table(g2)
     if t1 == t2:
         return None
     n, labels = len(t1), g1.compiled.labels

@@ -1,6 +1,8 @@
 """Independence models: axioms, closures, Markov properties, equivalence."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from lmgraphs import (
     GraphError,
     IndependenceModel,
     IndependenceStatement,
+    MixedGraph,
     SEMI_GRAPHOID,
     build_graph,
     check_axiom,
@@ -29,6 +32,7 @@ from lmgraphs import (
     satisfies_global,
     satisfies_pairwise,
 )
+from lmgraphs import independence
 
 S = IndependenceStatement.of
 
@@ -274,6 +278,88 @@ class TestPairwiseModel:
         ):
             expected |= {s, s.mirrored()}
         assert pw.statements == expected
+
+
+def eager_pairwise(g):
+    """The pairwise statements as they used to be built, one validated
+    statement and its mirror per non-adjacent pair."""
+    statements = set()
+    for x, y in itertools.combinations(g.node_list(), 2):
+        if not g.adjacent(x, y):
+            s = S([x], [y], (g.anteriors(x) | g.anteriors(y)) - {x, y})
+            statements |= {s, s.mirrored()}
+    return frozenset(statements)
+
+
+def pairwise_faults(graphs):
+    """Each graph whose mask-built pairwise model differs from
+    ``eager_pairwise``: in its rows (up to 6 nodes) or in its statements,
+    which must also pass validation."""
+    for g in graphs:
+        pw, expected = pairwise_model(g), eager_pairwise(g)
+        if len(g.nodes) <= 6 and pw._rows != IndependenceModel(g.nodes, expected, True)._rows:
+            yield g
+            continue
+        try:
+            if pw.statements != expected:
+                yield g
+        except GraphError:
+            yield g
+
+
+class TestMaskBuiltPairwiseModel:
+    def test_statements_and_rows_match_eager_build(self, figures, lmg_corpus, maximal_rg_corpus, bidirected_corpus):
+        graphs = [*figures.values(), *lmg_corpus, *maximal_rg_corpus, *bidirected_corpus]
+        assert next(pairwise_faults(graphs), None) is None
+        for g in graphs:
+            pw = pairwise_model(g)
+            assert len(pw) == len(eager_pairwise(g)) and pw.symmetry_closed
+            assert pw == IndependenceModel(g.nodes, pw.statements, True)
+            if len(g.nodes) <= 6:
+                assert pw._rows == IndependenceModel(g.nodes, pw.statements, True)._rows
+            assert pw.sorted_statements() == sorted(eager_pairwise(g), key=IndependenceStatement.sort_key)
+            for s in eager_pairwise(g):
+                assert s in pw and pw.contains(s.a, s.b, s.c)
+
+    @pytest.mark.parametrize("fault", ["one orientation dropped", "x in its own C"])
+    def test_planted_fault_is_caught(self, lmg_corpus, monkeypatch, fault):
+        real = independence._PairwiseModel
+
+        class Planted(real):
+            if fault == "one orientation dropped":
+                @functools.cached_property
+                def statements(self):
+                    return frozenset(s for s in real.statements.func(self) if min(s.a) < min(s.b))
+
+                @functools.cached_property
+                def _rows(self):
+                    full = (1 << len(self._labels)) - 1
+                    rows = {k: r for k, r in real._rows.func(self)[1].items() if k & full < k >> len(self._labels)}
+                    return rows, rows
+            else:
+                def __init__(self, labels, pairs):
+                    super().__init__(labels, [(x, y, c | 1 << x) for x, y, c in pairs])
+
+        monkeypatch.setattr(independence, "_PairwiseModel", Planted)
+        assert next(pairwise_faults(lmg_corpus), None) is not None
+        # over 6 nodes only the statements are compared
+        wide = [MixedGraph(g.node_list() + [f"z{k}" for k in range(5)], g.edges) for g in lmg_corpus[:20]]
+        assert next(pairwise_faults(wide), None) is not None
+
+    def test_no_statement_before_it_is_read(self, monkeypatch):
+        rng = random.Random(200)
+        nodes = [f"v{k:03d}" for k in range(200)]
+        edges = set()
+        while len(edges) < 300:
+            x, y = rng.sample(nodes, 2)
+            edges.add((x, rng.choice(["--", "->", "<->"]), y))
+        g = build_graph(nodes, sorted(edges))
+        built = []
+        real = IndependenceStatement.__post_init__
+        monkeypatch.setattr(IndependenceStatement, "__post_init__", lambda s: built.append(s) or real(s))
+        pw = pairwise_model(g)
+        assert built == []
+        assert len(pw.statements) == len(built) > 30000
 
 
 class TestMarkovProperties:

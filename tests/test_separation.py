@@ -16,6 +16,7 @@ from lmgraphs import (
     IndependenceStatement,
     MixedGraph,
     build_graph,
+    check_axioms,
     combine_m_connecting,
     enumerate_model,
     find_m_connecting_path,
@@ -27,6 +28,7 @@ from lmgraphs import (
     markov_equivalent,
     oracle_m_separated,
     pairwise_model,
+    satisfies_global,
 )
 from lmgraphs import independence, separation, structure
 from lmgraphs.graph import CompiledGraph
@@ -529,6 +531,104 @@ class TestReachRows:
         if any(independence._reach_table(g) != oracle_rows(g) for g in ribboned):
             caught.add(False)
         assert caught == lanes
+
+
+    # The kept table: one per search form, read by every model query.
+
+    def test_kept_table_equals_a_fresh_one(self, corpus, ribboned):
+        for g in corpus + ribboned:
+            kept = independence._kept_table(g)
+            assert kept is _search_form(g)._kept_reach_table is independence._kept_table(g)
+            assert kept == tuple(map(tuple, independence._reach_table(g))), g
+
+    def test_one_table_per_form(self, monkeypatch):
+        # Fresh graphs, one per lane: anterior, ribbonless but not anterior
+        # (with its anterior graph as a second form), and with ribbons.
+        anterior = build_graph(["a", "b", "c", "d"], [("a", "->", "b"), ("c", "<->", "b"), ("c", "->", "d")])
+        ribbonless = build_graph(["i", "j", "k", "l", "m"], [
+            ("i", "->", "j"), ("j", "--", "k"), ("k", "<-", "l"), ("l", "<->", "m"), ("i", "->", "m")])
+        ribbon = build_graph(["h", "i", "j", "k", "m"], [
+            ("h", "->", "i"), ("j", "->", "i"), ("i", "--", "k"), ("k", "->", "m")])
+        star = ribbonless.anterior_graph()
+        assert anterior.is_anterior() and not ribbonless.is_anterior() and ribbonless.ribbonless
+        assert not ribbon.ribbonless
+        built = []
+        real = independence._reach_table
+        monkeypatch.setattr(independence, "_reach_table", lambda g: built.append(_search_form(g)) or real(g))
+        for g, partner in ((anterior, anterior), (ribbonless, star), (ribbon, ribbon)):
+            for _ in range(2):
+                enumerate_model(g)
+                enumerate_model(g, singleton_only=True)
+                check_axioms(enumerate_model(g))
+                assert markov_equivalent(g, partner)
+                assert satisfies_global(enumerate_model(g), g)
+        forms = [_search_form(g) for g in (anterior, ribbonless, star, ribbon)]
+        assert [id(form) for form in built] == [id(form) for form in forms]
+
+    def test_kept_table_keeps_the_caps(self):
+        g = build_graph([f"v{k}" for k in range(6)], [(f"v{k}", "<->", f"v{k + 1}") for k in range(5)])
+        enumerate_model(g)
+        assert _search_form(g)._kept_reach_table is not None
+        for query in (lambda: enumerate_model(g, limit=5),
+                      lambda: enumerate_model(g, singleton_only=True, limit=5),
+                      lambda: markov_equivalent(g, g, limit=5),
+                      lambda: satisfies_global(enumerate_model(g), g, limit=5)):
+            with pytest.raises(GraphError, match="enumeration limit exceeded: 6 nodes > 5"):
+                query()
+
+    @pytest.fixture(scope="class")
+    def equivalence_pairs(self):
+        """Seeded pairs over one label set, each graph with its singleton
+        model from the path oracle's rows: consecutive graphs of one size,
+        a graph with a fresh copy of itself, and a ribbonless graph with its
+        anterior graph."""
+        graphs = generate_corpus(CorpusSpec(count=90, nodes=(3, 5), p_multi=0.2, seed=6060))
+        pairs = []
+        for n in range(3, 6):
+            sized = [g for g in graphs if len(g.nodes) == n]
+            pairs += zip(sized, sized[1:])
+        pairs += [(g, MixedGraph(g.node_list(), g.edges)) for g in graphs[::3]]
+        pairs += [(g, g.anterior_graph()) for g in graphs if g.ribbonless and not g.is_anterior()]
+        oracle = {}
+        for g in (g for pair in pairs for g in pair):
+            if id(g) not in oracle:
+                oracle[id(g)] = rows_model(g, oracle_rows(g))
+        return [(g, h, oracle[id(g)] == oracle[id(h)]) for g, h in pairs]
+
+    @staticmethod
+    def equivalence_mismatches(pairs):
+        return [(g, h) for g, h, same in pairs if markov_equivalent(g, h) != same]
+
+    def test_equivalence_matches_oracle_models(self, equivalence_pairs):
+        outcomes = collections.Counter(same for *_, same in equivalence_pairs)
+        assert outcomes[True] > 30 and outcomes[False] > 30
+        assert self.equivalence_mismatches(equivalence_pairs) == []
+
+    def test_table_shared_by_labels_is_caught(self, equivalence_pairs, monkeypatch):
+        by_labels = {}
+
+        def shared(graph):
+            key = tuple(graph.compiled.labels)
+            if key not in by_labels:
+                by_labels[key] = tuple(map(tuple, independence._reach_table(graph)))
+            return by_labels[key]
+
+        monkeypatch.setattr(independence, "_kept_table", shared)
+        assert self.equivalence_mismatches(equivalence_pairs)
+
+    def test_plain_table_keeps_nothing(self, corpus, ribboned, monkeypatch):
+        # The planted-fault tests above call _reach_table on shared fixture
+        # graphs with _reach and _gate_patterns monkeypatched; no table they
+        # compute may be kept, or later readers would see the fault.
+        graphs = corpus + ribboned + [build_graph(["a", "b", "c"], [("a", "->", "b"), ("b", "--", "c")])]
+        before = [getattr(_search_form(g), "_kept_reach_table", None) for g in graphs]
+        real_gates = independence._gate_patterns
+        monkeypatch.setattr(independence, "_gate_patterns", lambda n: tuple((-1, out) for _, out in real_gates(n)))
+        monkeypatch.setattr(independence, "_reach", lambda form, sources, c, stop=(): set())
+        for g in graphs:
+            independence._reach_table(g)
+        assert all(getattr(_search_form(g), "_kept_reach_table", None) is kept for g, kept in zip(graphs, before))
+        assert before[-1] is None
 
 
 class TestCGatedWalk:
