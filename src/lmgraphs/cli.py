@@ -15,7 +15,7 @@ import sys
 from typing import Any, Optional
 
 from .corpus import CONSTRAINTS, CorpusSpec, generate_corpus
-from .graph import GraphError, MixedGraph
+from .graph import MixedGraph
 from .independence import (
     AXIOM_SETS,
     IndependenceModel,
@@ -117,8 +117,10 @@ def _cmd_msep(args) -> tuple[int, Report]:
         if len(a) * len(b) > 1:  # one pair is the connected one already
             pairs = (pair for pair in pairs if m_connecting_path_exists(graph, *pair, c))
         x, y = next(pairs)
-        path = str(find_m_connecting_path(graph, x, y, c))
-        rep.witness(path, [f"witness: {path}"])
+        path = find_m_connecting_path(graph, x, y, c)
+        if path is None:
+            raise RuntimeError(f"no witness path found for the connected pair {x}, {y}")
+        rep.witness(str(path), [f"witness: {path}"])
     return (OK if separated else NO), rep
 
 
@@ -249,9 +251,8 @@ def _cmd_axioms(args) -> tuple[int, Report]:
     source = getattr(args, "from")
     if args.check_contains:
         target = parse_statement(args.check_contains)
-        unknown = sorted((target.a | target.b | target.c) - graph.nodes)
-        if unknown:  # a model over the graph would read a foreign label as "no"
-            raise GraphError(f"unknown node {unknown[0]!r}")
+        # A model over the graph would read a foreign label as "no".
+        graph._require(*target.a, *target.b, *target.c)
         closed = closure(_base_model(graph, args), AXIOM_SETS[args.set], limit=args.limit)
         contained = target in closed
         query = {"command": "closure-contains", "statement": format_statement(target),

@@ -493,14 +493,18 @@ class MixedGraph:
     def adjacent(self, u: str, v: str) -> bool:
         return u != v and bool(self.edges_between(u, v))
 
-    def _require(self, node: str) -> None:
-        if node not in self._nodes:
-            raise GraphError(f"unknown node {node!r}")
+    def _require(self, *labels: str) -> Iterator[int]:
+        """The labels' indices in the compiled form, in order and read on
+        demand, once every label is a node. Every query checks its labels
+        here, and the smallest unknown one is named, whatever order a set
+        iterates in."""
+        if not self._nodes.issuperset(labels):
+            raise GraphError(f"unknown node {min(set(labels) - self._nodes)!r}")
+        return map(self.compiled.index.__getitem__, labels)
 
     def _position(self, node: str) -> int:
         """Index of a known node in the compiled form."""
-        self._require(node)
-        return self.compiled.index[node]
+        return next(self._require(node))
 
     def _row(self, node: str) -> tuple[tuple[int, bool, bool, Edge], ...]:
         """The compiled adjacency row of a known node."""
@@ -560,13 +564,13 @@ class MixedGraph:
         A target is excluded from the result unless it lies on a directed
         cycle back to itself.
         """
-        found = self.compiled.ancestors([self._position(t) for t in targets])
+        found = self.compiled.ancestors(self._require(*targets))
         return {self.compiled.labels[v] for v in found}
 
     def descendants(self, sources: Iterable[str]) -> set[str]:
         """Union of de(i) over the sources, excluding a source unless it lies
         on a directed cycle back to itself."""
-        found = self.compiled.descendants([self._position(s) for s in sources])
+        found = self.compiled.descendants(self._require(*sources))
         return {self.compiled.labels[v] for v in found}
 
     def on_directed_cycle(self, node: str) -> bool:
@@ -617,10 +621,9 @@ class MixedGraph:
         path of lines followed by arrows. The node itself is never included.
         Read from the kept compiled anterior form's ``anterior_masks``.
         """
-        self._require(node)
+        start = self._position(node)
         self.require_loopless()
         form = self.compiled.anterior_form
-        start = form.index[node]
         return {form.labels[v] for v in _bits(form.anterior_masks[start] & ~(1 << start))}
 
     # -- structural identity ----------------------------------------------

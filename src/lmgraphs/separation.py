@@ -15,7 +15,6 @@ is a bug.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, combine_paths, path_in_graph
@@ -24,56 +23,34 @@ DEFAULT_ORACLE_LIMIT = 8
 
 
 def _query_sets(
-    a: Iterable[str], b: Iterable[str], c: Iterable[str], graph: Optional[MixedGraph] = None,
+    graph: MixedGraph, a: Iterable[str], b: Iterable[str], c: Iterable[str]
 ) -> tuple[set[str], set[str], set[str]]:
-    """A, B and C as sets, once they are non-empty (A and B) and pairwise
-    disjoint and, given a graph, the graph is loopless and has every node;
-    the first unknown label, by sort order, is named."""
+    """A, B and C as sets, once A and B are non-empty, the three are pairwise
+    disjoint, the graph is loopless and every label is a node."""
     a, b, c = set(a), set(b), set(c)
     if not a or not b:
         raise GraphError("separation queries need non-empty A and B")
     if not (a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)):
         raise GraphError("A, B, C must be pairwise disjoint")
-    if graph is not None:
-        graph.require_loopless()
-        nodes = graph.nodes
-        if not (a <= nodes and b <= nodes and c <= nodes):
-            raise GraphError(f"unknown node {min((a | b | c) - nodes)!r}")
+    graph.require_loopless()
+    if not (a <= graph.nodes and b <= graph.nodes and c <= graph.nodes):
+        graph._require(*a, *b, *c)  # names the smallest unknown label
     return a, b, c
 
 
-@dataclass(frozen=True)
-class SeparationQuery:
-    """An ordered query <A, B | C> over pairwise disjoint node sets."""
-
-    a: frozenset[str]
-    b: frozenset[str]
-    c: frozenset[str]
-
-    def __post_init__(self) -> None:
-        _query_sets(self.a, self.b, self.c)
-
-    @staticmethod
-    def of(a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> "SeparationQuery":
-        return SeparationQuery(frozenset(a), frozenset(b), frozenset(c))
-
-
-def _compiled_for(graph: MixedGraph, nodes: Iterable[str]) -> CompiledGraph:
-    """The compiled graph, once the graph is loopless and has every node."""
+def _pair(
+    graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
+) -> tuple[CompiledGraph, int, int, set[int]]:
+    """The compiled graph and the indices of x, y and C, once the graph is
+    loopless, every label is a node, x and y differ and C holds neither."""
+    c = set(given)
     graph.require_loopless()
-    for n in nodes:
-        if n not in graph.nodes:
-            raise GraphError(f"unknown node {n!r}")
-    return graph.compiled
-
-
-def _check_pair(graph: MixedGraph, x: str, y: str, given: frozenset[str]) -> CompiledGraph:
-    compiled = _compiled_for(graph, (x, y, *given))
+    source, target, *c_idx = graph._require(x, y, *c)
     if x == y:
-        raise GraphError("endpoints of a separation query must differ")
-    if x in given or y in given:
+        raise GraphError("endpoints must differ")
+    if x in c or y in c:
         raise GraphError("query endpoints may not appear in the conditioning set")
-    return compiled
+    return graph.compiled, source, target, set(c_idx)
 
 
 def _reach(
@@ -173,15 +150,12 @@ def _search_form(graph: MixedGraph) -> CompiledGraph:
     return compiled.anterior_form if not compiled.anterior and graph.ribbonless else compiled
 
 
-def _m_reachable(
-    graph: MixedGraph, x: str, c: frozenset[str], stop_at: Optional[str] = None
-) -> set[str]:
+def _m_reachable(graph: MixedGraph, x: str, c: frozenset[str]) -> set[str]:
     """All nodes joined to x by an m-connecting path given C, by one
     ``_reach`` on the form ``_search_form`` picks."""
     form = _search_form(graph)
     index = form.index
-    stop = () if stop_at is None else (index[stop_at],)
-    found = _reach(form, [index[x]], {index[n] for n in c}, stop=stop)
+    found = _reach(form, [index[x]], {index[n] for n in c})
     return {form.labels[v] for v in found}
 
 
@@ -189,9 +163,8 @@ def m_connecting_path_exists(
     graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
 ) -> bool:
     """Reachability engine: is there an m-connecting path from x to y given C?"""
-    c = frozenset(given)
-    _check_pair(graph, x, y, c)
-    return y in _m_reachable(graph, x, c, stop_at=y)
+    _, source, target, c = _pair(graph, x, y, given)
+    return target in _reach(_search_form(graph), [source], c, stop=(target,))
 
 
 def m_separated(
@@ -208,7 +181,7 @@ def m_separated(
     an anterior form, every ribbonless graph's, C alone gates the walk, and
     an(C) is computed only for a graph with ribbons (see ``_reach``).
     """
-    a, b, c = _query_sets(a, b, c, graph)
+    a, b, c = _query_sets(graph, a, b, c)
     form = _search_form(graph)
     index = form.index
     targets = {index[n] for n in b}
@@ -278,7 +251,7 @@ def oracle_m_separated(
         raise GraphError(
             f"oracle limit exceeded: {len(graph.nodes)} nodes > {limit}"
         )
-    a, b, c = _query_sets(a, b, c, graph)
+    a, b, c = _query_sets(graph, a, b, c)
     for i in sorted(a):
         for j in sorted(b):
             for path in _simple_paths(graph, i, j):
@@ -341,19 +314,16 @@ def find_m_connecting_path(
     on anterior graphs, and on ribbonless graphs once their ribbon scan and
     anterior form are built.
     """
-    c = frozenset(given)
-    compiled = _check_pair(graph, x, y, c)
-    index = compiled.index
-    c_idx = {index[n] for n in c}
+    compiled, source, target, c_idx = _pair(graph, x, y, given)
     open_colliders = c_idx | compiled.ancestors(c_idx)
-    scope = compiled.anterior_scope((index[x], index[y], *c_idx)) if compiled.anterior else -1
+    scope = compiled.anterior_scope((source, target, *c_idx)) if compiled.anterior else -1
 
     def passes(v: int, head_in: bool, head_out: bool) -> bool:
         if not scope >> v & 1:
             return False
         return v in open_colliders if head_in and head_out else v not in c_idx
 
-    return next(_admissible_paths(compiled, index[x], index[y], passes), None)
+    return next(_admissible_paths(compiled, source, target, passes), None)
 
 
 def combine_m_connecting(

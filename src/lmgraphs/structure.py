@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path
-from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _compiled_for, m_separated
+from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _bits
+from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
 
 
 class RibbonFlavor(Enum):
@@ -60,11 +60,10 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
             flavor, witness = RibbonFlavor.CYCLIC, (own if own < 2 * n else low) - n
         else:
             continue
+        # ``incident`` follows the row, sorted by neighbour, so h <= j.
         for (h, head_h, e1), (j, head_j, e2) in itertools.combinations(incident, 2):
             if h == j:
                 continue
-            if h > j:
-                h, head_h, e1, j, head_j, e2 = j, head_j, e2, h, head_h, e1
             signature = (h, inner, j, head_h, head_j)
             if signature in found or (j, head_h, head_j) in (w[:3] for w in rows[h]):
                 continue
@@ -108,18 +107,11 @@ def find_primitive_inducing_paths(
     with inner nodes confined to ``_inducing_live``'s arc components: they
     hold every inner node of every such path, so none is lost.
     """
-    compiled, source, target = _endpoints(graph, x, y)
+    compiled, source, target, _ = _pair(graph, x, y)
     if limit is not None and limit < 1:
         raise GraphError(f"limit must be at least 1, got {limit}")
     passes = _colliders_in(_inducing_live(compiled, source, target))
     return list(itertools.islice(_admissible_paths(compiled, source, target, passes), limit))
-
-
-def _endpoints(graph: MixedGraph, x: str, y: str) -> tuple[CompiledGraph, int, int]:
-    compiled = _compiled_for(graph, (x, y))
-    if x == y:
-        raise GraphError("endpoints must differ")
-    return compiled, compiled.index[x], compiled.index[y]
 
 
 def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
@@ -214,7 +206,8 @@ def oracle_is_maximal(graph: MixedGraph, limit: int = DEFAULT_ORACLE_LIMIT) -> b
 
 
 def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
-    """The anterior-set separator (ant(x) | ant(y)) minus the pair itself.
+    """The anterior-set separator (ant(x) | ant(y)) minus the pair itself,
+    read from the anterior form's ``anterior_masks`` as in ``pairwise_model``.
 
     Guaranteed to m-separate x and y on a ribbonless graph when they are
     non-adjacent and no primitive inducing path joins them. All three
@@ -222,15 +215,16 @@ def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
     components, with no path search; on a graph with ribbons the set can
     fail to separate (fig4a's h and j), so such a graph is refused.
     """
-    graph.require_loopless()
     _require_ribbonless(graph, "pairwise separator")
-    if graph.adjacent(x, y):
+    compiled, i, j, _ = _pair(graph, x, y)
+    if any(w == j for w, *_ in compiled.adjacency[i]):
         raise GraphError(f"{x!r} and {y!r} are adjacent")
-    if _inducing_live(*_endpoints(graph, x, y)):
+    if _inducing_live(compiled, i, j):
         raise GraphError(
             f"a primitive inducing path joins {x!r} and {y!r}; no separator exists"
         )
-    return (graph.anteriors(x) | graph.anteriors(y)) - {x, y}
+    ant = compiled.anterior_form.anterior_masks
+    return {compiled.labels[v] for v in _bits((ant[i] | ant[j]) & ~(1 << i | 1 << j))}
 
 
 def maximalize(graph: MixedGraph) -> MixedGraph:

@@ -122,6 +122,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "internal: RuntimeError" in err
 
+    def test_connected_pair_without_a_witness_exits_two_not_one(self, capsys, monkeypatch):
+        # "connected" with no witness path is a fault: printing
+        # "witness: None" would pass it off as an answer.
+        import lmgraphs.cli as cli
+
+        monkeypatch.setattr(cli, "find_m_connecting_path", lambda graph, x, y, given: None)
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "msep", figure_path("fig3"), "--a", "i", "--b", "k", "--format", fmt)
+            assert code == 2 and out == ""
+            assert err.startswith("error: internal: RuntimeError")
+
     def test_closure_limit_applies_unless_overridden(self, capsys, tmp_path):
         path = tmp_path / "bipath7.lmg"
         labels = "abcdefg"

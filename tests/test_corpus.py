@@ -73,6 +73,8 @@ def test_invalid_specs_rejected():
         CorpusSpec(count=1, nodes=(5, 3))
     with pytest.raises(GraphError, match="constraint"):
         CorpusSpec(count=1, nodes=(2, 3), constraint="acyclic")
+    with pytest.raises(GraphError, match="count must be non-negative"):
+        CorpusSpec(count=-1, nodes=(2, 3))
 
 
 def test_rejection_budget_reports_acceptance_rate():

@@ -3,11 +3,17 @@
 import collections
 import copy
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+import lmgraphs
+from conftest import figure_path
 from lmgraphs import (
     CorpusSpec,
     EdgeKind,
@@ -98,6 +104,39 @@ def all_singleton_queries(g):
                 yield x, y, frozenset(c)
 
 
+UNKNOWN_LABEL_ENTRY_POINTS = (
+    "m_separated", "m_connecting_path_exists", "find_m_connecting_path", "ancestors",
+    "descendants", "is_m_connecting_path", "find_primitive_inducing_paths",
+)
+
+# Calls each entry point with unknown labels on the graph file argv[1] and
+# prints the error each raises.
+UNKNOWN_LABELS = """
+import sys
+import lmgraphs as lm
+
+g = lm.load_graph(sys.argv[1])
+unknown = {"zz", "yy", "xx", "ww"}
+path = lm.make_path(g, ["i", "h", "j"])
+calls = {
+    "m_separated": lambda: lm.m_separated(g, ["i"], ["j"], unknown),
+    "m_connecting_path_exists": lambda: lm.m_connecting_path_exists(g, "i", "j", unknown),
+    "find_m_connecting_path": lambda: lm.find_m_connecting_path(g, "i", "j", unknown),
+    "ancestors": lambda: g.ancestors(unknown),
+    "descendants": lambda: g.descendants(unknown),
+    "is_m_connecting_path": lambda: lm.is_m_connecting_path(g, path, unknown),
+    "find_primitive_inducing_paths": lambda: lm.find_primitive_inducing_paths(g, "zz", "ww"),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except lm.GraphError as exc:
+        print(f"{name}: {exc}")
+    else:
+        print(f"{name}: accepted")
+"""
+
+
 class TestEngineOnFigures:
     def test_fig3_connected_given_l(self, figures):
         g = figures["fig3"]
@@ -141,6 +180,22 @@ class TestEngineOnFigures:
             m_separated(g, ["i"], ["i"], [])
         with pytest.raises(GraphError, match="non-empty"):
             m_separated(g, [], ["i"], [])
+
+    def test_unknown_label_does_not_depend_on_the_hash_seed(self):
+        # Every entry point names the smallest unknown label. A set of
+        # labels iterates in an order that the hash seed picks, so each seed
+        # runs in its own interpreter; under seeds 1, 2, 5 and 6 the set of
+        # the four unknown labels iterates from ww, xx, yy and zz first.
+        src = pathlib.Path(lmgraphs.__file__).resolve().parents[1]
+        for seed in ("1", "2", "5", "6"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            done = subprocess.run(
+                [sys.executable, "-c", UNKNOWN_LABELS, figure_path("fig3")],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            assert done.stdout.splitlines() == [
+                f"{name}: unknown node 'ww'" for name in UNKNOWN_LABEL_ENTRY_POINTS
+            ], f"PYTHONHASHSEED={seed}"
 
     def test_oracle_refuses_large_graphs(self):
         labels = [f"n{k}" for k in range(9)]

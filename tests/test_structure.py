@@ -164,6 +164,12 @@ class TestMaximality:
         with pytest.raises(GraphError, match="ribbonless"):
             is_maximal(figures["fig4a"])
 
+    def test_oracle_refuses_large_graphs(self):
+        g = build_graph([f"n{k}" for k in range(9)], [])
+        with pytest.raises(GraphError, match="oracle limit exceeded: 9 nodes > 8"):
+            oracle_is_maximal(g)
+        assert oracle_is_maximal(g, limit=9)
+
     def test_matches_oracle_on_corpus_sample(self, rg_corpus):
         for g in rg_corpus[:60]:
             assert is_maximal(g) == oracle_is_maximal(g)
