@@ -21,6 +21,11 @@ class GraphError(ValueError):
     """Raised for malformed graphs, unknown nodes, or violated preconditions."""
 
 
+def _unknown_node(labels: Iterable[str], known: frozenset[str]) -> GraphError:
+    """The error for labels not all in ``known``: it names the smallest."""
+    return GraphError(f"unknown node {min(set(labels) - known)!r}")
+
+
 class Mark(Enum):
     TAIL = "tail"
     HEAD = "head"
@@ -495,11 +500,10 @@ class MixedGraph:
 
     def _require(self, *labels: str) -> Iterator[int]:
         """The labels' indices in the compiled form, in order and read on
-        demand, once every label is a node. Every query checks its labels
-        here, and the smallest unknown one is named, whatever order a set
-        iterates in."""
+        demand, once every label is a node. Every graph query checks its
+        labels here; ``_unknown_node`` names the smallest unknown one."""
         if not self._nodes.issuperset(labels):
-            raise GraphError(f"unknown node {min(set(labels) - self._nodes)!r}")
+            raise _unknown_node(labels, self._nodes)
         return map(self.compiled.index.__getitem__, labels)
 
     def _position(self, node: str) -> int:

@@ -17,9 +17,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import GraphError, MixedGraph, _bits
+from .graph import GraphError, MixedGraph, _bits, _unknown_node
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -131,10 +131,10 @@ def parse_statement(text: str) -> IndependenceStatement:
 class IndependenceModel:
     """An explicit independence model over a finite ground set.
 
-    ``symmetry_closed`` marks models built to contain both orientations of
-    every statement; membership queries on such models normalize orientation.
-    Raw models keep orientation significant so that the symmetry axiom itself
-    stays falsifiable.
+    ``symmetry_closed`` adds the mirror of every given statement, so the
+    model stores, and every reader sees, both orientations. Raw models store
+    only what they are given, so that the symmetry axiom itself stays
+    falsifiable.
     """
 
     def __init__(
@@ -145,6 +145,8 @@ class IndependenceModel:
     ):
         self.ground_set = frozenset(ground_set)
         stmts = frozenset(statements)
+        if symmetry_closed:
+            stmts |= {s.mirrored() for s in stmts}
         for s in stmts:
             if not (s.a | s.b | s.c) <= self.ground_set:
                 raise GraphError(f"statement {s} leaves the ground set")
@@ -153,11 +155,11 @@ class IndependenceModel:
 
     @classmethod
     def _of_rows(cls, ground_set: Iterable[str], rows: dict[int, int], symmetry_closed: bool = False):
-        """The model whose raw rows (see ``_rows``) are ``rows``, symmetric
+        """The model whose rows (see ``_rows``) are ``rows``, both orientations
         if ``symmetry_closed``; its statements are listed when first read."""
         model = cls.__new__(cls)
         model.ground_set, model.symmetry_closed = frozenset(ground_set), symmetry_closed
-        model._rows = rows, rows
+        model._rows = rows
         return model
 
     @functools.cached_property
@@ -165,19 +167,20 @@ class IndependenceModel:
         """The stored statements; a model built from rows lists them here."""
         n, sets = len(self.ground_set), _label_sets(sorted(self.ground_set))
         return frozenset(IndependenceStatement(sets[key & ((1 << n) - 1)], sets[key >> n], sets[c])
-                         for key, row in self._rows[1].items() for c in _bits(row))
+                         for key, row in self._rows.items() for c in _bits(row))
 
     def contains(
         self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()
     ) -> bool:
-        """Membership, counting implicit empty-side statements as present."""
+        """Membership, empty sides counting as present; foreign labels are refused."""
         fa, fb, fc = frozenset(a), frozenset(b), frozenset(c)
+        if not self.ground_set.issuperset(fa | fb | fc):
+            raise _unknown_node(fa | fb | fc, self.ground_set)
         if not fa or not fb:
             return True
         if fa & fb or fa & fc or fb & fc:
             return False
-        s = IndependenceStatement(fa, fb, fc)
-        return s in self.statements or self.symmetry_closed and s.mirrored() in self.statements
+        return IndependenceStatement(fa, fb, fc) in self.statements
 
     def __contains__(self, statement: IndependenceStatement) -> bool:
         return self.contains(statement.a, statement.b, statement.c)
@@ -211,28 +214,20 @@ class IndependenceModel:
         )
 
     @functools.cached_property
-    def _rows(self) -> tuple[dict[int, int], dict[int, int]]:
-        """The statements as rows (membership, raw), node k of the sorted
-        ground set being bit k: the row at ``a | b << n`` has bit c set when
-        <A, B | C> is stored, so a row is 2^n bits wide, and no row is 0. A
-        symmetry-closed model adds mirrors to its membership rows, as
-        ``contains`` counts them; otherwise one dict is both. Built from the
-        statements on first use, except in the models that
+    def _rows(self) -> dict[int, int]:
+        """The stored statements as rows, node k of the sorted ground set
+        being bit k: the row at ``a | b << n`` has bit c set when
+        <A, B | C> is stored, so a row is 2^n bits wide, and no row is 0.
+        Built from the statements on first use, except in the models that
         ``enumerate_model`` and ``closure`` make, which are their rows, and
         in ``pairwise_model``'s, which builds them from its masks."""
         n = len(self.ground_set)
         mask = {nodes: m for m, nodes in enumerate(_label_sets(sorted(self.ground_set)))}
-        raw: dict[int, int] = {}
+        rows: dict[int, int] = {}
         for s in self.statements:
             key = mask[s.a] | mask[s.b] << n
-            raw[key] = raw.get(key, 0) | 1 << mask[s.c]
-        if not self.symmetry_closed:
-            return raw, raw
-        member, full = dict(raw), (1 << n) - 1
-        for key, row in raw.items():
-            mirror = key >> n | (key & full) << n
-            member[mirror] = member.get(mirror, 0) | row
-        return member, raw
+            rows[key] = rows.get(key, 0) | 1 << mask[s.c]
+        return rows
 
 
 # -- node sets as bit masks ----------------------------------------------------
@@ -425,11 +420,11 @@ class _PairwiseModel(IndependenceModel):
         return frozenset(listed)
 
     @functools.cached_property
-    def _rows(self) -> tuple[dict[int, int], dict[int, int]]:
+    def _rows(self) -> dict[int, int]:
         n, rows = len(self._labels), {}
         for x, y, c in self._pairs:
             rows[1 << x | 1 << y + n] = rows[1 << y | 1 << x + n] = 1 << c
-        return rows, rows
+        return rows
 
 
 def pairwise_model(graph: MixedGraph) -> IndependenceModel:
@@ -479,11 +474,11 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
     violating instantiation is returned. Ground sets over AXIOM_LIMIT nodes
     are refused: each row below is 2^n bits wide.
 
-    M[a,b] is the model's membership row at (A, B) (see
-    ``IndependenceModel._rows``). For disjoint C and D the mask of C u D is
-    c + d, so bit c of ``M[a,b] >> d`` says whether <A, B | C u D> is a
-    member. Per stored row R at (a, b) and proper submask k of b, with
-    d = b ^ k, the C that fail are ``R & ~M[b,a]`` (symmetry),
+    M[a,b] is the model's row at (A, B) (see ``IndependenceModel._rows``),
+    read from the statements that ``contains`` reads. For disjoint C and D
+    the mask of C u D is c + d, so bit c of ``M[a,b] >> d`` says whether
+    <A, B | C u D> is a member. Per row R at (a, b) and proper submask k of
+    b, with d = b ^ k, the C that fail are ``R & ~M[b,a]`` (symmetry),
     ``R & ~M[a,k]`` (decomposition) and ``R & ~(M[a,k] >> d)`` (weak union).
     Per pair of non-empty rows at (a, b) and (a, d) with b, d disjoint they
     are ``M[a,b] & M[a,d] & ~M[a,b|d]`` (composition),
@@ -502,18 +497,18 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
     if n > AXIOM_LIMIT:
         raise GraphError(f"axiom check limit exceeded: {n} nodes > {AXIOM_LIMIT}")
     full = (1 << n) - 1
-    member, raw = model._rows
+    rows = model._rows
 
     if axiom in (Axiom.SYMMETRY, Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
         failing = []  # (a, b, c) of each failing statement
-        for key, row in raw.items():
+        for key, row in rows.items():
             a, b = key & full, key >> n
             if axiom is Axiom.SYMMETRY:
-                bad = row & ~member.get(b | a << n, 0)
+                bad = row & ~rows.get(b | a << n, 0)
             else:
                 bad, k = 0, (b - 1) & b
                 while k:
-                    kept = member.get(a | k << n, 0)
+                    kept = rows.get(a | k << n, 0)
                     bad |= row & ~(kept if axiom is Axiom.DECOMPOSITION else kept >> (b ^ k))
                     k = (k - 1) & b
             if bad:
@@ -535,16 +530,16 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
     if axiom not in (Axiom.CONTRACTION, Axiom.INTERSECTION, Axiom.COMPOSITION):
         raise GraphError(f"unknown axiom {axiom!r}")
     by_a: dict[int, list[tuple[int, int]]] = {}
-    for key, row in member.items():
+    for key, row in rows.items():
         by_a.setdefault(key & full, []).append((key >> n, row))
     free = _submask_rows(n)
     found = []  # (a, b, d, the C that fail)
-    for a, rows in by_a.items():
-        for b, rb in rows:
-            for d, rd in rows:
+    for a, pairs in by_a.items():
+        for b, rb in pairs:
+            for d, rd in pairs:
                 if b & d:
                     continue
-                joint = member.get(a | (b | d) << n, 0)
+                joint = rows.get(a | (b | d) << n, 0)
                 if axiom is Axiom.COMPOSITION:
                     bad = rb & rd & ~joint
                 elif axiom is Axiom.INTERSECTION:
@@ -555,10 +550,10 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
                 if bad:
                     found.append((a, b, d, bad))
         if axiom is Axiom.CONTRACTION:
-            for e, joint in rows:
+            for e, joint in pairs:
                 k = (e - 1) & e
                 while k:
-                    if a | k << n not in member or a | (e ^ k) << n not in member:
+                    if a | k << n not in rows or a | (e ^ k) << n not in rows:
                         found.append((a, k, e ^ k, joint))
                     k = (k - 1) & e
     if not found:
@@ -568,8 +563,8 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
         key=lambda q: [next((j for j, m in enumerate(q) if m >> v & 1), 4) for v in range(n)],
     )
     missing = (a, b | d, c)
-    if axiom is Axiom.CONTRACTION and member.get(a | (b | d) << n, 0) >> c & 1:
-        missing = (a, d, c) if member.get(a | b << n, 0) >> (c | d) & 1 else (a, b, c | d)
+    if axiom is Axiom.CONTRACTION and rows.get(a | (b | d) << n, 0) >> c & 1:
+        missing = (a, d, c) if rows.get(a | b << n, 0) >> (c | d) & 1 else (a, b, c | d)
     sets = _label_sets(sorted(model.ground_set))
     return AxiomViolation(
         axiom, sets[a], sets[b], sets[c], sets[d], IndependenceStatement(*(sets[m] for m in missing))
@@ -592,7 +587,7 @@ def closure(
     disjoint triples of the ground set.
 
     Refuses ground sets larger than ``limit`` nodes (default CLOSURE_LIMIT).
-    A worklist over raw rows (see ``IndependenceModel._rows``) in
+    A worklist over the model's rows (see ``IndependenceModel._rows``) in
     ``check_axiom``'s shift and AND algebra. New bits r at (A, B) add r at
     (B, A) (symmetry); per proper submask k of b, d = b ^ k, r at (A, K)
     (decomposition) and ``r << d`` (weak union). Per row R at (A, D), D
@@ -621,7 +616,7 @@ def closure(
             rows[b] = rows.get(b, 0) | bits
             new[a | b << n] = new.get(a | b << n, 0) | bits
 
-    for key, row in model._rows[1].items():
+    for key, row in model._rows.items():
         add(key & full, key >> n, row)
     while new:
         key, r = new.popitem()
@@ -666,12 +661,17 @@ def _require_shared_ground(model: IndependenceModel, graph: MixedGraph) -> None:
         raise GraphError("model and graph are over different node sets")
 
 
+def _first_missing(model: IndependenceModel, graph: MixedGraph, reference: Callable) -> MarkovCheck:
+    """Whether ``model`` holds all of ``reference(graph)``, else the first it lacks by sort key."""
+    _require_shared_ground(model, graph)
+    missing = next((s for s in reference(graph)._sorted if s not in model), None)
+    return MarkovCheck(missing is None, missing)
+
+
 def satisfies_pairwise(model: IndependenceModel, graph: MixedGraph) -> MarkovCheck:
     """Does the model contain every non-adjacent pair's anterior-separator
     statement (in both orientations)?"""
-    _require_shared_ground(model, graph)
-    missing = next((s for s in pairwise_model(graph).sorted_statements() if s not in model), None)
-    return MarkovCheck(missing is None, missing)
+    return _first_missing(model, graph, pairwise_model)
 
 
 def satisfies_global(
@@ -680,10 +680,7 @@ def satisfies_global(
     """Does the model contain everything m-separation derives on the graph?
     The induced model comes from ``enumerate_model``, so from the graph's
     kept reach table, under that function's node cap or ``limit``."""
-    _require_shared_ground(model, graph)
-    induced = enumerate_model(graph, limit=limit).sorted_statements()
-    missing = next((s for s in induced if s not in model), None)
-    return MarkovCheck(missing is None, missing)
+    return _first_missing(model, graph, functools.partial(enumerate_model, limit=limit))
 
 
 def conforms(model: IndependenceModel, graph: MixedGraph) -> bool:

@@ -195,10 +195,10 @@ def is_m_connecting_path(
     """Literal per-node check of the m-connecting predicate for one path."""
     if not path_in_graph(graph, path):
         raise GraphError("path does not belong to this graph")
+    c = frozenset(given)
+    open_colliders = c | graph.ancestors(c)  # refuses an unknown C on any path
     if path.is_degenerate():
         return False
-    c = frozenset(given)
-    open_colliders = c | graph.ancestors(c)
     for idx in range(1, len(path.nodes) - 1):
         v = path.nodes[idx]
         if path.is_collider_at(idx):

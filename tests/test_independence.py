@@ -99,6 +99,21 @@ class TestModelBasics:
         m = IndependenceModel("ij", [S(["i"], ["j"], [])], symmetry_closed=True)
         assert m.contains(["j"], ["i"], [])
 
+    def test_symmetry_closed_models_store_the_mirrors(self):
+        m = IndependenceModel("abc", [S(["a", "b"], ["c"], [])], symmetry_closed=True)
+        assert m.statements == {S(["a", "b"], ["c"], []), S(["c"], ["a", "b"], [])}
+        assert len(m) == 2 and m.symmetry_closed
+        assert m != IndependenceModel("abc", [S(["a", "b"], ["c"], [])])
+        assert m == IndependenceModel("abc", m.statements)
+
+    def test_axiom_checks_read_the_mirrors(self):
+        # <c, ab | {}> is stored as the mirror, so its decompositions and
+        # weak unions are due.
+        m = IndependenceModel("abc", [S(["a", "b"], ["c"], [])], symmetry_closed=True)
+        assert check_axiom(m, Axiom.DECOMPOSITION).missing == S(["c"], ["a"], [])
+        assert check_axiom(m, Axiom.WEAK_UNION).missing == S(["c"], ["a"], ["b"])
+        assert check_axiom(m, Axiom.SYMMETRY) is None
+
     def test_ground_set_enforced(self):
         with pytest.raises(GraphError, match="ground set"):
             IndependenceModel("ij", [S(["i"], ["z"], [])])
@@ -121,6 +136,30 @@ class TestModelBasics:
             with pytest.raises(GraphError, match="axiom check limit exceeded: 13 nodes > 12"):
                 check_axiom(wide, axiom)
         assert check_axiom(IndependenceModel(wide.ground_set - {"n12"}), Axiom.SYMMETRY) is None
+
+
+class TestLabelRefusal:
+    """A label outside the ground set is refused, never read as "not a
+    member"; the smallest unknown label is named whatever order a set
+    iterates in (CI runs this class under several hash seeds)."""
+
+    def test_contains_refuses_an_unknown_label(self):
+        m = IndependenceModel(["a", "b"], [S(["a"], ["b"], [])])
+        for a, b, c in ((["a"], ["zz"], []), (["zz"], [], []), ([], ["b"], ["zz"]), (["a"], ["a"], ["zz"])):
+            with pytest.raises(GraphError, match="^unknown node 'zz'$"):
+                m.contains(a, b, c)
+        with pytest.raises(GraphError, match="^unknown node 'zz'$"):
+            S(["a"], ["zz"], []) in m
+
+    def test_contains_names_the_smallest_unknown_label(self, figures):
+        unknown = {"zz", "yy", "xx", "ww"}
+        for model in (IndependenceModel(["a", "b"]), enumerate_model(figures["fig3"]),
+                      pairwise_model(figures["fig3"])):
+            first = min(model.ground_set)
+            with pytest.raises(GraphError, match="^unknown node 'ww'$"):
+                model.contains([first], unknown)
+            with pytest.raises(GraphError, match="^unknown node 'ww'$"):
+                model.contains([first], [], unknown)
 
 
 class TestEnumerateModel:
@@ -334,8 +373,7 @@ class TestMaskBuiltPairwiseModel:
                 @functools.cached_property
                 def _rows(self):
                     full = (1 << len(self._labels)) - 1
-                    rows = {k: r for k, r in real._rows.func(self)[1].items() if k & full < k >> len(self._labels)}
-                    return rows, rows
+                    return {k: r for k, r in real._rows.func(self).items() if k & full < k >> len(self._labels)}
             else:
                 def __init__(self, labels, pairs):
                     super().__init__(labels, [(x, y, c | 1 << x) for x, y, c in pairs])

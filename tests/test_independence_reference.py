@@ -23,6 +23,7 @@ from lmgraphs import (
     AXIOM_SETS,
     Axiom,
     CorpusSpec,
+    GraphError,
     IndependenceModel,
     IndependenceStatement,
     MixedGraph,
@@ -291,7 +292,8 @@ def test_equivalence_equals_statement_sets(corpus):
 @pytest.mark.parametrize("symmetry_closed", [False, True])
 def test_contains_equals_statement_membership(corpus, symmetry_closed):
     """Random triples over the ground set and two foreign labels, sides
-    overlapping or not, against a plain lookup in the statement set."""
+    overlapping or not, against a plain lookup in the statement set; a
+    foreign label is refused, the smallest one named."""
     rng = random.Random(62 + symmetry_closed)
     checked = 0
     for g in [g for g in corpus if len(g.nodes) <= 5][:60]:
@@ -305,12 +307,51 @@ def test_contains_equals_statement_membership(corpus, symmetry_closed):
             for _ in range(60)
         ]
         for a, b, c in triples:
+            foreign = (a | b | c) - model.ground_set
+            if foreign:
+                with pytest.raises(GraphError, match=f"^unknown node '{min(foreign)}'$"):
+                    model.contains(a, b, c)
+                checked += 1
+                continue
             expected = (
                 not a or not b or (a, b, c) in stored or (symmetry_closed and (b, a, c) in stored)
             )
             assert model.contains(a, b, c) == expected, (g, a, b, c)
             checked += 1
     assert checked > 4000
+
+
+# symmetry-closed, built from one orientation of <ab, c | {}>
+ONE_SIDED = IndependenceModel("abc", [IndependenceStatement.of("ab", "c")], symmetry_closed=True)
+
+
+def every_triple(ground_set):
+    """Every (A, B, C) of disjoint subsets, empty sides included."""
+    nodes = sorted(ground_set)
+    for assignment in itertools.product(range(4), repeat=len(nodes)):
+        yield tuple(frozenset(n for n, slot in zip(nodes, assignment) if slot == k) for k in range(3))
+
+
+def test_equal_models_answer_alike(corpus):
+    """Models that compare equal answer every membership query over their
+    ground set alike: symmetry-closed ones built from one orientation,
+    from rows or from statements, and raw ones of the same statements."""
+    rng = random.Random(65)
+    models = [ONE_SIDED, IndependenceModel("abc", [IndependenceStatement.of("ab", "c")]),
+              IndependenceModel("abc", ONE_SIDED.statements)]
+    for g in [g for g in corpus if len(g.nodes) <= 4][:20]:
+        full = enumerate_model(g)
+        models += [full, IndependenceModel(g.nodes, full.statements, symmetry_closed=True)]
+        for symmetry_closed in (False, True):
+            model = thinned(full, rng, symmetry_closed)
+            models += [model, IndependenceModel(g.nodes, model.statements)]
+    equal = 0
+    for m1, m2 in itertools.combinations(models, 2):
+        if m1 == m2:
+            equal += 1
+            for a, b, c in every_triple(m1.ground_set):
+                assert m1.contains(a, b, c) == m2.contains(a, b, c), (m1, m2, a, b, c)
+    assert equal >= 60
 
 
 def test_pairwise_model_equals_per_node_anteriors(corpus):
@@ -350,6 +391,18 @@ def test_closure_equals_reference_on_raw_models(axioms, corpus):
         halved = [s for s in pairwise_model(g).sorted_statements() if rng.random() < 0.5]
         for model in (thinned(enumerate_model(g), rng, False), IndependenceModel(g.nodes, halved)):
             assert_closure_equals_reference(model, axioms)
+
+
+@pytest.mark.parametrize("axioms", [rules for _, rules in RULE_SETS], ids=[name for name, _ in RULE_SETS])
+def test_closure_contains_the_symmetric_model(axioms, corpus):
+    """A closure keeps every statement the model contains, mirrors of a
+    symmetry-closed model included."""
+    rng = random.Random(67)
+    small = [g for g in corpus if len(g.nodes) <= 5][:30]
+    for model in [ONE_SIDED] + [thinned(enumerate_model(g), rng, True) for g in small]:
+        closed = closure(model, axioms)
+        for a, b, c in every_triple(model.ground_set):
+            assert not model.contains(a, b, c) or closed.contains(a, b, c), (model, axioms, a, b, c)
 
 
 @settings(max_examples=40, deadline=None)

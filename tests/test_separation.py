@@ -204,6 +204,17 @@ class TestEngineOnFigures:
             oracle_m_separated(g, ["n0"], ["n1"], [])
 
 
+class TestLabelRefusal:
+    """Run under several hash seeds in CI: the smallest unknown label is named."""
+
+    def test_one_node_path_refuses_an_unknown_c(self, figures):
+        g = figures["fig3"]
+        for given, label in ((["zz"], "zz"), ({"zz", "yy", "xx", "ww"}, "ww")):
+            for nodes in (["i"], ["i", "h", "j"]):
+                with pytest.raises(GraphError, match=f"^unknown node '{label}'$"):
+                    is_m_connecting_path(g, make_path(g, nodes), given)
+
+
 class TestWitnesses:
     def test_fig3_witness_path(self, figures):
         w = find_m_connecting_path(figures["fig3"], "i", "j", ["l"])
