@@ -251,6 +251,7 @@ def _cmd_axioms(args) -> tuple[int, Report]:
     source = getattr(args, "from")
     if args.check_contains:
         target = parse_statement(args.check_contains)
+        graph._require(*target.a, *target.b, *target.c)
         closed = closure(_base_model(graph, args), AXIOM_SETS[args.set], limit=args.limit)
         contained = target in closed
         query = {"command": "closure-contains", "statement": format_statement(target),

@@ -145,16 +145,17 @@ class CompiledGraph:
     as walk states for the linear walk lane, and ``components``, ``cyclic``,
     ``ancestor_masks``, ``anterior_masks`` (which confine the separation
     searches), ``head_masks``, ``inducing_candidates`` (the pairs the
-    maximality scan tests), ``changed`` (the anterior rewrite) and
-    ``anterior_form``, the compiled anterior graph, are built on first use.
+    maximality scan tests), ``anterior_line_ends`` (the nodes that lose
+    their arrowheads in the anterior graph) and ``anterior_form``, the
+    compiled anterior graph, are built on first use.
     Everything is O(n + m), counting an n-bit mask as one.
     """
 
     def __init__(
-        self, labels: list[str], index: dict[str, int], edges: Sequence[Edge],
+        self, labels: list[str], index: dict[str, int],
         rows: tuple[tuple[tuple[int, bool, bool, Edge], ...], ...],
     ):
-        self.labels, self.index, self._edges, self.adjacency = labels, index, edges, rows
+        self.labels, self.index, self.adjacency = labels, index, rows
         parents, children, lines = ([set() for _ in labels] for _ in range(3))
         self.loopless = self.anterior = True
         for v, row in enumerate(rows):
@@ -249,62 +250,36 @@ class CompiledGraph:
             candidates.append(sent >> (x + 1) << (x + 1) & ~adjacent)
         return tuple(candidates)
 
-    def rewrite(self) -> dict[int, list[bool]]:
-        """The edges that the anterior rewrite changes, by key, each with its
-        new arrowheads ``[head_a, head_b]``: the fixpoint of removing
-        arrowheads that meet the end of a line.
-
-        One worklist of (edge key, side) arrowheads, in O(n + m): a node
-        queues its arrowheads when it first ends a line, so each is queued
-        once. Needs a loopless graph.
-        """
-        edges, index = self._edges, self.index
-        changed: dict[int, list[bool]] = {}
-        line_end = [bool(w) for w in self.lines]
-
-        def arrowheads(v: int) -> list[tuple[int, int]]:
-            return [(e.key, int(index[e.a] != v)) for _, head_v, _, e in self.adjacency[v] if head_v]
-
-        todo = [head for v, end in enumerate(line_end) if end for head in arrowheads(v)]
-        while todo:
-            key, side = todo.pop()
-            e = edges[key]
-            heads = changed.setdefault(key, [e.mark_a is Mark.HEAD, e.mark_b is Mark.HEAD])
-            heads[side] = False
-            if not heads[1 - side]:
-                for v in (index[e.a], index[e.b]):
-                    if not line_end[v]:
-                        line_end[v] = True
-                        todo += arrowheads(v)
-        return changed
-
     @cached_property
-    def changed(self) -> dict[int, list[bool]]:
-        """``rewrite()``, run once per form and kept: the anterior form and
-        ``MixedGraph.anterior_graph()`` both read it."""
-        return self.rewrite()
+    def anterior_line_ends(self) -> frozenset[int]:
+        """The line ends of the anterior graph, kept: this graph's line ends
+        and their ancestors. The anterior form and ``anterior_graph()`` drop
+        every arrowhead at them; needs a loopless graph. This is the closed
+        form of the fixpoint of removing arrowheads at line ends. Removing
+        the arrowhead at a line end v turns an arrow u -> v into a line,
+        whose new end is the arrow's tail u, and an arc u <-> v into an
+        arrow v -> u out of that end; an arc becomes a line only when both
+        its ends already end lines. So the fixpoint's line ends are the
+        first line ends closed under parents, and it removes exactly the
+        arrowheads at those nodes."""
+        ends = [v for v, others in enumerate(self.lines) if others]
+        return frozenset(ends).union(self.ancestors(ends))
 
     @cached_property
     def anterior_form(self) -> "CompiledGraph":
         """The compiled anterior graph, derived from this form and kept; an
         anterior form is its own. It shares the labels and indices, and its
         rows are these rows in the same order, holding this graph's edges
-        with the rewritten arrowhead flags; its other facts are read from
-        those rows. No graph is built and nothing is re-sorted.
+        with no arrowhead at ``anterior_line_ends``; its other facts are
+        read from those rows. No graph is built and nothing is re-sorted.
         """
         if self.anterior:
             return self
-        changed, index, edges = self.changed, self.index, self._edges
-        rows = list(self.adjacency)
-        for v in {index[end] for key in changed for end in (edges[key].a, edges[key].b)}:
-            entries = []
-            for w, head_v, head_w, e in rows[v]:
-                if e.key in changed:
-                    head_a, head_b = changed[e.key]
-                    head_v, head_w = (head_a, head_b) if index[e.a] == v else (head_b, head_a)
-                entries.append((w, head_v, head_w, e))
-            rows[v] = tuple(entries)
-        return CompiledGraph(self.labels, index, edges, tuple(rows))
+        ends = self.anterior_line_ends
+        return CompiledGraph(self.labels, self.index, tuple(
+            tuple((w, head_v and v not in ends, head_w and w not in ends, e) for w, head_v, head_w, e in row)
+            for v, row in enumerate(self.adjacency)
+        ))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -486,7 +461,7 @@ class MixedGraph:
                 rows[b].append((a, rank, head_b, head_a, e))
         # (neighbour, rank) is unique within a row, so the tuples sort
         # without comparing their edges.
-        return CompiledGraph(labels, index, self._edges, tuple(
+        return CompiledGraph(labels, index, tuple(
             tuple((w, head_v, head_w, e) for w, _, head_v, head_w, e in sorted(row))
             for row in rows
         ))
@@ -592,25 +567,24 @@ class MixedGraph:
         return self.compiled.anterior
 
     def anterior_graph(self) -> "MixedGraph":
-        """Fixpoint of removing arrowheads that point at endpoints of lines.
-
-        The fixpoint is independent of removal order. The result is built
-        once per graph and kept; an anterior graph is its own result, so no
-        graph keeps a reference to itself. Edge keys are preserved, so edges
-        of the result correspond one-to-one to edges of the input.
-        """
+        """Fixpoint of removing arrowheads that point at endpoints of lines:
+        the graph with no arrowhead at a line end or an ancestor of one, as
+        ``CompiledGraph.anterior_line_ends`` argues. It is built once per
+        graph and kept; an anterior graph is its own result, so no graph
+        keeps a reference to itself. Edge keys are preserved, so edges of
+        the result correspond one-to-one to edges of the input."""
         self.require_loopless()
         return self if self.compiled.anterior else self._anterior
 
     @cached_property
     def _anterior(self) -> "MixedGraph":
-        changed = self.compiled.changed
-        rewritten = [
-            Edge(e.a, e.b, *(Mark.HEAD if head else Mark.TAIL for head in changed[e.key]), e.key)
-            if e.key in changed else e
-            for e in self._edges
-        ]
-        return MixedGraph(self.node_list(), rewritten)
+        ends, index = self.compiled.anterior_line_ends, self.compiled.index
+
+        def mark(v: str, m: Mark) -> Mark:
+            return Mark.TAIL if index[v] in ends else m
+
+        edges = [Edge(e.a, e.b, mark(e.a, e.mark_a), mark(e.b, e.mark_b), e.key) for e in self._edges]
+        return MixedGraph(self.node_list(), edges)
 
     @cached_property
     def ribbonless(self) -> bool:

@@ -32,7 +32,6 @@ class GraphDocument:
     source: str
     graph: MixedGraph
     node_lines: dict[str, int] = field(default_factory=dict)
-    edge_lines: list[int] = field(default_factory=list)
 
 
 def _column(line: str, k: int) -> int:
@@ -44,7 +43,6 @@ def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
     nodes: list[str] = []
     node_lines: dict[str, int] = {}
     edge_specs: list[tuple[str, str, str]] = []
-    edge_lines: list[int] = []
 
     def declare(label: str, line_no: int, line: str, k: int) -> None:
         if label in _EDGE_OPS or label == "node":
@@ -83,10 +81,9 @@ def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
         declare(left, line_no, line, 0)
         declare(right, line_no, line, 2)
         edge_specs.append((left, op, right))
-        edge_lines.append(line_no)
 
     edges = [_edge_from_spec(a, op, b, k) for k, (a, op, b) in enumerate(edge_specs)]
-    return GraphDocument(text, MixedGraph(nodes, edges), node_lines, edge_lines)
+    return GraphDocument(text, MixedGraph(nodes, edges), node_lines)
 
 
 def _edge_sort_key(e: Edge) -> tuple:

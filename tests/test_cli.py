@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import figure_path
+from lmgraphs import cli
 from lmgraphs.cli import main
 
 
@@ -328,6 +329,23 @@ class TestModelCommands:
             assert (code, out, err) == (2, "", f"error: unknown node '{label}'\n")
         code, _, err = run(capsys, "msep", fig9b, "--a", "i", "--b", "zz")
         assert (code, err) == (2, "error: unknown node 'zz'\n")
+
+    def test_axioms_check_contains_checks_labels_before_the_closure(self, capsys, monkeypatch, tmp_path):
+        # An unknown label is refused before the closure is built: above the
+        # closure cap it is not reported as the cap, and under the cap no
+        # closure is computed at all.
+        six = tmp_path / "six.lmg"
+        six.write_text("".join(f"{u} -- {v}\n" for u, v in zip("abcde", "bcdef")))
+        argv = ("--set", "graphoid", "--from", "pairwise", "--check-contains")
+        code, out, err = run(capsys, "axioms", str(six), *argv, "a _||_ zz | {}")
+        assert (code, out, err) == (2, "", "error: unknown node 'zz'\n")
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("closure built for a statement with an unknown label")
+
+        monkeypatch.setattr(cli, "closure", no_closure)
+        code, out, err = run(capsys, "axioms", figure_path("fig9b"), *argv, "i _||_ zz | {}")
+        assert (code, out, err) == (2, "", "error: unknown node 'zz'\n")
 
     def test_closure_lists_statements(self, capsys):
         code, out, _ = run(

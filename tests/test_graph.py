@@ -188,10 +188,11 @@ class TestAnteriorGraph:
 
     def test_rewrite_runs_once_per_graph(self, monkeypatch):
         # A query reads the compiled anterior form, anterior_graph() builds
-        # the anterior graph: both read one kept rewrite of fig2a.
+        # the anterior graph: both read one kept set of fig2a's nodes that
+        # lose their arrowheads.
         calls = []
-        rewrite = CompiledGraph.rewrite
-        monkeypatch.setattr(CompiledGraph, "rewrite", lambda self: calls.append(self) or rewrite(self))
+        kept = CompiledGraph.__dict__["anterior_line_ends"]
+        monkeypatch.setattr(kept, "func", lambda self, compute=kept.func: calls.append(self) or compute(self))
         g = figure("fig2a")
         assert not g.is_anterior() and g.ribbonless
         m_separated(g, ["i"], ["k"], [])

@@ -1,0 +1,212 @@
+"""Planted-fault register: source mutants that the tier-1 tests must kill.
+
+Each entry names a file, an exact old text, the new text that replaces it
+and the test node ids that must fail. For each entry the script copies the
+repository's ``src/``, ``tests/``, ``fixtures/`` and ``pyproject.toml`` to a
+temporary directory, applies that one mutant there and runs only its tests
+on the copy. A mutant is killed when every test it names fails; name only
+tests that draw no random examples, so that a kill does not depend on luck.
+
+The script exits non-zero when a mutant survives, when one of its tests
+still passes, or when an old text does not occur exactly once in its file,
+so the register has to move with the code. Retire a mutant only when the
+code it plants a fault in is deleted.
+
+Run from anywhere, with pytest installed:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "fixtures", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ANTERIOR_ENDS = "        return frozenset(ends).union(self.ancestors(ends))\n"
+
+MUTANTS = (
+    # The anterior rewrite's closed form: line ends and all their ancestors.
+    Mutant(
+        "anterior ends: line ends only",
+        "src/lmgraphs/graph.py",
+        _ANTERIOR_ENDS,
+        "        return frozenset(ends)\n",
+        ("tests/test_graph.py::TestAnteriorGraph::test_fig2a_to_fig2b",),
+    ),
+    Mutant(
+        "anterior ends: descendants for ancestors",
+        "src/lmgraphs/graph.py",
+        _ANTERIOR_ENDS,
+        "        return frozenset(ends).union(self.descendants(ends))\n",
+        ("tests/test_graph.py::TestAnteriorGraph::test_fig2a_to_fig2b",),
+    ),
+    Mutant(
+        "anterior ends: one parent step",
+        "src/lmgraphs/graph.py",
+        _ANTERIOR_ENDS,
+        "        return frozenset(ends).union(p for v in ends for p in self.parents[v])\n",
+        ("tests/test_separation.py::TestAnteriorConfinement::test_masks_are_anterior_sets",
+         "tests/test_separation.py::TestAnteriorConfinement::test_witnesses_match_unpruned_search"),
+    ),
+    Mutant(
+        "anterior ends: two parent steps",
+        "src/lmgraphs/graph.py",
+        _ANTERIOR_ENDS,
+        "        return frozenset(ends).union(q for v in ends for p in self.parents[v]"
+        " for q in (p, *self.parents[p]))\n",
+        ("tests/test_graph.py::TestAnteriorGraph::test_long_arrow_chain",),
+    ),
+    # Faults in the fast routes that earlier changes added.
+    Mutant(
+        "closure: contraction's (rd >> b) & r dropped",
+        "src/lmgraphs/independence.py",
+        "bits |= ((r >> d) & rd | (rd >> b) & r) & kept",
+        "bits |= ((r >> d) & rd) & kept",
+        ("tests/test_independence_reference.py::test_closure_equals_reference_on_raw_models[semigraphoid]",
+         "tests/test_independence_reference.py::test_closure_equals_reference_on_theorem_corpora[semigraphoid]"),
+    ),
+    Mutant(
+        "anterior_masks: line branch dropped",
+        "src/lmgraphs/graph.py",
+        "            if lines[root]:\n",
+        "            if False:\n",
+        ("tests/test_separation.py::TestAnteriorConfinement::test_masks_are_anterior_sets",
+         "tests/test_graph.py::TestAnteriors::test_fig2_anterior_sets"),
+    ),
+    Mutant(
+        "_reach: anterior scope in the visited-mask lane",
+        "src/lmgraphs/separation.py",
+        "            if not (pass_head if head_v else pass_tail) or mask >> w & 1:\n",
+        "            if not (pass_head if head_v else pass_tail) or mask >> w & 1 or (\n"
+        "                    stop and not compiled.anterior_scope((*sources, *stop, *c)) >> w & 1):\n",
+        ("tests/test_separation.py::TestAnteriorConfinement::test_visited_mask_lane_is_not_confined",),
+    ),
+    Mutant(
+        "inducing_candidates: only nodes with an arc numbered",
+        "src/lmgraphs/graph.py",
+        "            if not below or component[root] >= 0:\n",
+        "            if not below or not arcs[root] or component[root] >= 0:\n",
+        ("tests/test_structure_reference.py::test_candidates_hold_every_live_pair",),
+    ),
+    Mutant(
+        "pairwise_model: C keeps x",
+        "src/lmgraphs/independence.py",
+        "(ant[x] | ant[y]) & ~(1 << x | 1 << y)",
+        "(ant[x] | ant[y]) & ~(1 << y)",
+        ("tests/test_independence.py::TestPairwiseModel::test_fig7_statements",
+         "tests/test_independence_reference.py::test_pairwise_model_equals_per_node_anteriors"),
+    ),
+    Mutant(
+        "_reach walk lane: C passes a walk that came in over a tail",
+        "src/lmgraphs/separation.py",
+        "                if state & 1:\n                    todo += into[v]\n",
+        "                todo += into[v]\n",
+        ("tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane",),
+    ),
+    Mutant(
+        "_reach walk lane: C bounces over tails",
+        "src/lmgraphs/separation.py",
+        "                if state & 1:\n                    todo += into[v]\n",
+        "                if state & 1:\n                    todo += out[v]\n",
+        ("tests/test_separation.py::TestCGatedWalk::test_walk_bounces_off_c",),
+    ),
+    Mutant(
+        "_gate_patterns: gates swapped",
+        "src/lmgraphs/independence.py",
+        "return tuple((every ^ out * repeat, out * repeat) for out in _avoiding(n))",
+        "return tuple((out * repeat, every ^ out * repeat) for out in _avoiding(n))",
+        ("tests/test_independence.py::TestEnumerateModel::test_fig3_membership",),
+    ),
+    Mutant(
+        "check_axiom: intersection's (rd >> b) unshifted",
+        "src/lmgraphs/independence.py",
+        "bad = (rb >> d) & (rd >> b) & ~joint",
+        "bad = (rb >> d) & rd & ~joint",
+        ("tests/test_independence.py::TestAxioms::test_intersection_and_composition_detect_gaps",),
+    ),
+    Mutant(
+        "_inducing_live: only x's ancestors",
+        "src/lmgraphs/structure.py",
+        "    live = (an[x] | an[y]) & ~(1 << x | 1 << y)\n",
+        "    live = an[x] & ~(1 << x | 1 << y)\n",
+        ("tests/test_structure.py::TestMaximality::test_fig6_not_maximal",),
+    ),
+    Mutant(
+        "_require: the largest unknown label named",
+        "src/lmgraphs/graph.py",
+        'return GraphError(f"unknown node {min(set(labels) - known)!r}")',
+        'return GraphError(f"unknown node {max(set(labels) - known)!r}")',
+        ("tests/test_independence.py::TestLabelRefusal::test_contains_names_the_smallest_unknown_label",
+         "tests/test_separation.py::TestLabelRefusal::test_one_node_path_refuses_an_unknown_c"),
+    ),
+)
+
+
+def _failed(output: str) -> set[str]:
+    """Node ids pytest's short summary reports as failed or in error."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE))
+
+
+def run(mutant: Mutant) -> str | None:
+    """None when the mutant is killed, else why not."""
+    with tempfile.TemporaryDirectory(prefix="lmgraphs-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            else:
+                shutil.copy2(source, copy / name)
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"old text occurs {count} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    if result.returncode not in (0, 1):
+        return f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+    failed = _failed(result.stdout)
+    alive = [t for t in mutant.tests if not any(f == t or f.startswith(t + "[") for f in failed)]
+    if alive:
+        return "survived: " + ", ".join(alive) + " passed"
+    return None
+
+
+def main() -> int:
+    bad = 0
+    start = time.perf_counter()
+    for mutant in MUTANTS:
+        problem = run(mutant) if mutant.tests else "names no test"
+        bad += problem is not None
+        print(f"{'killed' if problem is None else 'FAIL':6}  {mutant.name}" + (f": {problem}" if problem else ""))
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
