@@ -26,6 +26,12 @@ def _unknown_node(labels: Iterable[str], known: frozenset[str]) -> GraphError:
     return GraphError(f"unknown node {min(set(labels) - known)!r}")
 
 
+def _require_cap(what: str, n: int, cap: int) -> None:
+    """Refuse ``n`` nodes over a node cap: every cap raises this text."""
+    if n > cap:
+        raise GraphError(f"{what} limit exceeded: {n} nodes > {cap}")
+
+
 class Mark(Enum):
     TAIL = "tail"
     HEAD = "head"
@@ -283,39 +289,9 @@ class CompiledGraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """The strongly connected components of the arrows, by Kosaraju's two
-        passes, in topological order: no arrow leads to an earlier one."""
-        children, parents = self.children, self.parents
-        finished: list[int] = []
-        seen = [False] * len(self.labels)
-        for root in range(len(seen)):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack = [(root, iter(children[root]))]
-            while stack:
-                v, below = stack[-1]
-                for w in below:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append((w, iter(children[w])))
-                        break
-                else:
-                    finished.append(v)
-                    stack.pop()
-        components = []
-        for root in reversed(finished):
-            if not seen[root]:
-                continue
-            seen[root] = False
-            component = [root]
-            for v in component:  # grows while it is read
-                for w in parents[v]:
-                    if seen[w]:
-                        seen[w] = False
-                        component.append(w)
-            components.append(tuple(component))
-        return tuple(components)
+        """The strongly connected components of the arrows, in topological
+        order: no arrow leads to an earlier one."""
+        return _components(self.children, self.parents)
 
     @cached_property
     def cyclic(self) -> frozenset[int]:
@@ -325,55 +301,24 @@ class CompiledGraph:
 
     @cached_property
     def ancestor_masks(self) -> tuple[int, ...]:
-        """an(v) for every node as a mask, node w as bit w, in one pass over
-        the components. Every node of a cycle has a parent on it, so v's own
-        bit is set exactly when v is on a cycle, as in ``ancestors``."""
-        masks = [0] * len(self.labels)
-        for component in self.components:
-            mask = 0
-            for v in component:
-                for p in self.parents[v]:
-                    mask |= masks[p] | 1 << p
-            for v in component:
-                masks[v] = mask
-        return tuple(masks)
+        """an(v) for every node as a mask, node w as bit w. Every node of a
+        cycle has a parent on it, so v's own bit is set exactly when v is on
+        a cycle, as in ``ancestors``."""
+        return _fold(self.components, self.parents, False)
 
     @cached_property
     def anterior_masks(self) -> tuple[int, ...]:
-        """ant(v) and v itself for every node as a mask, exact on an anterior
-        form only: read it there. One pass over the components in
-        topological order: v's bit, its line component and its parents'
-        masks. A node that ends a line has no arrowhead on an anterior form,
-        so it has no parent and is its own component, and its line
-        component, flooded once from its first member, is its mask; the
-        floods cover each line once, so the pass is O(n + m)."""
-        lines, parents = self.lines, self.parents
-        masks = [0] * len(self.labels)
-        for component in self.components:
-            root = component[0]
-            if lines[root]:
-                if not masks[root]:
-                    members, todo = 1 << root, [root]
-                    for v in todo:  # grows while it is read
-                        for w in lines[v]:
-                            if not members >> w & 1:
-                                members |= 1 << w
-                                todo.append(w)
-                    for v in todo:
-                        masks[v] = members
-                continue
-            mask = 0
-            for v in component:
-                mask |= 1 << v
-                for p in parents[v]:
-                    mask |= masks[p]
-            for v in component:
-                masks[v] = mask
-        return tuple(masks)
+        """v and the nodes that reach v along lines and arrows pointing toward
+        v, for every node as a mask, on every form: the fold over the
+        components of the arrows and both directions of each line. On the
+        anterior form, where every reader reads it, that is v and ant(v)."""
+        ups = tuple(p + w for p, w in zip(self.parents, self.lines))
+        downs = tuple(c + w for c, w in zip(self.children, self.lines))
+        return _fold(_components(downs, ups), ups, True)
 
     def anterior_scope(self, nodes: Iterable[int]) -> int:
         """ant(nodes) and the nodes themselves as a mask: the union of their
-        ``anterior_masks``, exact on an anterior form only."""
+        ``anterior_masks``."""
         masks, scope = self.anterior_masks, 0
         for v in nodes:
             scope |= masks[v]
@@ -386,6 +331,58 @@ class CompiledGraph:
     def descendants(self, sources: Iterable[int]) -> set[int]:
         """Union of de(s) over the sources, by index; see MixedGraph.descendants."""
         return _closure(self.children, sources)
+
+
+def _components(children: Sequence[Sequence[int]], parents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The strongly connected components of the relation that steps from v
+    to ``children[v]``, ``parents`` being its converse, by Kosaraju's two
+    passes, in topological order: no step leads to an earlier one."""
+    finished: list[int] = []
+    seen = [False] * len(children)
+    for root in range(len(seen)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(children[root]))]
+        while stack:
+            v, below = stack[-1]
+            for w in below:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(children[w])))
+                    break
+            else:
+                finished.append(v)
+                stack.pop()
+    components = []
+    for root in reversed(finished):
+        if not seen[root]:
+            continue
+        seen[root] = False
+        component = [root]
+        for v in component:  # grows while it is read
+            for w in parents[v]:
+                if seen[w]:
+                    seen[w] = False
+                    component.append(w)
+        components.append(tuple(component))
+    return tuple(components)
+
+
+def _fold(components: Sequence[Sequence[int]], parents: Sequence[Sequence[int]], own: bool) -> tuple[int, ...]:
+    """Per node, a mask of the nodes that reach it in one or more steps of
+    ``parents``, and of its own component too when ``own``: one O(n + m)
+    pass over ``components`` in topological order, members sharing a mask."""
+    masks = [0] * len(parents)
+    for component in components:
+        mask = 0
+        for v in component:
+            mask |= own << v
+            for p in parents[v]:
+                mask |= masks[p] | 1 << p
+        for v in component:
+            masks[v] = mask
+    return tuple(masks)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -679,12 +676,6 @@ class Path:
 
     def is_degenerate(self) -> bool:
         return len(self.nodes) == 1
-
-    def inner_nodes(self) -> tuple[str, ...]:
-        return self.nodes[1:-1]
-
-    def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.nodes)), tuple(reversed(self.edges)))
 
     def arrowhead_at(self, endpoint: str) -> bool:
         """Arrowhead pointing to one of the path's endpoints, on the path."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import GraphError, MixedGraph, _bits, _unknown_node
+from .graph import GraphError, MixedGraph, _bits, _require_cap, _unknown_node
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -180,7 +180,11 @@ class IndependenceModel:
             return True
         if fa & fb or fa & fc or fb & fc:
             return False
-        return IndependenceStatement(fa, fb, fc) in self.statements
+        return self._stored(fa, fb, fc)
+
+    def _stored(self, a: frozenset[str], b: frozenset[str], c: frozenset[str]) -> bool:
+        """Membership of a statement that passed ``contains``' rules."""
+        return IndependenceStatement(a, b, c) in self.statements
 
     def __contains__(self, statement: IndependenceStatement) -> bool:
         return self.contains(statement.a, statement.b, statement.c)
@@ -257,10 +261,7 @@ def _require_enumerable(graph: MixedGraph, singleton_only: bool, limit: Optional
     cap = limit if limit is not None else (
         SINGLETON_MODEL_LIMIT if singleton_only else FULL_MODEL_LIMIT
     )
-    if len(graph.nodes) > cap:
-        raise GraphError(
-            f"model enumeration limit exceeded: {len(graph.nodes)} nodes > {cap}"
-        )
+    _require_cap("model enumeration", len(graph.nodes), cap)
     graph.require_loopless()
 
 
@@ -401,14 +402,27 @@ def enumerate_model(
 
 class _PairwiseModel(IndependenceModel):
     """A symmetry-closed model of one statement <x, y | C> per triple
-    ``(x, y, C mask)`` over ``labels``, node k being bit k as in ``_rows``,
-    and its mirror. Both orientations are listed as statements, and the
-    rows built, only when first read; the readers of the rows check their
-    node caps first, since a row is 2^n bits wide."""
+    ``(x, y, C mask)`` over ``labels``, x < y, node k being bit k as in
+    ``_rows``, and its mirror. Both orientations are listed as statements,
+    and the rows built, only when first read; the readers of the rows check
+    their node caps first, since a row is 2^n bits wide. Membership is a
+    lookup in the triples and builds neither."""
 
     def __init__(self, labels: Sequence[str], pairs: list[tuple[int, int, int]]):
         self.ground_set, self.symmetry_closed = frozenset(labels), True
         self._labels, self._pairs = labels, pairs
+
+    @functools.cached_property
+    def _given(self) -> tuple[dict[str, int], dict[tuple[int, int], int]]:
+        """Each label's bit, and each triple's C mask by its (x, y)."""
+        return {label: k for k, label in enumerate(self._labels)}, {(x, y): c for x, y, c in self._pairs}
+
+    def _stored(self, a: frozenset[str], b: frozenset[str], c: frozenset[str]) -> bool:
+        if len(a) != 1 or len(b) != 1:
+            return False
+        index, given = self._given
+        x, y = sorted(index[v] for v in (*a, *b))
+        return given.get((x, y)) == sum(1 << index[v] for v in c)
 
     @functools.cached_property
     def statements(self) -> frozenset[IndependenceStatement]:
@@ -431,8 +445,9 @@ def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     """One statement per non-adjacent pair, conditioned on the union of the
     pair's anterior sets; mirrored orientations included. Each pair is one
     ``(x, y, C mask)`` triple, C read from the anterior form's
-    ``anterior_masks`` (ant(v) and v): the model lists its statements, and
-    builds its rows, only when they are read. No node cap applies here."""
+    ``anterior_masks`` (ant(v) and v): the model answers membership from
+    the triples, and lists its statements and builds its rows only when they
+    are read. No node cap applies here."""
     graph.require_loopless()
     form = graph.compiled.anterior_form
     ant, near = form.anterior_masks, [{w for w, *_ in row} for row in form.adjacency]
@@ -494,8 +509,7 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
     ``itertools.product`` order of the node slots A, B, C, D, none.
     """
     n = len(model.ground_set)
-    if n > AXIOM_LIMIT:
-        raise GraphError(f"axiom check limit exceeded: {n} nodes > {AXIOM_LIMIT}")
+    _require_cap("axiom check", n, AXIOM_LIMIT)
     full = (1 << n) - 1
     rows = model._rows
 
@@ -599,8 +613,7 @@ def closure(
     """
     cap = CLOSURE_LIMIT if limit is None else limit
     n = len(model.ground_set)
-    if n > cap:
-        raise GraphError(f"closure limit exceeded: {n} nodes > {cap}")
+    _require_cap("closure", n, cap)
     rules = frozenset(axioms)
     symmetry, decomposition, weak_union, contraction, intersection, composition = (
         axiom in rules for axiom in Axiom

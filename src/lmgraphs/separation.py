@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, combine_paths, path_in_graph
+from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _require_cap, combine_paths, path_in_graph
 
 DEFAULT_ORACLE_LIMIT = 8
 
@@ -247,10 +247,7 @@ def oracle_m_separated(
 
     Exponential in graph size; refuses graphs larger than ``limit`` nodes.
     """
-    if len(graph.nodes) > limit:
-        raise GraphError(
-            f"oracle limit exceeded: {len(graph.nodes)} nodes > {limit}"
-        )
+    _require_cap("oracle", len(graph.nodes), limit)
     a, b, c = _query_sets(graph, a, b, c)
     for i in sorted(a):
         for j in sorted(b):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _bits
+from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _bits, _require_cap
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
 
 
@@ -188,10 +188,7 @@ def oracle_is_maximal(graph: MixedGraph, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     """Definition-level maximality: every non-adjacent pair has some subset of
     the remaining nodes that m-separates it. Exponential subset search."""
     graph.require_loopless()
-    if len(graph.nodes) > limit:
-        raise GraphError(
-            f"oracle limit exceeded: {len(graph.nodes)} nodes > {limit}"
-        )
+    _require_cap("oracle", len(graph.nodes), limit)
     for x, y in itertools.combinations(graph.node_list(), 2):
         if graph.adjacent(x, y):
             continue

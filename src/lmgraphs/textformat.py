@@ -107,13 +107,13 @@ def serialize_graph(graph: MixedGraph) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def to_dot(graph: MixedGraph, name: str = "G") -> str:
+def to_dot(graph: MixedGraph) -> str:
     """DOT document rendering all three marks via arrowtail/arrowhead."""
 
     def quoted(label: str) -> str:
         return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    lines = [f"digraph {name} {{", "  edge [dir=both];"]
+    lines = ["digraph G {", "  edge [dir=both];"]
     for n in graph.node_list():
         lines.append(f"  {quoted(n)};")
     for e in sorted(graph.edges, key=_edge_sort_key):

@@ -392,10 +392,19 @@ class TestMaskBuiltPairwiseModel:
             x, y = rng.sample(nodes, 2)
             edges.add((x, rng.choice(["--", "->", "<->"]), y))
         g = build_graph(nodes, sorted(edges))
+        x, y = next((x, y) for x, y in itertools.combinations(nodes, 2) if not g.adjacent(x, y))
+        c = (g.anteriors(x) | g.anteriors(y)) - {x, y}
+        extra = next(v for v in nodes if v not in c | {x, y})
+        present, mirror = S([x], [y], c), S([y], [x], c)
+        absent = [S([x], [y], c | {extra}), S([y], [x], c | {extra}), S([x, extra], [y], c)]
         built = []
         real = IndependenceStatement.__post_init__
         monkeypatch.setattr(IndependenceStatement, "__post_init__", lambda s: built.append(s) or real(s))
         pw = pairwise_model(g)
+        assert built == []
+        # membership is a lookup in the triples, in either orientation
+        assert present in pw and mirror in pw and pw.contains([y], [x], c)
+        assert not any(s in pw for s in absent)
         assert built == []
         assert len(pw.statements) == len(built) > 30000
 

@@ -293,31 +293,38 @@ def test_equivalence_equals_statement_sets(corpus):
 def test_contains_equals_statement_membership(corpus, symmetry_closed):
     """Random triples over the ground set and two foreign labels, sides
     overlapping or not, against a plain lookup in the statement set; a
-    foreign label is refused, the smallest one named."""
+    foreign label is refused, the smallest one named. Symmetry-closed, the
+    pairwise model answers them too, and its own statements with C grown
+    or shrunk by one node."""
     rng = random.Random(62 + symmetry_closed)
     checked = 0
     for g in [g for g in corpus if len(g.nodes) <= 5][:60]:
         full = enumerate_model(g)
-        model = thinned(full, rng, symmetry_closed)
-        stored = {(s.a, s.b, s.c) for s in model.statements}
+        models = [thinned(full, rng, symmetry_closed)]
         labels = g.node_list() + ["x9", "y9"]
         triples = [(s.a, s.b, s.c) for s in full.sorted_statements()[:40]]
         triples += [
             tuple(frozenset(rng.sample(labels, rng.randint(0, 2))) for _ in range(3))
             for _ in range(60)
         ]
-        for a, b, c in triples:
-            foreign = (a | b | c) - model.ground_set
-            if foreign:
-                with pytest.raises(GraphError, match=f"^unknown node '{min(foreign)}'$"):
-                    model.contains(a, b, c)
+        if symmetry_closed:
+            models.append(pairwise_model(g))
+            triples += [(s.a, s.b, s.c ^ toggled) for s in models[1].sorted_statements()
+                        for toggled in [frozenset(), *({v} for v in g.nodes - s.a - s.b)]]
+        for model in models:
+            stored = {(s.a, s.b, s.c) for s in model.statements}
+            for a, b, c in triples:
+                foreign = (a | b | c) - model.ground_set
+                if foreign:
+                    with pytest.raises(GraphError, match=f"^unknown node '{min(foreign)}'$"):
+                        model.contains(a, b, c)
+                    checked += 1
+                    continue
+                expected = (
+                    not a or not b or (a, b, c) in stored or (symmetry_closed and (b, a, c) in stored)
+                )
+                assert model.contains(a, b, c) == expected, (g, model, a, b, c)
                 checked += 1
-                continue
-            expected = (
-                not a or not b or (a, b, c) in stored or (symmetry_closed and (b, a, c) in stored)
-            )
-            assert model.contains(a, b, c) == expected, (g, a, b, c)
-            checked += 1
     assert checked > 4000
 
 

@@ -5,8 +5,8 @@ enough graph would overflow the interpreter stack on a production path. This
 test parses every module and flags a function that calls itself: a bare-name
 call inside a function or closure of that name, or ``self.<name>(...)`` inside
 a method of that name. A bare-name call inside a method reaches a module or
-builtin name, not the method, so ``Path.reversed`` calling ``reversed`` is
-fine. Only the brute-force path oracle may recurse.
+builtin name, not the method, so a method may call the builtin or module
+function it is named after. Only the brute-force path oracle may recurse.
 """
 
 import ast

@@ -807,20 +807,23 @@ def diamond_chain(k):
     return build_graph(sorted({n for a, _, b in edges for n in (a, b)}), edges)
 
 
-def reference_anteriors(g, v):
-    """ant(v) in g's anterior graph, v left out: a backward search from v
-    over the edges with a tail at the far end, lines and arrows pointing
-    toward v."""
-    star = g.anterior_graph()
-    found, stack = set(), [v]
+def reaching(g, v):
+    """v and the nodes that reach v in g: a backward search from v over the
+    edges with a tail at the far end, lines and arrows pointing toward v."""
+    found, stack = {v}, [v]
     while stack:
         w = stack.pop()
-        for e in star.edges_at(w):
+        for e in g.edges_at(w):
             u = e.other(w)
             if not e.head_at(u) and u not in found:
                 found.add(u)
                 stack.append(u)
-    return found - {v}
+    return found
+
+
+def reference_anteriors(g, v):
+    """ant(v) in g's anterior graph, v left out."""
+    return reaching(g.anterior_graph(), v) - {v}
 
 
 def unpruned_witness(g, x, y, c):
@@ -882,6 +885,21 @@ def mask_mismatches(graphs):
             label = form.labels[v]
             if {form.labels[w] for w in range(len(form.labels)) if mask >> w & 1} != {label} | reference_anteriors(g, label):
                 yield g, label
+
+
+def test_masks_on_every_form():
+    """``anterior_masks`` on a graph's own compiled form and on its anterior
+    form holds v and the nodes that reach v in that graph, parallel edges
+    included."""
+    graphs = [g for seed in (50, 51, 52)
+              for g in generate_corpus(CorpusSpec(count=400, nodes=(3, 8), p_multi=0.2, seed=seed))]
+    assert sum(not g.is_anterior() for g in graphs) > 500
+    assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 500
+    for g in graphs:
+        for h, form in ((g, g.compiled), (g.anterior_graph(), g.compiled.anterior_form)):
+            for v, mask in enumerate(form.anterior_masks):
+                found = {form.labels[w] for w in range(len(form.labels)) if mask >> w & 1}
+                assert found == reaching(h, form.labels[v]), (h, form.labels[v])
 
 
 def masks_without_lines(compiled):

@@ -86,12 +86,21 @@ MUTANTS = (
          "tests/test_independence_reference.py::test_closure_equals_reference_on_theorem_corpora[semigraphoid]"),
     ),
     Mutant(
-        "anterior_masks: line branch dropped",
+        "anterior_masks: lines left out of the relation",
         "src/lmgraphs/graph.py",
-        "            if lines[root]:\n",
-        "            if False:\n",
+        "        ups = tuple(p + w for p, w in zip(self.parents, self.lines))\n"
+        "        downs = tuple(c + w for c, w in zip(self.children, self.lines))\n",
+        "        ups, downs = self.parents, self.children\n",
         ("tests/test_separation.py::TestAnteriorConfinement::test_masks_are_anterior_sets",
-         "tests/test_graph.py::TestAnteriors::test_fig2_anterior_sets"),
+         "tests/test_graph.py::TestAnteriors::test_fig2_anterior_sets",
+         "tests/test_separation.py::test_masks_on_every_form"),
+    ),
+    Mutant(
+        "ancestor_masks: own bit set",
+        "src/lmgraphs/graph.py",
+        "        return _fold(self.components, self.parents, False)\n",
+        "        return _fold(self.components, self.parents, True)\n",
+        ("tests/test_structure_reference.py::test_ancestor_masks_match_ancestors",),
     ),
     Mutant(
         "_reach: anterior scope in the visited-mask lane",
@@ -115,6 +124,33 @@ MUTANTS = (
         "(ant[x] | ant[y]) & ~(1 << y)",
         ("tests/test_independence.py::TestPairwiseModel::test_fig7_statements",
          "tests/test_independence_reference.py::test_pairwise_model_equals_per_node_anteriors"),
+    ),
+    Mutant(
+        "pairwise membership: C ignored",
+        "src/lmgraphs/independence.py",
+        "        return given.get((x, y)) == sum(1 << index[v] for v in c)\n",
+        "        return (x, y) in given\n",
+        ("tests/test_independence.py::TestMaskBuiltPairwiseModel::test_no_statement_before_it_is_read",
+         "tests/test_independence_reference.py::test_contains_equals_statement_membership[True]"),
+    ),
+    Mutant(
+        "pairwise membership: orientation ignored",
+        "src/lmgraphs/independence.py",
+        "        x, y = sorted(index[v] for v in (*a, *b))\n",
+        "        x, y = [index[v] for v in (*a, *b)]\n",
+        ("tests/test_independence.py::TestMaskBuiltPairwiseModel::test_no_statement_before_it_is_read",
+         "tests/test_independence.py::TestMaskBuiltPairwiseModel::test_statements_and_rows_match_eager_build",
+         "tests/test_independence_reference.py::test_contains_equals_statement_membership[True]"),
+    ),
+    Mutant(
+        "_require_cap: a graph at the cap refused",
+        "src/lmgraphs/graph.py",
+        "    if n > cap:\n",
+        "    if n >= cap:\n",
+        ("tests/test_independence.py::TestModelBasics::test_axiom_check_limit",
+         "tests/test_independence.py::TestEnumerateModel::test_limit_enforced",
+         "tests/test_cli.py::TestExitCodes::test_closure_limit_applies_unless_overridden",
+         "tests/test_structure.py::TestMaximality::test_oracle_refuses_large_graphs"),
     ),
     Mutant(
         "_reach walk lane: C passes a walk that came in over a tail",
