@@ -147,8 +147,8 @@ class CompiledGraph:
     ``children[v]`` list the tails of arrows into v and the heads of arrows
     out of v, ``lines[v]`` the other ends of the lines at v (v itself for a
     line loop), and the flags ``loopless`` and ``anterior`` (no arrowhead
-    meets the end of a line) are set at once; ``successors``, the same edges
-    as walk states for the linear walk lane, and ``components``, ``cyclic``,
+    meets the end of a line) are set at once; ``steps``, the same edges as
+    node masks for the linear walk lane, and ``components``, ``cyclic``,
     ``ancestor_masks``, ``anterior_masks`` (which confine the separation
     searches), ``head_masks``, ``inducing_candidates`` (the pairs the
     maximality scan tests), ``anterior_line_ends`` (the nodes that lose
@@ -187,19 +187,21 @@ class CompiledGraph:
         self.lines = tuple(tuple(w) for w in lines)
 
     @cached_property
-    def successors(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The walk states each node leaves to, ``(into, out)``: ``into[v]``
-        over the edges with an arrowhead at v, ``out[v]`` over those without.
-        The state entered at w is ``2 * w + 1`` when the edge has an
-        arrowhead at w, else ``2 * w``; parallel edges that enter the same
-        state give it once. Read from the rows, so an anterior form's lists
-        carry its rewritten marks."""
-        into: list[list[int]] = [[] for _ in self.labels]
-        out: list[list[int]] = [[] for _ in self.labels]
-        for v, row in enumerate(self.adjacency):
+    def steps(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The step table of the linear walk lane: for each node v, the masks
+        ``(head_head, head_tail, tail_head, tail_tail)`` of the nodes w that
+        an edge at v enters, first over the edges with an arrowhead at v,
+        then over those without; the ``_head`` mask holds the w the edge
+        enters with an arrowhead at w, the ``_tail`` mask the others. One
+        pass over the rows, so parallel edges with the same marks give one
+        bit, and an anterior form's table carries its rewritten marks."""
+        table = []
+        for row in self.adjacency:
+            masks = [0, 0, 0, 0]
             for w, head_v, head_w, _ in row:
-                (into if head_v else out)[v].append(2 * w + head_w)
-        return tuple(tuple(dict.fromkeys(s)) for s in into), tuple(tuple(dict.fromkeys(s)) for s in out)
+                masks[2 * (not head_v) + (not head_w)] |= 1 << w
+            table.append(tuple(masks))
+        return tuple(table)
 
     @cached_property
     def head_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -391,6 +393,14 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(positions: Iterable[int]) -> int:
+    """The mask with the bits at ``positions`` set; the inverse of ``_bits``."""
+    mask = 0
+    for v in positions:
+        mask |= 1 << v
+    return mask
 
 
 def _closure(step: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:

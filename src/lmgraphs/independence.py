@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import GraphError, MixedGraph, _bits, _require_cap, _unknown_node
 from .separation import _reach, _search_form
@@ -245,6 +245,15 @@ def _label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
     return sets
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _label_set(labels: Sequence[str], mask: int) -> frozenset[str]:
+    """The labels at the set bits of ``mask``, bit k for ``labels[k]``: its
+    binary digits, lowest first, as bytes 0 and 1 select from the labels."""
+    return frozenset(itertools.compress(labels, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
 @functools.lru_cache(maxsize=8)
 def _submask_rows(n: int) -> tuple[int, ...]:
     """Indexed by each mask m over n nodes, the row with bit c set for each c <= m."""
@@ -296,10 +305,11 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
     it. Sources leave over every edge; a state at v passes on what
     ``_gate_patterns`` lets through, by C alone as in ``separation._reach``
     (see there why): ``in_v`` after an arrowhead and ``out_v`` after a tail
-    over the edges with an arrowhead at v, ``out_v`` over the others. Sweeps
-    pass on only new bits; block x of the states at y is R[x][y]. A graph
-    with ribbons fills the table by ``_reach``'s visited-mask lane, one call
-    per (x, C)."""
+    over the edges with an arrowhead at v, ``out_v`` over the others, the
+    states each edge enters read from the form's step table, as the walk
+    lane reads them. Sweeps pass on only new bits; block x of the states at
+    y is R[x][y]. A graph with ribbons fills the table by ``_reach``'s
+    visited-mask lane, one call per (x, C)."""
     form = _search_form(graph)
     n = len(form.labels)
     size, full, avoid = 1 << n, (1 << n) - 1, _avoiding(n)
@@ -308,10 +318,15 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
         for c in range(size):
             given = set(_bits(c))
             for x in _bits(full ^ c):
-                for y in _reach(form, (x,), given) - given - {x}:
+                for y in _bits(_reach(form, (x,), given) & ~(c | 1 << x)):
                     table[x][y] |= 1 << c
         return table
-    into, out = form.successors
+    # the states v steps to, ``into`` over the edges with an arrowhead at v
+    # and ``out`` over the others: 2w + 1 enters w with an arrowhead, 2w over a tail
+    into, out = [], []
+    for head_head, head_tail, tail_head, tail_tail in form.steps:
+        into.append([2 * w + 1 for w in _bits(head_head)] + [2 * w for w in _bits(head_tail)])
+        out.append([2 * w + 1 for w in _bits(tail_head)] + [2 * w for w in _bits(tail_tail)])
     gates = _gate_patterns(n)
     seen = [0] * (2 * n)
     for x in range(n):
@@ -422,14 +437,14 @@ class _PairwiseModel(IndependenceModel):
             return False
         index, given = self._given
         x, y = sorted(index[v] for v in (*a, *b))
-        return given.get((x, y)) == sum(1 << index[v] for v in c)
+        mask = given.get((x, y))
+        return mask is not None and _label_set(self._labels, mask) == c
 
     @functools.cached_property
     def statements(self) -> frozenset[IndependenceStatement]:
         labels, listed = self._labels, []
         for x, y, c in self._pairs:
-            given = [label for label, bit in zip(labels, bin(c)[:1:-1]) if bit == "1"]  # bit k at k
-            s = IndependenceStatement(frozenset((labels[x],)), frozenset((labels[y],)), frozenset(given))
+            s = IndependenceStatement(frozenset((labels[x],)), frozenset((labels[y],)), _label_set(labels, c))
             listed += (s, s.mirrored())
         return frozenset(listed)
 
@@ -674,26 +689,35 @@ def _require_shared_ground(model: IndependenceModel, graph: MixedGraph) -> None:
         raise GraphError("model and graph are over different node sets")
 
 
-def _first_missing(model: IndependenceModel, graph: MixedGraph, reference: Callable) -> MarkovCheck:
-    """Whether ``model`` holds all of ``reference(graph)``, else the first it lacks by sort key."""
-    _require_shared_ground(model, graph)
-    missing = next((s for s in reference(graph)._sorted if s not in model), None)
-    return MarkovCheck(missing is None, missing)
-
-
 def satisfies_pairwise(model: IndependenceModel, graph: MixedGraph) -> MarkovCheck:
     """Does the model contain every non-adjacent pair's anterior-separator
-    statement (in both orientations)?"""
-    return _first_missing(model, graph, pairwise_model)
+    statement (in both orientations)? Else the first it lacks by sort key.
+    The pairwise model's (x, y, C mask) triples are walked in both
+    orientations by (x, y): nodes are numbered in label order and each
+    ordered pair has one statement, so that is sort-key order. No statement
+    is listed, and only the missing one is built."""
+    _require_shared_ground(model, graph)
+    pairwise = pairwise_model(graph)
+    labels, given = pairwise._labels, {}
+    for x, y, c in pairwise._pairs:
+        given[x, y] = given[y, x] = c
+    for (x, y), mask in sorted(given.items()):
+        a, b, c = frozenset((labels[x],)), frozenset((labels[y],)), _label_set(labels, mask)
+        if not model.contains(a, b, c):
+            return MarkovCheck(False, IndependenceStatement(a, b, c))
+    return MarkovCheck(True)
 
 
 def satisfies_global(
     model: IndependenceModel, graph: MixedGraph, limit: Optional[int] = None
 ) -> MarkovCheck:
     """Does the model contain everything m-separation derives on the graph?
-    The induced model comes from ``enumerate_model``, so from the graph's
-    kept reach table, under that function's node cap or ``limit``."""
-    return _first_missing(model, graph, functools.partial(enumerate_model, limit=limit))
+    Else the first it lacks by sort key. The induced model comes from
+    ``enumerate_model``, so from the graph's kept reach table, under that
+    function's node cap or ``limit``."""
+    _require_shared_ground(model, graph)
+    missing = next((s for s in enumerate_model(graph, limit=limit)._sorted if s not in model), None)
+    return MarkovCheck(missing is None, missing)
 
 
 def conforms(model: IndependenceModel, graph: MixedGraph) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _require_cap, combine_paths, path_in_graph
+from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _bits, _mask, _require_cap, combine_paths, path_in_graph
 
 DEFAULT_ORACLE_LIMIT = 8
 
@@ -55,31 +55,36 @@ def _pair(
 
 def _reach(
     compiled: CompiledGraph, sources: Sequence[int], c: set[int], stop: Collection[int] = (),
-) -> set[int]:
-    """Indices joined to some source by an m-connecting path given C; returns
-    as soon as it reaches a node in ``stop``. One pass from all sources is
-    exact: a state's future does not depend on where its path began.
+) -> int:
+    """A mask of the indices joined to some source by an m-connecting path
+    given C, index v as bit v; returns once it reaches a node in ``stop``,
+    with that node set. One pass from all sources is exact: a state's
+    future does not depend on where its path began.
 
-    On an anterior form the search is linear: it walks the form's
-    ``successors``, states (node, arrived-with-arrowhead). A state at v
-    outside C leaves over every edge, or only over the edges without an
-    arrowhead at v when it came in with one; at v in C only a state that
-    came in with an arrowhead leaves, over the edges with one. C alone opens
-    a collider, so no an(C) is computed: a walk that meets a collider v in
-    an(C) outside C takes the shortest directed path from v into C, whose
-    inner nodes avoid C, passes the collider at its end in C and comes back
-    the same way, arriving at v over a tail, so it leaves v over any edge,
-    as the path would through an open collider. The bit-parallel walk behind
-    ``independence.enumerate_model`` gates by C alone on the same argument.
-    Given a ``stop``, the walk keeps to ant(sources, stop, C), the form's
-    ``anterior_scope``, and drops every state outside it (-1 holds every
-    node). That is exact on
-    an anterior form: a collider of an m-connecting path lies in C or an(C);
-    from a non-collider the path leaves over an edge with no arrowhead there
-    and, since no arrowhead meets a line, keeps going along lines and arrows
-    toward their heads until it reaches a collider or an end, so every node
-    of the path lies in that set, and so does the detour from a collider
-    into C. Without a ``stop`` every reached node is returned.
+    On an anterior form the search is linear, counting a mask operation as
+    one: a level-synchronous walk over states (node, arrived-with-arrowhead),
+    kept as two node masks, the nodes not yet entered with an arrowhead and
+    those not yet entered over a tail, over the form's step table ``steps``. A state at v outside C leaves over every
+    edge, or only over the edges without an arrowhead at v when it came in
+    with one; at v in C only a state that came in with an arrowhead leaves,
+    over the edges with one. So each level takes one bit loop per gate,
+    ORing its states' masks from the table into the next level, which is
+    cut to the unseen states and tested against ``stop`` in one mask test.
+    C alone opens a collider, so no an(C) is computed: a walk that meets a
+    collider v in an(C) outside C takes the shortest directed path from v
+    into C, whose inner nodes avoid C, passes the collider at its end in C
+    and comes back the same way, arriving at v over a tail, so it leaves v
+    over any edge, as the path would through an open collider. The
+    bit-parallel walk behind ``independence.enumerate_model`` gates by C
+    alone on the same argument and reads the same table. Given a ``stop``,
+    the walk keeps to ant(sources, stop, C), the form's ``anterior_scope``,
+    and drops every state outside it (-1 holds every node). That is exact
+    on an anterior form: a collider of an m-connecting path lies in C or
+    an(C); from a non-collider the path leaves over an edge with no
+    arrowhead there and, since no arrowhead meets a line, keeps going along
+    lines and arrows toward their heads until it reaches a collider or an
+    end, so every node of the path lies in that set, and so does the detour
+    from a collider into C. Without a ``stop`` every reached node is set.
 
     On any other form a walk may bounce off a line below a collider and fake
     a connection, so the search follows simple paths, the state also
@@ -89,32 +94,48 @@ def _reach(
     separation reader searches the form ``_search_form`` picks, so only
     graphs with ribbons reach this lane.
     """
+    halt = _mask(stop)
     if compiled.anterior:
-        into, out = compiled.successors
+        steps, gate = compiled.steps, _mask(c)
         scope = compiled.anterior_scope((*sources, *stop, *c)) if stop else -1
-        reached: set[int] = set()
-        seen: set[int] = set()
-        todo = [state for s in sources for state in into[s] + out[s]]
-        while todo:
-            state = todo.pop()
-            v = state >> 1
-            if state in seen or not scope >> v & 1:
-                continue
-            seen.add(state)
-            reached.add(v)
-            if v in stop:
-                return reached
-            if v in c:
-                if state & 1:
-                    todo += into[v]
-            else:
-                todo += out[v]
-                if not state & 1:
-                    todo += into[v]
-        return reached
+        head = tail = 0  # the nodes the sources enter with an arrowhead; over a tail
+        for s in sources:  # a source leaves over every edge
+            head_head, head_tail, tail_head, tail_tail = steps[s]
+            head |= head_head | tail_head
+            tail |= head_tail | tail_tail
+        fresh_head, fresh_tail = head & scope, tail & scope
+        # the states in scope not yet entered, one mask per way of entering
+        unseen_head, unseen_tail = scope ^ fresh_head, scope ^ fresh_tail
+        while (fresh_head or fresh_tail) and not (fresh_head | fresh_tail) & halt:
+            next_head = next_tail = 0
+            passing = fresh_head & gate  # a collider in C: on over the edges with an arrowhead
+            while passing:
+                v = passing.bit_length() - 1
+                passing ^= 1 << v
+                step_head, step_tail, _, _ = steps[v]
+                next_head |= step_head
+                next_tail |= step_tail
+            passing = fresh_head & ~gate  # an arrowhead outside C: on over the edges without
+            while passing:
+                v = passing.bit_length() - 1
+                passing ^= 1 << v
+                _, _, step_head, step_tail = steps[v]
+                next_head |= step_head
+                next_tail |= step_tail
+            passing = fresh_tail & ~gate  # a tail outside C: on over every edge
+            while passing:
+                v = passing.bit_length() - 1
+                passing ^= 1 << v
+                head_head, head_tail, tail_head, tail_tail = steps[v]
+                next_head |= head_head | tail_head
+                next_tail |= head_tail | tail_tail
+            fresh_head, fresh_tail = next_head & unseen_head, next_tail & unseen_tail
+            unseen_head ^= fresh_head
+            unseen_tail ^= fresh_tail
+        return scope & ~(unseen_head & unseen_tail)
     open_colliders = c | compiled.ancestors(c)
     adjacency = compiled.adjacency
-    reached = set()
+    reached = 0
     visited: set[tuple[int, int, bool]] = set()
     queue = deque([(s, 1 << s, None) for s in sources])
     while queue:
@@ -127,8 +148,8 @@ def _reach(
         for w, head_v, head_w, _ in adjacency[v]:
             if not (pass_head if head_v else pass_tail) or mask >> w & 1:
                 continue
-            reached.add(w)
-            if w in stop:
+            reached |= 1 << w
+            if halt >> w & 1:
                 return reached
             state = (w, mask | 1 << w, head_w)
             if state not in visited:
@@ -156,7 +177,7 @@ def _m_reachable(graph: MixedGraph, x: str, c: frozenset[str]) -> set[str]:
     form = _search_form(graph)
     index = form.index
     found = _reach(form, [index[x]], {index[n] for n in c})
-    return {form.labels[v] for v in found}
+    return {form.labels[v] for v in _bits(found)}
 
 
 def m_connecting_path_exists(
@@ -164,7 +185,7 @@ def m_connecting_path_exists(
 ) -> bool:
     """Reachability engine: is there an m-connecting path from x to y given C?"""
     _, source, target, c = _pair(graph, x, y, given)
-    return target in _reach(_search_form(graph), [source], c, stop=(target,))
+    return bool(_reach(_search_form(graph), [source], c, stop=(target,)) >> target & 1)
 
 
 def m_separated(
@@ -184,9 +205,9 @@ def m_separated(
     a, b, c = _query_sets(graph, a, b, c)
     form = _search_form(graph)
     index = form.index
-    targets = {index[n] for n in b}
+    targets = [index[n] for n in b]
     found = _reach(form, [index[n] for n in a], {index[n] for n in c}, stop=targets)
-    return found.isdisjoint(targets)
+    return not found & _mask(targets)
 
 
 def is_m_connecting_path(

@@ -49,6 +49,10 @@ class TestBuildGraph:
         assert [e.key for e in g.edges_at("a")] == [2, 1, 3, 0]
         assert [e.key for e in g.edges_between("b", "a")] == [2, 1, 3]
 
+    def test_repr_lists_the_edges(self, figures):
+        assert repr(figures["fig6"]) == "MixedGraph(3 nodes, 3 edges: i -> k; j <-> k; j <- k)"
+        assert repr(build_graph(["i"])) == "MixedGraph(1 nodes, 0 edges: )"
+
     def test_unknown_endpoint(self):
         with pytest.raises(GraphError, match="unknown endpoint"):
             build_graph(["i"], [("i", "->", "j")])

@@ -54,6 +54,17 @@ def models(draw, nodes=("a", "b", "c", "d")):
     return IndependenceModel(nodes, stmts)
 
 
+def two_hundred_nodes():
+    """A seeded graph of 200 nodes and 300 random lines, arrows and arcs."""
+    rng = random.Random(200)
+    nodes = [f"v{k:03d}" for k in range(200)]
+    edges = set()
+    while len(edges) < 300:
+        x, y = rng.sample(nodes, 2)
+        edges.add((x, rng.choice(["--", "->", "<->"]), y))
+    return build_graph(nodes, sorted(edges))
+
+
 class TestStatements:
     def test_disjointness_enforced(self):
         with pytest.raises(GraphError, match="disjoint"):
@@ -113,6 +124,18 @@ class TestModelBasics:
         assert check_axiom(m, Axiom.DECOMPOSITION).missing == S(["c"], ["a"], [])
         assert check_axiom(m, Axiom.WEAK_UNION).missing == S(["c"], ["a"], ["b"])
         assert check_axiom(m, Axiom.SYMMETRY) is None
+
+    def test_repr_counts_the_statements(self):
+        m = IndependenceModel("ij", [S(["i"], ["j"], [])], symmetry_closed=True)
+        assert repr(m) == "IndependenceModel(2 statements over ['i', 'j'])"
+        assert repr(IndependenceModel([], [])) == "IndependenceModel(0 statements over [])"
+
+    def test_equal_models_hash_equal(self, figures):
+        for g in (figures["fig6"], figures["fig7"], two_hundred_nodes()):
+            pw = pairwise_model(g)
+            plain = IndependenceModel(g.nodes, pw.statements)
+            assert pw == plain and hash(pw) == hash(plain)
+            assert len({pw, plain, IndependenceModel(g.nodes, plain.statements, symmetry_closed=True)}) == 1
 
     def test_ground_set_enforced(self):
         with pytest.raises(GraphError, match="ground set"):
@@ -385,13 +408,8 @@ class TestMaskBuiltPairwiseModel:
         assert next(pairwise_faults(wide), None) is not None
 
     def test_no_statement_before_it_is_read(self, monkeypatch):
-        rng = random.Random(200)
-        nodes = [f"v{k:03d}" for k in range(200)]
-        edges = set()
-        while len(edges) < 300:
-            x, y = rng.sample(nodes, 2)
-            edges.add((x, rng.choice(["--", "->", "<->"]), y))
-        g = build_graph(nodes, sorted(edges))
+        g = two_hundred_nodes()
+        nodes = g.node_list()
         x, y = next((x, y) for x, y in itertools.combinations(nodes, 2) if not g.adjacent(x, y))
         c = (g.anteriors(x) | g.anteriors(y)) - {x, y}
         extra = next(v for v in nodes if v not in c | {x, y})
@@ -407,6 +425,24 @@ class TestMaskBuiltPairwiseModel:
         assert not any(s in pw for s in absent)
         assert built == []
         assert len(pw.statements) == len(built) > 30000
+
+    def test_satisfies_pairwise_lists_no_statement(self, monkeypatch):
+        """A count guard: checking a model against the pairwise statements
+        walks the triples, building only the statement it reports."""
+        g = two_hundred_nodes()
+        pw = pairwise_model(g)
+        dropped = independence._PairwiseModel(pw._labels, pw._pairs[1:])
+        x, y, c = pw._pairs[0]
+        labels = pw._labels
+        first = S([labels[x]], [labels[y]], [labels[k] for k in range(len(labels)) if c >> k & 1])
+        built = []
+        real = IndependenceStatement.__post_init__
+        monkeypatch.setattr(IndependenceStatement, "__post_init__", lambda s: built.append(s) or real(s))
+        assert satisfies_pairwise(pw, g)
+        assert built == []
+        assert satisfies_pairwise(dropped, g) == independence.MarkovCheck(False, first)
+        assert built == [first]
+        assert not {"statements", "_sorted", "_rows"} & (vars(pw).keys() | vars(dropped).keys())
 
 
 class TestMarkovProperties:

@@ -34,8 +34,9 @@ from lmgraphs import (
     m_separated,
     markov_equivalent,
     pairwise_model,
+    satisfies_pairwise,
 )
-from lmgraphs.independence import AxiomViolation, _counterexample, _proper_splits
+from lmgraphs.independence import AxiomViolation, MarkovCheck, _counterexample, _proper_splits
 from test_independence import models
 
 AXIOMS = sorted(Axiom, key=lambda a: a.value)
@@ -370,6 +371,28 @@ def test_pairwise_model_equals_per_node_anteriors(corpus):
                 expected += [s, s.mirrored()]
         model = pairwise_model(g)
         assert model == IndependenceModel(g.nodes, expected) and model.symmetry_closed, g
+
+
+def listed_first_missing(model, graph):
+    """``satisfies_pairwise`` by the listing: the pairwise statements sorted
+    by sort key, and the first the model lacks."""
+    missing = next((s for s in pairwise_model(graph).sorted_statements() if s not in model), None)
+    return MarkovCheck(missing is None, missing)
+
+
+def test_satisfies_pairwise_equals_the_listing(lmg_corpus, maximal_rg_corpus, bidirected_corpus):
+    """On the graphs c06, c09 and c11 quantify over: the pairwise and the
+    enumerated model, each also thinned (raw and symmetry-closed), and the
+    empty model."""
+    rng = random.Random(68)
+    outcomes = []
+    for g in lmg_corpus[:100] + maximal_rg_corpus + bidirected_corpus:
+        for full in (pairwise_model(g), enumerate_model(g)):
+            for model in (full, thinned(full, rng, False), thinned(full, rng, True), IndependenceModel(g.nodes)):
+                check = satisfies_pairwise(model, g)
+                assert check == listed_first_missing(model, g), (g, model)
+                outcomes.append(check.ok)
+    assert outcomes.count(True) > 200 and outcomes.count(False) > 200
 
 
 RULE_SETS = [*AXIOM_SETS.items(), *((axiom.value, frozenset({axiom})) for axiom in AXIOMS)]

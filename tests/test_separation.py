@@ -47,6 +47,11 @@ except ImportError:  # the cross-check below is skipped without it
     nx = None
 
 
+def members(mask):
+    """The indices of the set bits of ``mask``, as ``_reach`` returns them."""
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
 def in_mask_lane(compiled):
     """A copy of ``compiled`` that ``_reach`` searches in the visited-mask
     lane, whatever the graph's class; it shares the original's rows."""
@@ -66,7 +71,7 @@ def mask_lane_separated(g, a, b, c, opens_ancestors=True):
     index = compiled.index
     targets = {index[n] for n in b}
     found = _reach(compiled, [index[n] for n in a], {index[n] for n in c}, targets)
-    return found.isdisjoint(targets)
+    return members(found).isdisjoint(targets)
 
 
 def mask_lane_model(g):
@@ -482,7 +487,7 @@ def reach_row_mismatches(graphs):
         for c in range(1 << n):
             given = {v for v in range(n) if c >> v & 1}
             for x in range(n):
-                expected = set() if x in given else _reach(form, (x,), given) - given - {x}
+                expected = set() if x in given else members(_reach(form, (x,), given)) - given - {x}
                 if {y for y in range(n) if table[x][y] >> c & 1} != expected:
                     yield g, c, x
 
@@ -690,7 +695,7 @@ class TestReachRows:
         before = [getattr(_search_form(g), "_kept_reach_table", None) for g in graphs]
         real_gates = independence._gate_patterns
         monkeypatch.setattr(independence, "_gate_patterns", lambda n: tuple((-1, out) for _, out in real_gates(n)))
-        monkeypatch.setattr(independence, "_reach", lambda form, sources, c, stop=(): set())
+        monkeypatch.setattr(independence, "_reach", lambda form, sources, c, stop=(): 0)
         for g in graphs:
             independence._reach_table(g)
         assert all(getattr(_search_form(g), "_kept_reach_table", None) is kept for g, kept in zip(graphs, before))
@@ -794,6 +799,108 @@ class TestCGatedWalk:
         assert calls == [ribboned.compiled] * 6
 
 
+def reference_reach(compiled, sources, c, stop=()):
+    """The walk lane's per-state search, kept as the reference for the
+    frontier walk in ``_reach``: a stack of states, 2w + 1 for w entered
+    with an arrowhead and 2w for w entered over a tail, each node's
+    successors read from its adjacency row, under the same gates and the
+    same ``anterior_scope``; the set of reached indices, returned as soon
+    as a node in ``stop`` is reached."""
+    into = [[2 * w + head_w for w, head_v, head_w, _ in row if head_v] for row in compiled.adjacency]
+    out = [[2 * w + head_w for w, head_v, head_w, _ in row if not head_v] for row in compiled.adjacency]
+    scope = compiled.anterior_scope((*sources, *stop, *c)) if stop else -1
+    reached, seen = set(), set()
+    todo = [state for s in sources for state in into[s] + out[s]]
+    while todo:
+        state = todo.pop()
+        v = state >> 1
+        if state in seen or not scope >> v & 1:
+            continue
+        seen.add(state)
+        reached.add(v)
+        if v in stop:
+            return reached
+        if v in c:
+            if state & 1:
+                todo += into[v]
+        else:
+            todo += out[v]
+            if not state & 1:
+                todo += into[v]
+    return reached
+
+
+def frontier_mismatches(graphs, outcomes):
+    """Each (graph, A, stop, C) where ``_reach``'s frontier walk on the
+    graph's search form disagrees with ``reference_reach``: without a stop
+    the reached sets differ; with one, whether a stop node is reached
+    differs, or the walk reaches a node the reference does not reach
+    without a stop. Twelve seeded queries per graph, A of one to three
+    nodes; ``outcomes`` counts them by whether the walk reached a stop node."""
+    rng = random.Random(9090)
+    for g in graphs:
+        form = _search_form(g)
+        for _ in range(12):
+            pick = rng.sample(range(len(form.labels)), len(form.labels))
+            na = rng.randint(1, min(3, len(pick) - 1))
+            nb = rng.randint(1, len(pick) - na)
+            sources, stop = pick[:na], pick[na:na + nb]
+            c = set(rng.sample(pick[na + nb:], rng.randint(0, len(pick) - na - nb)))
+            everything = reference_reach(form, sources, c)
+            found = members(_reach(form, sources, c, stop))
+            outcomes[not found.isdisjoint(stop)] += 1
+            if (members(_reach(form, sources, c)) != everything or not found <= everything
+                    or found.isdisjoint(stop) != reference_reach(form, sources, c, stop).isdisjoint(stop)):
+                yield g, sources, stop, c
+
+
+def marks_at_w_ignored(steps):
+    """A planted fault: the step table ``steps`` entering every node with an arrowhead."""
+    return tuple((hh | ht, 0, th | tt, 0) for hh, ht, th, tt in steps)
+
+
+class TestFrontierWalk:
+    """The walk lane of ``_reach`` steps a level of node masks at a time
+    over the form's step table; the per-state search it replaced,
+    ``reference_reach``, is the reference on seeded anterior forms."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """Search forms up to 26 nodes, sparse enough for walks of many
+        levels: the anterior graphs of unconstrained draws, graphs with no
+        lines and many directed cycles, and ribbonless graphs that are not
+        anterior, through their anterior forms; parallel edges throughout."""
+        graphs = []
+        for seed in range(2):
+            graphs += [g.anterior_graph() for g in generate_corpus(CorpusSpec(
+                count=80, nodes=(5, 26), p_line=0.04, p_arrow=0.1, p_arc=0.04, p_multi=0.2, seed=9090 + seed,
+            ))]
+            graphs += generate_corpus(CorpusSpec(
+                count=60, nodes=(5, 26), p_line=0.0, p_arrow=0.15, p_arc=0.04, p_multi=0.2, seed=9190 + seed,
+            ))
+            graphs += [g for g in generate_corpus(CorpusSpec(
+                count=80, nodes=(4, 12), p_line=0.1, p_arrow=0.2, p_arc=0.1, p_multi=0.2,
+                constraint="ribbonless", seed=9290 + seed,
+            )) if not g.is_anterior()]
+        forms = [_search_form(g) for g in graphs]
+        assert all(form.anterior for form in forms)
+        assert sum(bool(form.cyclic) for form in forms) > 60
+        assert sum(not g.is_anterior() for g in graphs) > 40
+        assert sum(len(g.nodes) > 15 for g in graphs) > 100
+        assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 150
+        return graphs
+
+    def test_frontier_walk_matches_reference(self, corpus):
+        outcomes = collections.Counter()
+        assert next(frontier_mismatches(corpus, outcomes), None) is None
+        assert min(outcomes[True], outcomes[False]) > 400, outcomes
+
+    def test_step_table_ignoring_marks_is_caught(self, corpus, monkeypatch):
+        real = CompiledGraph.steps.func
+        monkeypatch.setattr(CompiledGraph, "steps", property(lambda form: marks_at_w_ignored(real(form))))
+        assert next(frontier_mismatches(corpus, collections.Counter()), None) is not None
+
+
 def diamond_chain(k):
     """x -> p -> z with k arrow diamonds hanging off p. Their labels sort
     before z, so a witness search that does not prune walks all 2**k
@@ -867,7 +974,7 @@ def check_confinement(graphs):
         index, everything = form.index, (1 << len(form.labels)) - 1
         for a, b, c in confinement_queries(g, rng):
             sources, targets, given = [index[n] for n in a], {index[n] for n in b}, {index[n] for n in c}
-            confined, unconfined = _reach(form, sources, given, targets), _reach(form, sources, given)
+            confined, unconfined = members(_reach(form, sources, given, targets)), members(_reach(form, sources, given))
             answer = confined.isdisjoint(targets)
             if (answer != unconfined.isdisjoint(targets) or not confined <= unconfined
                     or answer != oracle_m_separated(g, a, b, c)):
@@ -997,7 +1104,7 @@ class TestAnteriorConfinement:
         index = g.compiled.index
         a, c = index["a"], index["c"]
         assert not oracle_m_separated(g, ["a"], ["c"], [])
-        assert c in _reach(g.compiled, [a], set(), {c})
+        assert c in members(_reach(g.compiled, [a], set(), {c}))
         # Planted fault: the visited-mask lane keeps to the anterior sets
         # its form's masks give, as the walk lane does.
         scope = g.compiled.anterior_masks[a] | g.compiled.anterior_masks[c]
@@ -1005,7 +1112,7 @@ class TestAnteriorConfinement:
         confined.adjacency = tuple(
             tuple(entry for entry in row if scope >> entry[0] & 1) for row in g.compiled.adjacency
         )
-        assert c not in _reach(confined, [a], set(), {c})
+        assert c not in members(_reach(confined, [a], set(), {c}))
 
     def test_diamond_chain_witness_is_pruned(self, monkeypatch):
         """A count guard, not a clock: unpruned, the search at k = 16 tries

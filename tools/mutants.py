@@ -128,8 +128,8 @@ MUTANTS = (
     Mutant(
         "pairwise membership: C ignored",
         "src/lmgraphs/independence.py",
-        "        return given.get((x, y)) == sum(1 << index[v] for v in c)\n",
-        "        return (x, y) in given\n",
+        "        return mask is not None and _label_set(self._labels, mask) == c\n",
+        "        return mask is not None\n",
         ("tests/test_independence.py::TestMaskBuiltPairwiseModel::test_no_statement_before_it_is_read",
          "tests/test_independence_reference.py::test_contains_equals_statement_membership[True]"),
     ),
@@ -141,6 +141,20 @@ MUTANTS = (
         ("tests/test_independence.py::TestMaskBuiltPairwiseModel::test_no_statement_before_it_is_read",
          "tests/test_independence.py::TestMaskBuiltPairwiseModel::test_statements_and_rows_match_eager_build",
          "tests/test_independence_reference.py::test_contains_equals_statement_membership[True]"),
+    ),
+    Mutant(
+        "satisfies_pairwise: one orientation walked",
+        "src/lmgraphs/independence.py",
+        "        given[x, y] = given[y, x] = c\n",
+        "        given[x, y] = c\n",
+        ("tests/test_independence_reference.py::test_satisfies_pairwise_equals_the_listing",),
+    ),
+    Mutant(
+        "satisfies_pairwise: triples walked out of sort-key order",
+        "src/lmgraphs/independence.py",
+        "    for (x, y), mask in sorted(given.items()):\n",
+        "    for (x, y), mask in given.items():\n",
+        ("tests/test_independence_reference.py::test_satisfies_pairwise_equals_the_listing",),
     ),
     Mutant(
         "_require_cap: a graph at the cap refused",
@@ -155,16 +169,34 @@ MUTANTS = (
     Mutant(
         "_reach walk lane: C passes a walk that came in over a tail",
         "src/lmgraphs/separation.py",
-        "                if state & 1:\n                    todo += into[v]\n",
-        "                todo += into[v]\n",
-        ("tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane",),
+        "            passing = fresh_head & gate  #",
+        "            passing = (fresh_head | fresh_tail) & gate  #",
+        ("tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane",
+         "tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference"),
     ),
     Mutant(
         "_reach walk lane: C bounces over tails",
         "src/lmgraphs/separation.py",
-        "                if state & 1:\n                    todo += into[v]\n",
-        "                if state & 1:\n                    todo += out[v]\n",
+        "                step_head, step_tail, _, _ = steps[v]\n",
+        "                _, _, step_head, step_tail = steps[v]\n",
         ("tests/test_separation.py::TestCGatedWalk::test_walk_bounces_off_c",),
+    ),
+    Mutant(
+        "_reach walk lane: an arrowhead outside C leaves over the edges with one",
+        "src/lmgraphs/separation.py",
+        "                _, _, step_head, step_tail = steps[v]\n",
+        "                step_head, step_tail, _, _ = steps[v]\n",
+        ("tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference",
+         "tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane"),
+    ),
+    Mutant(
+        "steps: the mark at w ignored",
+        "src/lmgraphs/graph.py",
+        "                masks[2 * (not head_v) + (not head_w)] |= 1 << w\n",
+        "                masks[2 * (not head_v)] |= 1 << w\n",
+        ("tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference",
+         "tests/test_separation.py::TestEngineOnFigures::test_fig3_connected_given_l",
+         "tests/test_independence.py::TestEnumerateModel::test_fig3_membership"),
     ),
     Mutant(
         "_gate_patterns: gates swapped",
