@@ -148,12 +148,14 @@ class CompiledGraph:
     out of v, ``lines[v]`` the other ends of the lines at v (v itself for a
     line loop), and the flags ``loopless`` and ``anterior`` (no arrowhead
     meets the end of a line) are set at once; ``steps``, the same edges as
-    node masks for the linear walk lane, and ``components``, ``cyclic``,
-    ``ancestor_masks``, ``anterior_masks`` (which confine the separation
-    searches), ``head_masks``, ``inducing_candidates`` (the pairs the
-    maximality scan tests), ``anterior_line_ends`` (the nodes that lose
-    their arrowheads in the anterior graph) and ``anterior_form``, the
-    compiled anterior graph, are built on first use.
+    node masks and the only per-node edge table besides the rows, and
+    ``components``, ``cyclic``, ``ancestor_masks``, ``anterior_masks``
+    (which confine the separation searches), ``inducing_candidates`` (the
+    pairs the maximality scan tests), ``anterior_line_ends`` (the nodes
+    that lose their arrowheads in the anterior graph) and
+    ``anterior_form``, the compiled anterior graph, are built on first use.
+    Every ancestry answer is a node mask: ``ancestors`` walks up from one
+    set, and ``ancestor_masks`` folds an(v) for every node at once.
     Everything is O(n + m), counting an n-bit mask as one.
     """
 
@@ -194,7 +196,9 @@ class CompiledGraph:
         then over those without; the ``_head`` mask holds the w the edge
         enters with an arrowhead at w, the ``_tail`` mask the others. One
         pass over the rows, so parallel edges with the same marks give one
-        bit, and an anterior form's table carries its rewritten marks."""
+        bit, and an anterior form's table carries its rewritten marks. So
+        ``steps[v][0]`` masks the nodes joined to v by an arc, and
+        ``steps[v][0] | steps[v][2]`` those an edge at v gives an arrowhead."""
         table = []
         for row in self.adjacency:
             masks = [0, 0, 0, 0]
@@ -204,18 +208,6 @@ class CompiledGraph:
         return tuple(table)
 
     @cached_property
-    def head_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(heads, arcs)``: ``heads[v]`` masks the nodes w that an edge at v
-        gives an arrowhead at w, ``arcs[v]`` those joined to v by an arc."""
-        heads, arcs = [0] * len(self.labels), [0] * len(self.labels)
-        for v, row in enumerate(self.adjacency):
-            for w, head_v, head_w, _ in row:
-                if head_w:
-                    heads[v] |= 1 << w
-                    arcs[v] |= head_v << w
-        return tuple(heads), tuple(arcs)
-
-    @cached_property
     def inducing_candidates(self) -> tuple[int, ...]:
         """For each x, a mask of the y > x not adjacent to x that send an
         arrowhead into an arc component that x also sends one into. Every
@@ -223,25 +215,18 @@ class CompiledGraph:
         so its inner edges are arcs and each inner node has a child: the
         inner nodes lie in one arc component of the nodes with a child, where
         a node with no arc is its own component, and no other pair has a
-        path with an inner node. One flood over the arc masks numbers the
-        components, one pass over the rows groups the senders by component,
-        and one more gathers each x's candidates."""
-        arcs = self.head_masks[1]
+        path with an inner node. One flood over the arc masks per component
+        numbers the components, one pass over the rows groups the senders by
+        component, and one more gathers each x's candidates."""
+        steps = self.steps
         inner = sum(1 << v for v, below in enumerate(self.children) if below)
         component = [-1] * len(self.labels)
         count = 0
         for root, below in enumerate(self.children):
             if not below or component[root] >= 0:
                 continue
-            members = frontier = 1 << root
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                v = low.bit_length() - 1
+            for v in _bits(_arc_flood(steps, 1 << root, inner)):
                 component[v] = count
-                fresh = arcs[v] & inner & ~members
-                members |= fresh
-                frontier |= fresh
             count += 1
         senders = [0] * count
         for v, row in enumerate(self.adjacency):
@@ -259,19 +244,19 @@ class CompiledGraph:
         return tuple(candidates)
 
     @cached_property
-    def anterior_line_ends(self) -> frozenset[int]:
-        """The line ends of the anterior graph, kept: this graph's line ends
-        and their ancestors. The anterior form and ``anterior_graph()`` drop
-        every arrowhead at them; needs a loopless graph. This is the closed
-        form of the fixpoint of removing arrowheads at line ends. Removing
-        the arrowhead at a line end v turns an arrow u -> v into a line,
-        whose new end is the arrow's tail u, and an arc u <-> v into an
-        arrow v -> u out of that end; an arc becomes a line only when both
-        its ends already end lines. So the fixpoint's line ends are the
-        first line ends closed under parents, and it removes exactly the
-        arrowheads at those nodes."""
+    def anterior_line_ends(self) -> int:
+        """The line ends of the anterior graph, kept as a mask: this graph's
+        line ends and one walk up from them. The anterior form and
+        ``anterior_graph()`` drop every arrowhead at them; needs a loopless
+        graph. This is the closed form of the fixpoint of removing arrowheads
+        at line ends. Removing the arrowhead at a line end v turns an arrow
+        u -> v into a line, whose new end is the arrow's tail u, and an arc
+        u <-> v into an arrow v -> u out of that end; an arc becomes a line
+        only when both its ends already end lines. So the fixpoint's line
+        ends are the first line ends closed under parents, and it removes
+        exactly the arrowheads at those nodes."""
         ends = [v for v, others in enumerate(self.lines) if others]
-        return frozenset(ends).union(self.ancestors(ends))
+        return _mask(ends) | self.ancestors(ends)
 
     @cached_property
     def anterior_form(self) -> "CompiledGraph":
@@ -283,9 +268,9 @@ class CompiledGraph:
         """
         if self.anterior:
             return self
-        ends = self.anterior_line_ends
+        cut = _digits(self.anterior_line_ends, len(self.labels))
         return CompiledGraph(self.labels, self.index, tuple(
-            tuple((w, head_v and v not in ends, head_w and w not in ends, e) for w, head_v, head_w, e in row)
+            tuple((w, head_v and cut[v] == "0", head_w and cut[w] == "0", e) for w, head_v, head_w, e in row)
             for v, row in enumerate(self.adjacency)
         ))
 
@@ -326,13 +311,20 @@ class CompiledGraph:
             scope |= masks[v]
         return scope
 
-    def ancestors(self, targets: Iterable[int]) -> set[int]:
-        """Union of an(t) over the targets, by index; see MixedGraph.ancestors."""
-        return _closure(self.parents, targets)
-
-    def descendants(self, sources: Iterable[int]) -> set[int]:
-        """Union of de(s) over the sources, by index; see MixedGraph.descendants."""
-        return _closure(self.children, sources)
+    def ancestors(self, targets: Iterable[int]) -> int:
+        """an(targets) as a mask, by one walk up ``parents`` that marks
+        binary digits and reads them as one int at the end: a target is in
+        it only on a directed cycle, as in ``ancestor_masks``, the fold that
+        answers for every node at once."""
+        parents, (zero, one) = self.parents, b"01"
+        digits = bytearray(b"0" * len(parents))  # digit v is node v's bit
+        stack = [p for t in targets for p in parents[t]]
+        while stack:
+            v = stack.pop()
+            if digits[v] == zero:
+                digits[v] = one
+                stack.extend(parents[v])
+        return int(digits[::-1] or b"0", 2)
 
 
 def _components(children: Sequence[Sequence[int]], parents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -403,17 +395,24 @@ def _mask(positions: Iterable[int]) -> int:
     return mask
 
 
-def _closure(step: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
-    """Nodes reached from the starts in one or more steps; a start is
-    included only when it reaches itself."""
-    result: set[int] = set()
-    stack = [w for s in starts for w in step[s]]
-    while stack:
-        v = stack.pop()
-        if v not in result:
-            result.add(v)
-            stack.extend(step[v])
-    return result
+def _digits(mask: int, n: int) -> str:
+    """The n low bits of ``mask`` as binary digits, bit v at index v: one
+    O(n) read for a caller that tests many bits of an n-bit mask."""
+    return f"{mask:0{n}b}"[::-1]
+
+
+def _arc_flood(steps: Sequence[tuple[int, int, int, int]], start: int, within: int) -> int:
+    """The nodes of the mask ``start`` and those joined to them by arc paths
+    inside the mask ``within``, as a mask: one flood over the arc masks of
+    the step table (``CompiledGraph.steps``)."""
+    reached = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = steps[low.bit_length() - 1][0] & within & ~reached
+        reached |= fresh
+        frontier |= fresh
+    return reached
 
 
 class MixedGraph:
@@ -551,13 +550,14 @@ class MixedGraph:
         cycle back to itself.
         """
         found = self.compiled.ancestors(self._require(*targets))
-        return {self.compiled.labels[v] for v in found}
+        return {self.compiled.labels[v] for v in _bits(found)}
 
     def descendants(self, sources: Iterable[str]) -> set[str]:
         """Union of de(i) over the sources, excluding a source unless it lies
-        on a directed cycle back to itself."""
-        found = self.compiled.descendants(self._require(*sources))
-        return {self.compiled.labels[v] for v in found}
+        on a directed cycle back to itself: the nodes w whose an(w), read
+        from the kept ``ancestor_masks``, meets the sources."""
+        below, compiled = _mask(self._require(*sources)), self.compiled
+        return {compiled.labels[w] for w, an in enumerate(compiled.ancestor_masks) if an & below}
 
     def on_directed_cycle(self, node: str) -> bool:
         """True when some all-arrow cycle passes through ``node``."""
@@ -585,10 +585,10 @@ class MixedGraph:
 
     @cached_property
     def _anterior(self) -> "MixedGraph":
-        ends, index = self.compiled.anterior_line_ends, self.compiled.index
+        cut, index = _digits(self.compiled.anterior_line_ends, len(self._nodes)), self.compiled.index
 
         def mark(v: str, m: Mark) -> Mark:
-            return Mark.TAIL if index[v] in ends else m
+            return Mark.TAIL if cut[index[v]] == "1" else m
 
         edges = [Edge(e.a, e.b, mark(e.a, e.mark_a), mark(e.b, e.mark_b), e.key) for e in self._edges]
         return MixedGraph(self.node_list(), edges)

@@ -90,9 +90,9 @@ def _reach(
     a connection, so the search follows simple paths, the state also
     carrying the visited nodes as a bit mask (exponential in the worst
     case). A path cannot come back along an edge, so a collider is open
-    when it lies in C or an(C), computed here once per call. Every
-    separation reader searches the form ``_search_form`` picks, so only
-    graphs with ribbons reach this lane.
+    when it lies in C or an(C), a mask from one walk up from C per call.
+    Every separation reader searches the form ``_search_form`` picks, so
+    only graphs with ribbons reach this lane.
     """
     halt = _mask(stop)
     if compiled.anterior:
@@ -133,7 +133,7 @@ def _reach(
             unseen_head ^= fresh_head
             unseen_tail ^= fresh_tail
         return scope & ~(unseen_head & unseen_tail)
-    open_colliders = c | compiled.ancestors(c)
+    open_colliders = _mask(c) | compiled.ancestors(c)
     adjacency = compiled.adjacency
     reached = 0
     visited: set[tuple[int, int, bool]] = set()
@@ -144,7 +144,7 @@ def _reach(
             pass_head = pass_tail = True
         else:
             pass_tail = v not in c
-            pass_head = v in open_colliders if head_in else pass_tail
+            pass_head = open_colliders >> v & 1 if head_in else pass_tail
         for w, head_v, head_w, _ in adjacency[v]:
             if not (pass_head if head_v else pass_tail) or mask >> w & 1:
                 continue
@@ -333,13 +333,13 @@ def find_m_connecting_path(
     anterior form are built.
     """
     compiled, source, target, c_idx = _pair(graph, x, y, given)
-    open_colliders = c_idx | compiled.ancestors(c_idx)
+    open_colliders = _mask(c_idx) | compiled.ancestors(c_idx)
     scope = compiled.anterior_scope((source, target, *c_idx)) if compiled.anterior else -1
 
     def passes(v: int, head_in: bool, head_out: bool) -> bool:
         if not scope >> v & 1:
             return False
-        return v in open_colliders if head_in and head_out else v not in c_idx
+        return bool(open_colliders >> v & 1) if head_in and head_out else v not in c_idx
 
     return next(_admissible_paths(compiled, source, target, passes), None)
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _bits, _require_cap
+from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _bits, _require_cap
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
 
 
@@ -116,24 +117,22 @@ def find_primitive_inducing_paths(
 
 def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
     """The union of the arc components of an({x, y}) - {x, y} that both x
-    and y send an arrowhead into, as a mask, by two floods over the arcs.
-    The inner nodes of a primitive inducing path are colliders in an({x, y}),
+    and y send an arrowhead into, as a mask, by two floods over the arcs of
+    the step table, an({x, y}) read from the kept ``ancestor_masks``. The
+    inner nodes of a primitive inducing path are colliders in an({x, y}),
     so they lie in one such component; any two arrowheads that x and y send
     into one are joined by a simple arc path. So it is 0 exactly when no
     primitive inducing path from x to y has an inner node. A pair that sends
     into no common arc component of the nodes with a child always gives 0, so
     ``_violations`` calls this only on ``inducing_candidates``."""
-    (heads, arcs), an = compiled.head_masks, compiled.ancestor_masks
+    steps, an = compiled.steps, compiled.ancestor_masks
     live = (an[x] | an[y]) & ~(1 << x | 1 << y)
     for end in (x, y):
-        reached = frontier = heads[end] & live
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            fresh = arcs[low.bit_length() - 1] & live & ~reached
-            reached |= fresh
-            frontier |= fresh
-        live = reached
+        arcs, _, arrows, _ = steps[end]
+        start = (arcs | arrows) & live
+        if not start:  # no arrowhead into live, no inner node: skip the flood
+            return 0
+        live = _arc_flood(steps, start, live)
     return live
 
 
@@ -271,22 +270,22 @@ class GraphClass:
 
 def classify(graph: MixedGraph) -> GraphClass:
     """The flags from the compiled form: which edge kinds occur from one test
-    per node on the kept line lists, parent lists and arc masks, so O(n)
-    once those are built; ``ancestral`` from the kept ancestor and arc masks
-    (no arc v <-> w with w in an(v)), and ``maximal`` from the arc-component
-    violation scan."""
+    per node on the kept line lists, parent lists and the arc masks of the
+    step table, so O(n) once those are built; ``ancestral`` from the fold's
+    ``ancestor_masks`` and the arc masks (no arc v <-> w with w in an(v)),
+    and ``maximal`` from the arc-component violation scan."""
     if not graph.is_loopless():
         return GraphClass(False, False, False, False, False, False, False, None)
 
     compiled = graph.compiled
     has_line, has_arrow = any(compiled.lines), any(compiled.parents)
-    has_arc, has_cycle = any(compiled.head_masks[1]), bool(compiled.cyclic)
+    has_arc, has_cycle = any(map(itemgetter(0), compiled.steps)), bool(compiled.cyclic)
     undirected = not has_arrow and not has_arc
     bidirected = not has_line and not has_arrow
     dag = not has_line and not has_arc and not has_cycle
     admg = not has_line and not has_cycle
     ancestral = not has_cycle and compiled.anterior and not any(
-        an & arcs for an, arcs in zip(compiled.ancestor_masks, compiled.head_masks[1])
+        an & step[0] for an, step in zip(compiled.ancestor_masks, compiled.steps)
     )
     ribbonless = is_ribbonless(graph)
     maximal = is_maximal(graph) if ribbonless else None

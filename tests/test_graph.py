@@ -144,6 +144,11 @@ class TestAncestors:
         g = build_graph(["i", "j", "k"], [("i", "--", "j"), ("j", "<->", "k")])
         assert g.ancestors(["k"]) == set()
 
+    def test_empty_graph(self):
+        g = build_graph([])
+        assert g.ancestors([]) == g.descendants([]) == set()
+        assert g.compiled.ancestors([]) == 0
+
 
 class TestAnteriorGraph:
     def test_fig2a_to_fig2b(self, figures):
@@ -349,8 +354,9 @@ class TestCompiledFacts:
             for v, children in enumerate(compiled.children):
                 assert all(position[v] <= position[w] for w in children)
             for component in (c for c in compiled.components if len(c) > 1):
-                cycle = compiled.descendants(component[:1]) & compiled.ancestors(component[:1])
-                assert set(component) <= cycle
+                first = [compiled.labels[component[0]]]
+                cycle = g.descendants(first) & g.ancestors(first)
+                assert {compiled.labels[v] for v in component} <= cycle
 
     def test_loop_message_names_the_loop(self):
         for g, at in zip(self.LOOPS, "iji"):

@@ -10,7 +10,11 @@ from the library's scans on purpose:
 - a violation list that asks that search for a first path once for every
   non-adjacent pair;
 - a ``maximalize`` that reruns that whole list after every edge it adds;
-- subclass flags from edge kinds and ``graph.ancestors``.
+- subclass flags from edge kinds and ``graph.ancestors``;
+- an(S) and de(S) by label from a closure over ``graph.edges`` alone, which
+  the kept ancestor masks, the walk and the public ancestry methods must
+  match on own and anterior forms, and a walk that keeps its targets must
+  not.
 
 The library must give the same ribbons (edges, flavour and witness), the same
 inducing paths, the same violations with the same paths, the same completions
@@ -20,13 +24,14 @@ with an inner node" exactly when the search finds one, and two planted faults
 in that test must show. The maximality scan's candidate pairs must hold every
 pair that test does not clear, and a planted fault must show there too.
 ``classify``'s edge-kind flags must match the set of edge kinds read from
-every adjacency entry. Counting tests pin the cost: the ribbon scan takes no
-descendant closure on a graph without lines or cycles, a violation scan
-takes no ancestor closure at all, and on the arc-hung chain it runs the
-arc-component test at most once per node.
+every adjacency entry. Counting tests pin the cost: the ribbon scan takes
+neither an ancestor walk nor a fold, a violation scan takes no walk and at
+most one fold over the parents per form, and on the arc-hung chain it runs
+the arc-component test at most once per node.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -284,12 +289,85 @@ def test_classify_matches_reference(corpus):
     assert all(0 < counts[name] < len(graphs) for name in CLASS_FLAGS), counts
 
 
+def reference_ancestry(graph, starts, up=True):
+    """an(starts), or de(starts) when not ``up``, by label, from
+    ``graph.edges`` alone: the far ends of the arrows that point into (or
+    out of) the starts, then into (or out of) those, until nothing is new.
+    A start is in it only when some arrow route leads back to it."""
+    found, frontier = set(), set(starts)
+    while frontier:
+        frontier = {
+            e.source if up else e.target
+            for e in graph.edges
+            if e.kind is EdgeKind.ARROW and (e.target if up else e.source) in frontier
+        } - found
+        found |= frontier
+    return found
+
+
+def ancestry_forms(graphs):
+    """(graph, form) for each graph's own compiled form and, on a graph that
+    is not anterior, for its anterior form with the anterior graph."""
+    for g in graphs:
+        yield g, g.compiled
+        if not g.is_anterior():
+            yield g.anterior_graph(), g.compiled.anterior_form
+
+
+def label_set(form, mask):
+    return {v for k, v in enumerate(form.labels) if mask >> k & 1}
+
+
 def test_ancestor_masks_match_ancestors(corpus):
-    forms = [form for g in corpus for form in {id(f): f for f in (g.compiled, g.compiled.anterior_form)}.values()]
-    assert sum(bool(form.cyclic) for form in forms) > 200
-    for form in forms:
+    pairs = list(ancestry_forms(corpus))
+    assert sum(bool(form.cyclic) for _, form in pairs) > 200
+    for g, form in pairs:
         for v, mask in enumerate(form.ancestor_masks):
-            assert mask == sum(1 << w for w in form.ancestors([v])), (form.labels, v)
+            assert label_set(form, mask) == reference_ancestry(g, [form.labels[v]]), (g, v)
+
+
+def ancestry_mismatches(graphs, walk=CompiledGraph.ancestors):
+    """(graph, targets) wherever ``walk`` on a compiled form, or
+    ``MixedGraph.ancestors`` or ``descendants``, disagrees with the reference
+    on 0-3 targets: no node, each node, and seeded sets of two and three."""
+    rng = random.Random(2026)
+    for g, form in ancestry_forms(graphs):
+        nodes = g.node_list()
+        for targets in [[], *([v] for v in nodes), *(rng.sample(nodes, k) for k in (2, 2, 3, 3))]:
+            expected = reference_ancestry(g, targets)
+            if (label_set(form, walk(form, (form.index[t] for t in targets))) != expected
+                    or g.ancestors(targets) != expected
+                    or g.descendants(targets) != reference_ancestry(g, targets, up=False)):
+                yield g, targets
+
+
+@pytest.fixture(scope="module")
+def ancestry_corpus(corpus):
+    """The unconstrained 1,800 of ``corpus`` and 600 draws with more arrows
+    and more parallel copies."""
+    graphs = corpus[:1800] + generate_corpus(CorpusSpec(
+        count=600, nodes=(3, 8), p_line=0.15, p_arrow=0.45, p_arc=0.15, p_multi=0.3, seed=8111,
+    ))
+    pairs = list(ancestry_forms(graphs))
+    assert sum(form is not g.compiled for g, form in pairs) > 1000
+    assert sum(bool(form.cyclic) for _, form in pairs) > 300
+    assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 1000
+    return graphs
+
+
+def test_ancestry_matches_reference(ancestry_corpus):
+    assert next(ancestry_mismatches(ancestry_corpus), None) is None
+
+
+def walk_with_targets(form, targets):
+    """A planted fault: the walk with every target put in its result, on a
+    directed cycle or not."""
+    targets = list(targets)
+    return CompiledGraph.ancestors(form, targets) | sum(1 << t for t in targets)
+
+
+def test_planted_walk_fault_is_caught(ancestry_corpus):
+    assert next(ancestry_mismatches(ancestry_corpus, walk_with_targets), None) is not None
 
 
 def live_mismatches(graphs, live=_inducing_live):
@@ -312,7 +390,7 @@ class Shim:
     """A compiled form with some of its masks replaced."""
 
     def __init__(self, compiled, **masks):
-        self.ancestor_masks, self.head_masks = compiled.ancestor_masks, compiled.head_masks
+        self.ancestor_masks, self.steps = compiled.ancestor_masks, compiled.steps
         self.__dict__.update(masks)
 
 
@@ -322,10 +400,10 @@ def flood_outside_ancestors(compiled, x, y):
 
 
 def only_x_arrowheads(compiled, x, y):
-    heads, arcs = compiled.head_masks
-    heads = list(heads)
-    heads[y] = (1 << len(compiled.labels)) - 1
-    return _inducing_live(Shim(compiled, head_masks=(heads, arcs)), x, y)
+    steps = list(compiled.steps)
+    arcs, head_tail, _, tail_tail = steps[y]
+    steps[y] = (arcs, head_tail, (1 << len(compiled.labels)) - 1, tail_tail)
+    return _inducing_live(Shim(compiled, steps=steps), x, y)
 
 
 @pytest.mark.parametrize("planted", [flood_outside_ancestors, only_x_arrowheads])
@@ -349,7 +427,7 @@ def candidate_misses(graphs, candidates=lambda compiled: compiled.inducing_candi
 def arrowheads_into_arc_nodes_only(compiled):
     """The library's candidates with the arrowheads into nodes without an
     arc dropped, as if only the nodes with an arc had a component."""
-    arcs = compiled.head_masks[1]
+    arcs = [step[0] for step in compiled.steps]
     rows = tuple(
         tuple((w, head_v, head_w and bool(arcs[w]), e) for w, head_v, head_w, e in row)
         for row in compiled.adjacency
@@ -415,16 +493,23 @@ def arc_hung_chain(k, line=False):
 
 @pytest.fixture
 def closures(monkeypatch):
-    """The step table of every closure taken while the fixture is active."""
-    steps = []
-    real = graph_module._closure
+    """Every ancestry computation made while the fixture is active:
+    ("walk", form) for each ``CompiledGraph.ancestors`` call and ("fold",
+    relation) for each fold, with the relation it folds over."""
+    calls = []
+    walk, fold = CompiledGraph.ancestors, graph_module._fold
 
-    def counting(step, starts):
-        steps.append(step)
-        return real(step, starts)
+    def walking(form, targets):
+        calls.append(("walk", form))
+        return walk(form, targets)
 
-    monkeypatch.setattr(graph_module, "_closure", counting)
-    return steps
+    def folding(components, parents, own):
+        calls.append(("fold", parents))
+        return fold(components, parents, own)
+
+    monkeypatch.setattr(CompiledGraph, "ancestors", walking)
+    monkeypatch.setattr(graph_module, "_fold", folding)
+    return calls
 
 
 @pytest.fixture
@@ -453,7 +538,7 @@ def test_violation_scan_tests_at_most_one_pair_per_node(inducing_calls):
 def test_ribbon_scan_takes_no_descendant_closure_without_lines_or_cycles(closures):
     g = arc_hung_chain(400)
     assert find_ribbons(g) == []
-    assert not any(step is g.compiled.children for step in closures)
+    assert closures == []
 
 
 def test_ribbon_witnesses_take_no_descendant_closure(closures):
@@ -462,7 +547,7 @@ def test_ribbon_witnesses_take_no_descendant_closure(closures):
     descendants."""
     g = arc_hung_chain(400, line=True)
     ribbons = find_ribbons(g)
-    assert not any(step is g.compiled.children for step in closures)
+    assert closures == []
     assert len(ribbons) == 399 and {r.witness for r in ribbons} == {"a0399"}
     small = arc_hung_chain(30, line=True)
     assert ribbon_facts(find_ribbons(small)) == reference_ribbons(small)
@@ -470,11 +555,11 @@ def test_ribbon_witnesses_take_no_descendant_closure(closures):
 
 def test_violation_scan_takes_no_ancestor_closure(closures, corpus):
     """Pairs are tested on the masks kept per form, which come from one pass
-    over the components, not from a closure per node."""
+    over the components, not from a walk per node."""
     graphs = [arc_hung_chain(30)] + [g for g in corpus[600:] if not reference_ribbons(g)][:50]
     for g in graphs:
         maximality_violations(g)
-        assert not any(step is g.compiled.parents for step in closures), g
+        assert not any(kind == "walk" for kind, _ in closures), g
 
 
 def test_violation_scan_takes_one_ancestor_set_per_node(closures, corpus):
@@ -482,5 +567,5 @@ def test_violation_scan_takes_one_ancestor_set_per_node(closures, corpus):
     for g in graphs:
         closures.clear()
         maximality_violations(g)
-        ancestor_sets = sum(step is g.compiled.parents for step in closures)
-        assert ancestor_sets <= len(g.nodes) + 1, g
+        assert not any(kind == "walk" for kind, _ in closures), g
+        assert sum(relation is g.compiled.parents for _, relation in closures) <= 1, g

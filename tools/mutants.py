@@ -7,10 +7,13 @@ temporary directory, applies that one mutant there and runs only its tests
 on the copy. A mutant is killed when every test it names fails; name only
 tests that draw no random examples, so that a kill does not depend on luck.
 
-The script exits non-zero when a mutant survives, when one of its tests
-still passes, or when an old text does not occur exactly once in its file,
-so the register has to move with the code. Retire a mutant only when the
-code it plants a fault in is deleted.
+Before it plants anything, the script runs every test the register names
+once on an unmutated copy and stops, exiting non-zero, if one of them fails
+there: a test that fails without its mutant shows no kill. It then exits
+non-zero when a mutant survives, when one of its tests still passes, or
+when an old text does not occur exactly once in its file, so the register
+has to move with the code. Retire a mutant only when the code it plants a
+fault in is deleted.
 
 Run from anywhere, with pytest installed:
 
@@ -42,7 +45,7 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-_ANTERIOR_ENDS = "        return frozenset(ends).union(self.ancestors(ends))\n"
+_ANTERIOR_ENDS = "        return _mask(ends) | self.ancestors(ends)\n"
 
 MUTANTS = (
     # The anterior rewrite's closed form: line ends and all their ancestors.
@@ -50,21 +53,21 @@ MUTANTS = (
         "anterior ends: line ends only",
         "src/lmgraphs/graph.py",
         _ANTERIOR_ENDS,
-        "        return frozenset(ends)\n",
+        "        return _mask(ends)\n",
         ("tests/test_graph.py::TestAnteriorGraph::test_fig2a_to_fig2b",),
     ),
     Mutant(
         "anterior ends: descendants for ancestors",
         "src/lmgraphs/graph.py",
         _ANTERIOR_ENDS,
-        "        return frozenset(ends).union(self.descendants(ends))\n",
+        "        return _mask(ends) | _mask(w for w, an in enumerate(self.ancestor_masks) if an & _mask(ends))\n",
         ("tests/test_graph.py::TestAnteriorGraph::test_fig2a_to_fig2b",),
     ),
     Mutant(
         "anterior ends: one parent step",
         "src/lmgraphs/graph.py",
         _ANTERIOR_ENDS,
-        "        return frozenset(ends).union(p for v in ends for p in self.parents[v])\n",
+        "        return _mask(ends) | _mask(p for v in ends for p in self.parents[v])\n",
         ("tests/test_separation.py::TestAnteriorConfinement::test_masks_are_anterior_sets",
          "tests/test_separation.py::TestAnteriorConfinement::test_witnesses_match_unpruned_search"),
     ),
@@ -72,7 +75,7 @@ MUTANTS = (
         "anterior ends: two parent steps",
         "src/lmgraphs/graph.py",
         _ANTERIOR_ENDS,
-        "        return frozenset(ends).union(q for v in ends for p in self.parents[v]"
+        "        return _mask(ends) | _mask(q for v in ends for p in self.parents[v]"
         " for q in (p, *self.parents[p]))\n",
         ("tests/test_graph.py::TestAnteriorGraph::test_long_arrow_chain",),
     ),
@@ -114,7 +117,7 @@ MUTANTS = (
         "inducing_candidates: only nodes with an arc numbered",
         "src/lmgraphs/graph.py",
         "            if not below or component[root] >= 0:\n",
-        "            if not below or not arcs[root] or component[root] >= 0:\n",
+        "            if not below or not steps[root][0] or component[root] >= 0:\n",
         ("tests/test_structure_reference.py::test_candidates_hold_every_live_pair",),
     ),
     Mutant(
@@ -220,6 +223,32 @@ MUTANTS = (
         ("tests/test_structure.py::TestMaximality::test_fig6_not_maximal",),
     ),
     Mutant(
+        "_inducing_live: heads from the arc masks only",
+        "src/lmgraphs/structure.py",
+        "        start = (arcs | arrows) & live\n",
+        "        start = arcs & live\n",
+        ("tests/test_structure.py::TestMaximality::test_fig6_not_maximal",
+         "tests/test_structure_reference.py::test_inducing_live_matches_reference"),
+    ),
+    # The ancestry routes: one walk for one set, one fold for every node.
+    Mutant(
+        "CompiledGraph.ancestors: targets in the result",
+        "src/lmgraphs/graph.py",
+        "        stack = [p for t in targets for p in parents[t]]\n",
+        "        stack = list(targets)\n",
+        ("tests/test_graph.py::TestAncestors::test_chain",
+         "tests/test_structure_reference.py::test_ancestry_matches_reference"),
+    ),
+    Mutant(
+        "MixedGraph.descendants: mask bits read the wrong way",
+        "src/lmgraphs/graph.py",
+        "        return {compiled.labels[w] for w, an in enumerate(compiled.ancestor_masks) if an & below}\n",
+        "        return {compiled.labels[w] for w in range(len(compiled.labels))"
+        " if any(compiled.ancestor_masks[s] >> w & 1 for s in _bits(below))}\n",
+        ("tests/test_graph.py::TestAncestors::test_chain",
+         "tests/test_structure_reference.py::test_ancestry_matches_reference"),
+    ),
+    Mutant(
         "_require: the largest unknown label named",
         "src/lmgraphs/graph.py",
         'return GraphError(f"unknown node {min(set(labels) - known)!r}")',
@@ -235,8 +264,10 @@ def _failed(output: str) -> set[str]:
     return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE))
 
 
-def run(mutant: Mutant) -> str | None:
-    """None when the mutant is killed, else why not."""
+def run_copy(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[str, str | None]:
+    """Run ``tests`` on a fresh copy of the repository, with ``mutant``
+    applied when one is given: (pytest's output, None), or ("", why the
+    tests could not run)."""
     with tempfile.TemporaryDirectory(prefix="lmgraphs-mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -245,20 +276,39 @@ def run(mutant: Mutant) -> str | None:
                 shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             else:
                 shutil.copy2(source, copy / name)
-        target = copy / mutant.path
-        text = target.read_text(encoding="utf-8")
-        count = text.count(mutant.old)
-        if count != 1:
-            return f"old text occurs {count} times in {mutant.path}"
-        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text(encoding="utf-8")
+            count = text.count(mutant.old)
+            if count != 1:
+                return "", f"old text occurs {count} times in {mutant.path}"
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, capture_output=True, text=True,
         )
     if result.returncode not in (0, 1):
-        return f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
-    failed = _failed(result.stdout)
+        return "", f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+    return result.stdout, None
+
+
+def baseline() -> str | None:
+    """None when every test the register names passes on an unmutated copy,
+    else which do not: a test that fails without its mutant shows no kill."""
+    output, problem = run_copy(tuple(sorted({t for m in MUTANTS for t in m.tests})))
+    if problem:
+        return problem
+    failed = sorted(_failed(output))
+    return "failed without a mutant: " + ", ".join(failed) if failed else None
+
+
+def run(mutant: Mutant) -> str | None:
+    """None when the mutant is killed, else why not."""
+    output, problem = run_copy(mutant.tests, mutant)
+    if problem:
+        return problem
+    failed = _failed(output)
     alive = [t for t in mutant.tests if not any(f == t or f.startswith(t + "[") for f in failed)]
     if alive:
         return "survived: " + ", ".join(alive) + " passed"
@@ -266,8 +316,13 @@ def run(mutant: Mutant) -> str | None:
 
 
 def main() -> int:
-    bad = 0
     start = time.perf_counter()
+    problem = baseline()
+    print(f"{'passed' if problem is None else 'FAIL':6}  baseline: the named tests on an unmutated copy"
+          + (f": {problem}" if problem else ""))
+    if problem:
+        return 1
+    bad = 0
     for mutant in MUTANTS:
         problem = run(mutant) if mutant.tests else "names no test"
         bad += problem is not None
