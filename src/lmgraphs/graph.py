@@ -595,8 +595,9 @@ class MixedGraph:
 
     @cached_property
     def ribbonless(self) -> bool:
-        """True when no ribbon is an induced subgraph; one scan, kept per
-        graph. Raises GraphError on a graph with loops."""
+        """True when no ribbon is an induced subgraph: one ``find_ribbons``
+        scan, kept per graph, so ``maximalize``'s result is not scanned
+        again. Raises GraphError on a graph with loops."""
         from .structure import find_ribbons  # the scan is built on this module
 
         return not find_ribbons(self)

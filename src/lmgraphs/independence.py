@@ -545,8 +545,8 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
         if not failing:
             return None
         first = min(failing, key=lambda t: [list(_bits(m)) for m in t])
-        sets = _label_sets(sorted(model.ground_set))
-        s = IndependenceStatement(*(sets[m] for m in first))
+        labels = sorted(model.ground_set)
+        s = IndependenceStatement(*(_label_set(labels, m) for m in first))
         if axiom is Axiom.SYMMETRY:
             return AxiomViolation(axiom, s.a, s.b, s.c, frozenset(), s.mirrored())
         return next(
@@ -594,10 +594,9 @@ def check_axiom(model: IndependenceModel, axiom: Axiom) -> Optional[AxiomViolati
     missing = (a, b | d, c)
     if axiom is Axiom.CONTRACTION and rows.get(a | (b | d) << n, 0) >> c & 1:
         missing = (a, d, c) if rows.get(a | b << n, 0) >> (c | d) & 1 else (a, b, c | d)
-    sets = _label_sets(sorted(model.ground_set))
-    return AxiomViolation(
-        axiom, sets[a], sets[b], sets[c], sets[d], IndependenceStatement(*(sets[m] for m in missing))
-    )
+    labels = sorted(model.ground_set)
+    sets = [_label_set(labels, m) for m in (a, b, c, d, *missing)]
+    return AxiomViolation(axiom, *sets[:4], IndependenceStatement(*sets[4:]))
 
 
 def check_axioms(

@@ -16,7 +16,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _bits, _require_cap
+from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _bits, _fold, _mask, _require_cap
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
 
 
@@ -36,10 +36,11 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
     """All ribbons of the graph, one per distinct mark signature of a node
     triple; parallel copies of the same shape are not repeated.
 
-    An inner node's witness is the node itself when it ends a line, else the
-    first line end of its descendants by label; failing both, the same for
-    directed-cycle nodes. The shortcut test consults every edge between the
-    tripath's endpoints, as the induced subgraph does.
+    An inner node's witness is the node itself when it ends a line, else its
+    first descendant by label that does; failing both, the same for
+    directed-cycle nodes, read from one fold of each node and its
+    descendants. The shortcut test reads one bit of the step table, which
+    holds every edge between the tripath's endpoints by its marks.
     """
     graph.require_loopless()
     compiled = graph.compiled
@@ -51,46 +52,29 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
             colliders[inner] = incident
     if not colliders:
         return []
-    n, (mark, least) = len(labels), _marks_below(compiled)
+    ends, cyclic = _mask(v for v, others in enumerate(compiled.lines) if others), _mask(compiled.cyclic)
+    if not ends | cyclic:
+        return []
+    below, steps = _fold(compiled.components[::-1], compiled.children, True), compiled.steps
     found: dict[tuple, Ribbon] = {}
     for inner, incident in colliders.items():
-        own, low = mark[inner], least[inner]
-        if low < n:
-            flavor, witness = RibbonFlavor.STRAIGHT, own if own < n else low
-        elif low < 2 * n:
-            flavor, witness = RibbonFlavor.CYCLIC, (own if own < 2 * n else low) - n
+        if hit := below[inner] & ends:
+            flavor, marked = RibbonFlavor.STRAIGHT, ends
+        elif hit := below[inner] & cyclic:
+            flavor, marked = RibbonFlavor.CYCLIC, cyclic
         else:
             continue
+        witness = inner if marked >> inner & 1 else (hit & -hit).bit_length() - 1
         # ``incident`` follows the row, sorted by neighbour, so h <= j.
         for (h, head_h, e1), (j, head_j, e2) in itertools.combinations(incident, 2):
             if h == j:
                 continue
             signature = (h, inner, j, head_h, head_j)
-            if signature in found or (j, head_h, head_j) in (w[:3] for w in rows[h]):
+            if signature in found or steps[h][2 * (not head_h) + (not head_j)] >> j & 1:
                 continue
             tripath = Path((labels[h], labels[inner], labels[j]), (e1, e2))
             found[signature] = Ribbon(tripath, flavor, labels[witness])
     return [found[k] for k in sorted(found)]
-
-
-def _marks_below(compiled: CompiledGraph) -> tuple[list[int], list[int]]:
-    """Each node's mark, and the least mark over the node and its
-    descendants. With n nodes, a line end v is marked v, another node v on a
-    directed cycle n + v and any other node 2n, so line ends come first and
-    each kind goes by label. One pass over the components, sinks first."""
-    n, children, cyclic = len(compiled.labels), compiled.children, compiled.cyclic
-    mark = [v if ends else n + v if v in cyclic else 2 * n for v, ends in enumerate(compiled.lines)]
-    least = mark[:]
-    for component in reversed(compiled.components):
-        first = 2 * n
-        for v in component:
-            first = min(first, mark[v])
-            for w in children[v]:
-                if least[w] < first:
-                    first = least[w]
-        for v in component:
-            least[v] = first
-    return mark, least
 
 
 def is_ribbonless(graph: MixedGraph) -> bool:
@@ -228,9 +212,10 @@ def maximalize(graph: MixedGraph) -> MixedGraph:
     demand, yielding a maximal graph with the same separation model.
 
     Each step adds the edge endpoint-identical to the first witness of the
-    first violating pair in label order, then scans for ribbons and for the
-    next first violation. Every step makes one pair adjacent, so it ends. An
-    edge that creates a ribbon leaves the criterion's scope and is refused.
+    first violating pair in label order, then reads the new graph's kept
+    ``ribbonless`` flag and scans for the next first violation. Every step
+    makes one pair adjacent, so it ends. An edge that creates a ribbon
+    leaves the criterion's scope and is refused.
     """
     _require_ribbonless(graph, "maximalize")
     current = graph
@@ -238,11 +223,10 @@ def maximalize(graph: MixedGraph) -> MixedGraph:
         x, y, path = violation
         edge = Edge(x, y, *(Mark.HEAD if path.arrowhead_at(v) else Mark.TAIL for v in (x, y)))
         current = current.with_edge(edge)
-        ribbons = find_ribbons(current)
-        if ribbons:
+        if not current.ribbonless:
             raise GraphError(
                 f"maximalize: adding {edge} for the pair ({x},{y}) creates the ribbon "
-                f"{ribbons[0].tripath}, so the completion is not ribbonless"
+                f"{find_ribbons(current)[0].tripath}, so the completion is not ribbonless"
             )
     return current
 

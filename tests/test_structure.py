@@ -23,6 +23,7 @@ from lmgraphs import (
     oracle_m_separated,
     pairwise_separator,
 )
+from lmgraphs import structure
 from lmgraphs.separation import _simple_paths
 
 
@@ -275,6 +276,19 @@ class TestMaximalize:
     def test_rejects_ribbons(self, figures):
         with pytest.raises(GraphError, match="ribbonless"):
             maximalize(figures["fig5a"])
+
+    def test_completion_keeps_its_ribbon_flag(self, figures, monkeypatch):
+        """The graph returned was scanned for ribbons once on the way and
+        keeps the answer, so ``classify`` does not scan it again."""
+        scans = []
+        real = structure.find_ribbons
+        monkeypatch.setattr(structure, "find_ribbons", lambda g: scans.append(g) or real(g))
+        completed = maximalize(figures["fig6"])
+        assert sum(g is completed for g in scans) == 1
+        scans.clear()
+        flags = classify(completed)
+        assert flags.ribbonless and flags.maximal
+        assert scans == []
 
     def test_refuses_a_completion_that_gains_a_ribbon(self):
         # Ribbonless, but the first violation (b, e) is completed by the arc

@@ -25,9 +25,10 @@ in that test must show. The maximality scan's candidate pairs must hold every
 pair that test does not clear, and a planted fault must show there too.
 ``classify``'s edge-kind flags must match the set of edge kinds read from
 every adjacency entry. Counting tests pin the cost: the ribbon scan takes
-neither an ancestor walk nor a fold, a violation scan takes no walk and at
-most one fold over the parents per form, and on the arc-hung chain it runs
-the arc-component test at most once per node.
+no ancestor walk and at most one fold, over the children, and none on a
+graph with no line end and no directed cycle; a violation scan takes no
+walk and at most one fold over the parents per form, and on the arc-hung
+chain it runs the arc-component test at most once per node.
 """
 
 import itertools
@@ -217,8 +218,23 @@ def test_corpus_covers_the_cases(corpus):
     assert sum(bool(reference_violations(g)) for g in ribbonless) > 50
 
 
+def arc_clique(k, drop=False, double=False):
+    """v_i <-> v_j for every i < j and a pendant line v_i -- z_i at each
+    node: every v_i is a collider that ends a line, and every two of its
+    senders are joined by an arc, so there is no ribbon. ``drop`` removes
+    v0 <-> v1, giving a ribbon v0 <-> v_i <-> v1 at every other clique node;
+    ``double`` adds an arrow v0 -> v1 beside that arc, whose tail at v0 no
+    arc v0 <-> v_j matches."""
+    v, z = [f"v{i}" for i in range(k)], [f"z{i}" for i in range(k)]
+    arcs = [(v[i], "<->", v[j]) for i, j in itertools.combinations(range(k), 2) if not (drop and j == 1)]
+    return build_graph(v + z, arcs + [(v[0], "->", v[1])] * double + [(a, "--", b) for a, b in zip(v, z)])
+
+
 def test_ribbons_match_reference(corpus):
-    for g in corpus:
+    """The seeded corpus, plus dense colliders: eight senders each."""
+    dense = [arc_clique(8), arc_clique(8, drop=True), arc_clique(8, double=True)]
+    assert [len(reference_ribbons(g)) for g in dense] == [0, 6, 6]
+    for g in corpus + dense:
         assert ribbon_facts(find_ribbons(g)) == reference_ribbons(g), g
 
 
@@ -495,7 +511,8 @@ def arc_hung_chain(k, line=False):
 def closures(monkeypatch):
     """Every ancestry computation made while the fixture is active:
     ("walk", form) for each ``CompiledGraph.ancestors`` call and ("fold",
-    relation) for each fold, with the relation it folds over."""
+    relation) for each fold, with the relation it folds over. The fold is
+    patched in every module that binds it."""
     calls = []
     walk, fold = CompiledGraph.ancestors, graph_module._fold
 
@@ -509,6 +526,7 @@ def closures(monkeypatch):
 
     monkeypatch.setattr(CompiledGraph, "ancestors", walking)
     monkeypatch.setattr(graph_module, "_fold", folding)
+    monkeypatch.setattr(structure_module, "_fold", folding)
     return calls
 
 
@@ -543,11 +561,11 @@ def test_ribbon_scan_takes_no_descendant_closure_without_lines_or_cycles(closure
 
 def test_ribbon_witnesses_take_no_descendant_closure(closures):
     """Every a_i with two arrowheads heads a straight ribbon; the witnesses
-    come from one pass over the components, not from each inner node's
+    come from one fold over the children, not from each inner node's
     descendants."""
     g = arc_hung_chain(400, line=True)
     ribbons = find_ribbons(g)
-    assert closures == []
+    assert closures == [("fold", g.compiled.children)]
     assert len(ribbons) == 399 and {r.witness for r in ribbons} == {"a0399"}
     small = arc_hung_chain(30, line=True)
     assert ribbon_facts(find_ribbons(small)) == reference_ribbons(small)

@@ -230,6 +230,29 @@ MUTANTS = (
         ("tests/test_structure.py::TestMaximality::test_fig6_not_maximal",
          "tests/test_structure_reference.py::test_inducing_live_matches_reference"),
     ),
+    # The ribbon scan: one fold for the witnesses, one bit per shortcut.
+    Mutant(
+        "find_ribbons: shortcut ignores the mark at j",
+        "src/lmgraphs/structure.py",
+        "steps[h][2 * (not head_h) + (not head_j)] >> j & 1",
+        "steps[h][2 * (not head_h)] >> j & 1",
+        ("tests/test_structure_reference.py::test_ribbons_match_reference",
+         "tests/test_acceptance.py::test_c03_ribbons"),
+    ),
+    Mutant(
+        "find_ribbons: a marked collider is not its own witness",
+        "src/lmgraphs/structure.py",
+        "        witness = inner if marked >> inner & 1 else (hit & -hit).bit_length() - 1\n",
+        "        witness = (hit & -hit).bit_length() - 1\n",
+        ("tests/test_structure_reference.py::test_ribbons_match_reference",),
+    ),
+    Mutant(
+        "find_ribbons: cycle nodes count as line ends",
+        "src/lmgraphs/structure.py",
+        "        if hit := below[inner] & ends:\n",
+        "        if hit := below[inner] & (ends | cyclic):\n",
+        ("tests/test_structure_reference.py::test_ribbons_match_reference",),
+    ),
     # The ancestry routes: one walk for one set, one fold for every node.
     Mutant(
         "CompiledGraph.ancestors: targets in the result",
