@@ -11,6 +11,7 @@ functions; values can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -154,8 +155,9 @@ class CompiledGraph:
     pairs the maximality scan tests), ``anterior_line_ends`` (the nodes
     that lose their arrowheads in the anterior graph) and
     ``anterior_form``, the compiled anterior graph, are built on first use.
-    Every ancestry answer is a node mask: ``ancestors`` walks up from one
-    set, and ``ancestor_masks`` folds an(v) for every node at once.
+    Every node set on the form is a mask, node w as bit w, and becomes
+    labels only through ``_label_set``: ``ancestors`` walks up from one set,
+    and ``ancestor_masks`` folds an(v) for every node at once.
     Everything is O(n + m), counting an n-bit mask as one.
     """
 
@@ -215,31 +217,31 @@ class CompiledGraph:
         so its inner edges are arcs and each inner node has a child: the
         inner nodes lie in one arc component of the nodes with a child, where
         a node with no arc is its own component, and no other pair has a
-        path with an inner node. One flood over the arc masks per component
-        numbers the components, one pass over the rows groups the senders by
-        component, and one more gathers each x's candidates."""
+        path with an inner node. All of it is read from the step table: one
+        flood over the arc masks per component gives its members, whose
+        ``steps[v][0] | steps[v][1]`` are its senders; x sends arrowheads
+        into ``steps[x][0] | steps[x][2]`` and is adjacent to the OR of its
+        four masks."""
         steps = self.steps
         inner = sum(1 << v for v, below in enumerate(self.children) if below)
-        component = [-1] * len(self.labels)
-        count = 0
-        for root, below in enumerate(self.children):
-            if not below or component[root] >= 0:
-                continue
-            for v in _bits(_arc_flood(steps, 1 << root, inner)):
-                component[v] = count
-            count += 1
-        senders = [0] * count
-        for v, row in enumerate(self.adjacency):
-            for w, _, head_w, _ in row:
-                if head_w and component[w] >= 0:
-                    senders[component[w]] |= 1 << v
+        senders = [0] * len(steps)  # by node with a child: its component's senders
+        unseen = inner
+        while unseen:
+            members = list(_bits(_arc_flood(steps, unseen & -unseen, inner)))
+            sent = 0
+            for v in members:
+                unseen ^= 1 << v
+                sent |= steps[v][0] | steps[v][1]
+            for v in members:
+                senders[v] = sent
         candidates = []
-        for x, row in enumerate(self.adjacency):
-            sent = adjacent = 0
-            for w, _, head_w, _ in row:
-                adjacent |= 1 << w
-                if head_w and component[w] >= 0:
-                    sent |= senders[component[w]]
+        for x, (head_head, head_tail, tail_head, tail_tail) in enumerate(steps):
+            sent, into = 0, (head_head | tail_head) & inner
+            while into:
+                low = into & -into
+                into ^= low
+                sent |= senders[low.bit_length() - 1]
+            adjacent = head_head | head_tail | tail_head | tail_tail
             candidates.append(sent >> (x + 1) << (x + 1) & ~adjacent)
         return tuple(candidates)
 
@@ -270,7 +272,7 @@ class CompiledGraph:
             return self
         cut = _digits(self.anterior_line_ends, len(self.labels))
         return CompiledGraph(self.labels, self.index, tuple(
-            tuple((w, head_v and cut[v] == "0", head_w and cut[w] == "0", e) for w, head_v, head_w, e in row)
+            tuple((w, head_v and not cut[v], head_w and not cut[w], e) for w, head_v, head_w, e in row)
             for v, row in enumerate(self.adjacency)
         ))
 
@@ -281,10 +283,10 @@ class CompiledGraph:
         return _components(self.children, self.parents)
 
     @cached_property
-    def cyclic(self) -> frozenset[int]:
-        """Nodes on a directed cycle: the members of the components of two or
-        more nodes."""
-        return frozenset(v for component in self.components if len(component) > 1 for v in component)
+    def cyclic(self) -> int:
+        """Nodes on a directed cycle, as a mask: the members of the components
+        of two or more nodes."""
+        return _mask(v for component in self.components if len(component) > 1 for v in component)
 
     @cached_property
     def ancestor_masks(self) -> tuple[int, ...]:
@@ -395,10 +397,19 @@ def _mask(positions: Iterable[int]) -> int:
     return mask
 
 
-def _digits(mask: int, n: int) -> str:
-    """The n low bits of ``mask`` as binary digits, bit v at index v: one
-    O(n) read for a caller that tests many bits of an n-bit mask."""
-    return f"{mask:0{n}b}"[::-1]
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _digits(mask: int, n: int) -> bytes:
+    """The n low bits of ``mask`` as bytes 0 and 1, bit v at index v: the
+    one O(n) read of a mask, for a caller that tests many of its bits."""
+    return f"{mask:0{n}b}"[::-1].encode().translate(_BIT_BYTES)
+
+
+def _label_set(labels: Sequence[str], mask: int) -> frozenset[str]:
+    """The labels at the set bits of ``mask``, bit k for ``labels[k]``: the
+    one way a node mask becomes labels, by ``_digits``."""
+    return frozenset(itertools.compress(labels, _digits(mask, len(labels))))
 
 
 def _arc_flood(steps: Sequence[tuple[int, int, int, int]], start: int, within: int) -> int:
@@ -542,15 +553,14 @@ class MixedGraph:
 
     # -- ancestry -------------------------------------------------------------
 
-    def ancestors(self, targets: Iterable[str]) -> set[str]:
+    def ancestors(self, targets: Iterable[str]) -> frozenset[str]:
         """Union of an(i) over the targets: nodes with a direction-preserving
         all-arrow route into some target.
 
         A target is excluded from the result unless it lies on a directed
         cycle back to itself.
         """
-        found = self.compiled.ancestors(self._require(*targets))
-        return {self.compiled.labels[v] for v in _bits(found)}
+        return _label_set(self.compiled.labels, self.compiled.ancestors(self._require(*targets)))
 
     def descendants(self, sources: Iterable[str]) -> set[str]:
         """Union of de(i) over the sources, excluding a source unless it lies
@@ -561,7 +571,7 @@ class MixedGraph:
 
     def on_directed_cycle(self, node: str) -> bool:
         """True when some all-arrow cycle passes through ``node``."""
-        return self._position(node) in self.compiled.cyclic
+        return bool(self.compiled.cyclic >> self._position(node) & 1)
 
     # -- anterior machinery ---------------------------------------------------
 
@@ -588,7 +598,7 @@ class MixedGraph:
         cut, index = _digits(self.compiled.anterior_line_ends, len(self._nodes)), self.compiled.index
 
         def mark(v: str, m: Mark) -> Mark:
-            return Mark.TAIL if cut[index[v]] == "1" else m
+            return Mark.TAIL if cut[index[v]] else m
 
         edges = [Edge(e.a, e.b, mark(e.a, e.mark_a), mark(e.b, e.mark_b), e.key) for e in self._edges]
         return MixedGraph(self.node_list(), edges)
@@ -602,7 +612,7 @@ class MixedGraph:
 
         return not find_ribbons(self)
 
-    def anteriors(self, node: str) -> set[str]:
+    def anteriors(self, node: str) -> frozenset[str]:
         """ant(node): nodes that reach ``node`` in the anterior graph along a
         path of lines followed by arrows. The node itself is never included.
         Read from the kept compiled anterior form's ``anterior_masks``.
@@ -610,7 +620,7 @@ class MixedGraph:
         start = self._position(node)
         self.require_loopless()
         form = self.compiled.anterior_form
-        return {form.labels[v] for v in _bits(form.anterior_masks[start] & ~(1 << start))}
+        return _label_set(form.labels, form.anterior_masks[start] & ~(1 << start))
 
     # -- structural identity ----------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .graph import GraphError, MixedGraph, _bits, _require_cap, _unknown_node
+from .graph import GraphError, MixedGraph, _bits, _label_set, _mask, _require_cap, _unknown_node
 from .separation import _reach, _search_form
 
 FULL_MODEL_LIMIT = 6
@@ -165,8 +165,8 @@ class IndependenceModel:
     @functools.cached_property
     def statements(self) -> frozenset[IndependenceStatement]:
         """The stored statements; a model built from rows lists them here."""
-        n, sets = len(self.ground_set), _label_sets(sorted(self.ground_set))
-        return frozenset(IndependenceStatement(sets[key & ((1 << n) - 1)], sets[key >> n], sets[c])
+        n, name = len(self.ground_set), functools.cache(functools.partial(_label_set, sorted(self.ground_set)))
+        return frozenset(IndependenceStatement(name(key & ((1 << n) - 1)), name(key >> n), name(c))
                          for key, row in self._rows.items() for c in _bits(row))
 
     def contains(
@@ -225,33 +225,16 @@ class IndependenceModel:
         Built from the statements on first use, except in the models that
         ``enumerate_model`` and ``closure`` make, which are their rows, and
         in ``pairwise_model``'s, which builds them from its masks."""
-        n = len(self.ground_set)
-        mask = {nodes: m for m, nodes in enumerate(_label_sets(sorted(self.ground_set)))}
-        rows: dict[int, int] = {}
+        index = {label: k for k, label in enumerate(sorted(self.ground_set))}
+        n, rows = len(index), {}
+        mask = functools.cache(lambda nodes: _mask(map(index.__getitem__, nodes)))
         for s in self.statements:
-            key = mask[s.a] | mask[s.b] << n
-            rows[key] = rows.get(key, 0) | 1 << mask[s.c]
+            key = mask(s.a) | mask(s.b) << n
+            rows[key] = rows.get(key, 0) | 1 << mask(s.c)
         return rows
 
 
 # -- node sets as bit masks ----------------------------------------------------
-
-
-def _label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
-    """The label set of every mask over ``labels``, indexed by the mask."""
-    sets = [frozenset()]
-    for label in labels:
-        sets += [s | {label} for s in sets]
-    return sets
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _label_set(labels: Sequence[str], mask: int) -> frozenset[str]:
-    """The labels at the set bits of ``mask``, bit k for ``labels[k]``: its
-    binary digits, lowest first, as bytes 0 and 1 select from the labels."""
-    return frozenset(itertools.compress(labels, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -465,10 +448,10 @@ def pairwise_model(graph: MixedGraph) -> IndependenceModel:
     are read. No node cap applies here."""
     graph.require_loopless()
     form = graph.compiled.anterior_form
-    ant, near = form.anterior_masks, [{w for w, *_ in row} for row in form.adjacency]
+    ant, near = form.anterior_masks, [hh | ht | th | tt for hh, ht, th, tt in form.steps]
     return _PairwiseModel(form.labels, [(x, y, (ant[x] | ant[y]) & ~(1 << x | 1 << y))
                                         for x, y in itertools.combinations(range(len(ant)), 2)
-                                        if y not in near[x]])
+                                        if not near[x] >> y & 1])
 
 
 # -- axiom checking -----------------------------------------------------------
@@ -758,7 +741,7 @@ def _counterexample(g1: MixedGraph, g2: MixedGraph, limit: Optional[int] = None)
     n, labels = len(t1), g1.compiled.labels
     x, y = next((x, y) for x in range(n) for y in range(n) if t1[x][y] != t2[x][y])
     c = min(_bits(t1[x][y] ^ t2[x][y]), key=lambda c: list(_bits(c)))
-    statement = IndependenceStatement.of([labels[x]], [labels[y]], [labels[k] for k in _bits(c)])
+    statement = IndependenceStatement(frozenset((labels[x],)), frozenset((labels[y],)), _label_set(labels, c))
     return statement, not t1[x][y] >> c & 1
 
 

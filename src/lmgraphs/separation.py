@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _bits, _mask, _require_cap, combine_paths, path_in_graph
+from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _label_set, _mask, _require_cap, combine_paths, path_in_graph
 
 DEFAULT_ORACLE_LIMIT = 8
 
@@ -171,13 +171,12 @@ def _search_form(graph: MixedGraph) -> CompiledGraph:
     return compiled.anterior_form if not compiled.anterior and graph.ribbonless else compiled
 
 
-def _m_reachable(graph: MixedGraph, x: str, c: frozenset[str]) -> set[str]:
+def _m_reachable(graph: MixedGraph, x: str, c: frozenset[str]) -> frozenset[str]:
     """All nodes joined to x by an m-connecting path given C, by one
     ``_reach`` on the form ``_search_form`` picks."""
     form = _search_form(graph)
     index = form.index
-    found = _reach(form, [index[x]], {index[n] for n in c})
-    return {form.labels[v] for v in _bits(found)}
+    return _label_set(form.labels, _reach(form, [index[x]], {index[n] for n in c}))
 
 
 def m_connecting_path_exists(

@@ -16,7 +16,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _bits, _fold, _mask, _require_cap
+from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _fold, _label_set, _mask, _require_cap
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
 
 
@@ -52,7 +52,7 @@ def find_ribbons(graph: MixedGraph) -> list[Ribbon]:
             colliders[inner] = incident
     if not colliders:
         return []
-    ends, cyclic = _mask(v for v, others in enumerate(compiled.lines) if others), _mask(compiled.cyclic)
+    ends, cyclic = _mask(v for v, others in enumerate(compiled.lines) if others), compiled.cyclic
     if not ends | cyclic:
         return []
     below, steps = _fold(compiled.components[::-1], compiled.children, True), compiled.steps
@@ -185,7 +185,7 @@ def oracle_is_maximal(graph: MixedGraph, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     return True
 
 
-def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
+def pairwise_separator(graph: MixedGraph, x: str, y: str) -> frozenset[str]:
     """The anterior-set separator (ant(x) | ant(y)) minus the pair itself,
     read from the anterior form's ``anterior_masks`` as in ``pairwise_model``.
 
@@ -197,14 +197,15 @@ def pairwise_separator(graph: MixedGraph, x: str, y: str) -> set[str]:
     """
     _require_ribbonless(graph, "pairwise separator")
     compiled, i, j, _ = _pair(graph, x, y)
-    if any(w == j for w, *_ in compiled.adjacency[i]):
+    head_head, head_tail, tail_head, tail_tail = compiled.steps[i]
+    if (head_head | head_tail | tail_head | tail_tail) >> j & 1:
         raise GraphError(f"{x!r} and {y!r} are adjacent")
     if _inducing_live(compiled, i, j):
         raise GraphError(
             f"a primitive inducing path joins {x!r} and {y!r}; no separator exists"
         )
     ant = compiled.anterior_form.anterior_masks
-    return {compiled.labels[v] for v in _bits((ant[i] | ant[j]) & ~(1 << i | 1 << j))}
+    return _label_set(compiled.labels, (ant[i] | ant[j]) & ~(1 << i | 1 << j))
 
 
 def maximalize(graph: MixedGraph) -> MixedGraph:

@@ -330,6 +330,13 @@ class TestModelCommands:
         code, _, err = run(capsys, "msep", fig9b, "--a", "i", "--b", "zz")
         assert (code, err) == (2, "error: unknown node 'zz'\n")
 
+    @pytest.mark.parametrize("statement", ["{i _||_ j | {}", "i k _||_ j | {}", "_||_ j | {}"])
+    def test_axioms_check_contains_malformed_statement_exits_two(self, capsys, statement):
+        code, out, err = run(
+            capsys, "axioms", figure_path("fig9b"), "--from", "pairwise", "--check-contains", statement,
+        )
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     def test_axioms_check_contains_checks_labels_before_the_closure(self, capsys, monkeypatch, tmp_path):
         # An unknown label is refused before the closure is built: above the
         # closure cap it is not reported as the cap, and under the cap no

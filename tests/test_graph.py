@@ -11,6 +11,7 @@ from lmgraphs import (
     GraphError,
     Mark,
     MixedGraph,
+    Path,
     TripathClass,
     build_graph,
     classify_tripath,
@@ -424,6 +425,43 @@ class TestPaths:
         g = figures["fig3"]
         assert str(make_path(g, ["i", "h", "k"])) == "i -> h -> k"
         assert str(make_path(g, ["k", "h", "j"])) == "k <- h <- j"
+
+
+# i -> h <-> j, two lines j -- k; and a graph whose arc i <-> h is no edge of it.
+REFUSAL_GRAPH = build_graph(["i", "h", "j", "k"], [("i", "->", "h"), ("h", "<->", "j"), ("j", "--", "k"), ("j", "--", "k")])
+FOREIGN_GRAPH = build_graph(["i", "h", "x"], [("i", "<->", "h"), ("h", "->", "x")])
+ARROW, ARC, LINE, _ = REFUSAL_GRAPH.edges
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LINE.source, "is not an arrow"),
+    (lambda: ARC.target, "is not an arrow"),
+    (lambda: ARROW.other("j"), "'j' is not an endpoint of h <- i"),
+    (lambda: ARROW.mark_at("j"), "'j' is not an endpoint of h <- i"),
+    (lambda: build_graph(["i"], [("i", "=>", "i")]), "unknown edge operator '=>'"),
+    (lambda: MixedGraph(["i", ""]), "empty node label"),
+    (lambda: Path((), ()), "at least one node"),
+    (lambda: Path(("i", "h"), ()), "do not alternate"),
+    (lambda: Path(("i", "h", "i"), (ARROW, ARROW)), "repeated node"),
+    (lambda: Path(("i", "h", "j"), (ARROW, ARROW)), "repeated edge"),
+    (lambda: Path(("i", "j"), (ARROW,)), "does not join 'i' and 'j'"),
+    (lambda: make_path(REFUSAL_GRAPH, ["i"]).arrowhead_at("i"), "no incident edges"),
+    (lambda: make_path(REFUSAL_GRAPH, ["i", "h"]).arrowhead_at("j"), "'j' is not an endpoint of this path"),
+    (lambda: make_path(REFUSAL_GRAPH, ["i", "h"]).is_collider_at(0), "index 0 is not an inner position"),
+    (lambda: make_path(REFUSAL_GRAPH, ["i", "h"], picks=[LINE]), "does not join 'i' and 'h'"),
+    (lambda: make_path(REFUSAL_GRAPH, ["i", "j"]), "no edge between 'i' and 'j'"),
+    (lambda: make_path(REFUSAL_GRAPH, ["j", "k"]), "ambiguous edge between 'j' and 'k'"),
+    (lambda: classify_tripath(REFUSAL_GRAPH, make_path(FOREIGN_GRAPH, ["i", "h", "x"])), "not a path of this graph"),
+])
+def test_graph_refusals(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
+
+
+def test_degenerate_path_and_picked_parallel_edge():
+    assert str(make_path(REFUSAL_GRAPH, ["k"])) == "k"
+    picked = make_path(REFUSAL_GRAPH, ["k", "j"], picks=[REFUSAL_GRAPH.edges[3]])
+    assert picked.edges == (REFUSAL_GRAPH.edges[3],) and str(picked) == "k -- j"
 
 
 class TestEndpointIdentical:

@@ -94,6 +94,24 @@ class TestStatements:
             parse_statement("i _||_ j")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_statement("{a,b _||_ c | {}"), "unbalanced braces in node set '{a,b'"),
+    (lambda: parse_statement("a b _||_ c | {}"), "malformed node set 'a b'"),
+    (lambda: parse_statement("a _||_ c,d | {}"), "malformed node set 'c,d'"),
+    (lambda: parse_statement("_||_ c | {}"), "sides must be non-empty"),
+    (lambda: parse_statement("{} _||_ c | {}"), "sides must be non-empty"),
+    (lambda: check_axiom(IndependenceModel("ab"), "transitivity"), "unknown axiom 'transitivity'"),
+])
+def test_independence_refusals(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
+
+
+def test_parse_bare_label_sides():
+    assert parse_statement("a _||_ b | c") == S(["a"], ["b"], ["c"])
+    assert parse_statement("a _||_ b |") == S(["a"], ["b"], [])
+
+
 class TestModelBasics:
     def test_implicit_empty_sides(self):
         m = IndependenceModel("ij", [])

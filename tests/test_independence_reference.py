@@ -36,10 +36,20 @@ from lmgraphs import (
     pairwise_model,
     satisfies_pairwise,
 )
-from lmgraphs.independence import AxiomViolation, MarkovCheck, _counterexample, _proper_splits
+from lmgraphs.independence import AxiomViolation, MarkovCheck, _counterexample
 from test_independence import models
 
 AXIOMS = sorted(Axiom, key=lambda a: a.value)
+
+
+def reference_splits(whole):
+    """Every split of B into a non-empty kept part and a non-empty dropped
+    part, in the order a first missing split is named: the kept parts by
+    size, then by their sorted labels."""
+    items = sorted(whole)
+    for size in range(1, len(items)):
+        for kept in itertools.combinations(items, size):
+            yield frozenset(kept), whole - frozenset(kept)
 
 
 def reference_model(graph, singleton_only=False):
@@ -72,7 +82,7 @@ def reference_check_axiom(model, axiom):
         return None
     if axiom in (Axiom.DECOMPOSITION, Axiom.WEAK_UNION):
         for s in stmts:
-            for kept, dropped in _proper_splits(s.b):
+            for kept, dropped in reference_splits(s.b):
                 c = s.c if axiom is Axiom.DECOMPOSITION else s.c | dropped
                 needed = IndependenceStatement(s.a, kept, c)
                 if needed not in model:
@@ -125,7 +135,7 @@ def reference_closure(model, axioms):
         a, b, c = queue.popleft()
         if Axiom.SYMMETRY in rules:
             add(b, a, c)
-        for kept, dropped in _proper_splits(b):
+        for kept, dropped in reference_splits(b):
             if Axiom.DECOMPOSITION in rules:
                 add(a, kept, c)
             if Axiom.WEAK_UNION in rules:
@@ -211,7 +221,7 @@ def failing_instances(model, axiom):
                 if not has(s.b, s.a, s.c):
                     found.append((s.a, s.b, s.c, frozenset()))
                 continue
-            for kept, dropped in _proper_splits(s.b):
+            for kept, dropped in reference_splits(s.b):
                 if not has(s.a, kept, s.c if axiom is Axiom.DECOMPOSITION else s.c | dropped):
                     found.append((s.a, kept, s.c, dropped))
         return found
@@ -256,6 +266,18 @@ def test_first_violation_is_the_minimum_instance(axiom):
         assert (violation.a, violation.b, violation.c, violation.d) == failing[0]
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("axiom, given", [(Axiom.DECOMPOSITION, ""), (Axiom.WEAK_UNION, "cd")],
+                         ids=["decomposition", "weak_union"])
+def test_first_missing_split_keeps_the_smallest_part(axiom, given):
+    """<{a}, {b,c,d} | {}> alone: every split of B is missing, and the first
+    one named keeps {b} and drops {c, d}."""
+    model = IndependenceModel("abcd", [IndependenceStatement.of("a", "bcd")])
+    violation = check_axiom(model, axiom)
+    assert violation == reference_check_axiom(model, axiom)
+    assert (violation.b, violation.d) == ({"b"}, {"c", "d"})
+    assert violation.missing == IndependenceStatement.of("a", "b", given)
 
 
 @settings(max_examples=60, deadline=None)

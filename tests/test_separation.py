@@ -1190,6 +1190,31 @@ class TestCombineMConnecting:
         assert returned > 20
 
 
+# x -- h -> j is anterior; the arc x <-> h is no edge of it.
+PATH_GRAPH = build_graph(["x", "h", "j"], [("x", "--", "h"), ("h", "->", "j")])
+FOREIGN_PATH = make_path(build_graph(["x", "h", "j"], [("x", "<->", "h")]), ["x", "h"])
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: is_m_connecting_path(PATH_GRAPH, FOREIGN_PATH), "path does not belong to this graph"),
+    (lambda: is_m_connecting_path(PATH_GRAPH, make_path(PATH_GRAPH, ["x"])), False),
+    (lambda: combine_m_connecting(PATH_GRAPH, FOREIGN_PATH, make_path(PATH_GRAPH, ["h", "j"])),
+     "paths do not belong to this graph"),
+    (lambda: combine_m_connecting(PATH_GRAPH, make_path(PATH_GRAPH, ["x", "h"]), make_path(PATH_GRAPH, ["j", "h"])),
+     "paths do not share an endpoint"),
+    # h -- x back over the same line collapses to the one node x
+    (lambda: combine_m_connecting(PATH_GRAPH, make_path(PATH_GRAPH, ["x", "h"]), make_path(PATH_GRAPH, ["h", "x"])),
+     None),
+])
+def test_path_checks_refuse_or_answer_no(call, expected):
+    """A string is the refusal's message; anything else the answer."""
+    if isinstance(expected, str):
+        with pytest.raises(GraphError, match=expected):
+            call()
+    else:
+        assert call() is expected
+
+
 def augmented_separated(g, a, b, c):
     """The augmented-graph test of Richardson and Spirtes (2002), with anterior
     sets read in g itself: over S, A, B and C with their anteriors in g, join

@@ -442,13 +442,16 @@ def candidate_misses(graphs, candidates=lambda compiled: compiled.inducing_candi
 
 def arrowheads_into_arc_nodes_only(compiled):
     """The library's candidates with the arrowheads into nodes without an
-    arc dropped, as if only the nodes with an arc had a component."""
-    arcs = [step[0] for step in compiled.steps]
-    rows = tuple(
-        tuple((w, head_v, head_w and bool(arcs[w]), e) for w, head_v, head_w, e in row)
-        for row in compiled.adjacency
-    )
-    shim = Shim(compiled, adjacency=rows, labels=compiled.labels, children=compiled.children)
+    arc moved to the tail-tail masks of the step table, as if only the nodes
+    with an arc had a component: x's arrows into such a node w leave
+    ``steps[x][2]``, and w's parents leave ``steps[w][1]``."""
+    arcless = sum(1 << w for w, step in enumerate(compiled.steps) if not step[0])
+    steps = []
+    for w, (arcs, head_tail, tail_head, tail_tail) in enumerate(compiled.steps):
+        if arcless >> w & 1:
+            head_tail, tail_tail = 0, tail_tail | head_tail
+        steps.append((arcs, head_tail, tail_head & ~arcless, tail_tail | tail_head & arcless))
+    shim = Shim(compiled, steps=tuple(steps), children=compiled.children)
     return CompiledGraph.inducing_candidates.func(shim)
 
 

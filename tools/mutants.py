@@ -116,8 +116,15 @@ MUTANTS = (
     Mutant(
         "inducing_candidates: only nodes with an arc numbered",
         "src/lmgraphs/graph.py",
-        "            if not below or component[root] >= 0:\n",
-        "            if not below or not steps[root][0] or component[root] >= 0:\n",
+        "        inner = sum(1 << v for v, below in enumerate(self.children) if below)\n",
+        "        inner = sum(1 << v for v, below in enumerate(self.children) if below and steps[v][0])\n",
+        ("tests/test_structure_reference.py::test_candidates_hold_every_live_pair",),
+    ),
+    Mutant(
+        "inducing_candidates: senders read from the wrong step column",
+        "src/lmgraphs/graph.py",
+        "                sent |= steps[v][0] | steps[v][1]\n",
+        "                sent |= steps[v][0] | steps[v][2]\n",
         ("tests/test_structure_reference.py::test_candidates_hold_every_live_pair",),
     ),
     Mutant(
@@ -209,6 +216,14 @@ MUTANTS = (
         ("tests/test_independence.py::TestEnumerateModel::test_fig3_membership",),
     ),
     Mutant(
+        "_proper_splits: reverse size order",
+        "src/lmgraphs/independence.py",
+        "    for r in range(1, len(items)):\n",
+        "    for r in reversed(range(1, len(items))):\n",
+        ("tests/test_independence_reference.py::test_first_missing_split_keeps_the_smallest_part[decomposition]",
+         "tests/test_independence_reference.py::test_first_missing_split_keeps_the_smallest_part[weak_union]"),
+    ),
+    Mutant(
         "check_axiom: intersection's (rd >> b) unshifted",
         "src/lmgraphs/independence.py",
         "bad = (rb >> d) & (rd >> b) & ~joint",
@@ -252,6 +267,17 @@ MUTANTS = (
         "        if hit := below[inner] & ends:\n",
         "        if hit := below[inner] & (ends | cyclic):\n",
         ("tests/test_structure_reference.py::test_ribbons_match_reference",),
+    ),
+    # The one label codec: every node mask becomes labels through _digits.
+    Mutant(
+        "_digits: bits read highest first",
+        "src/lmgraphs/graph.py",
+        '    return f"{mask:0{n}b}"[::-1].encode().translate(_BIT_BYTES)\n',
+        '    return f"{mask:0{n}b}".encode().translate(_BIT_BYTES)\n',
+        ("tests/test_graph.py::TestAncestors::test_chain",
+         "tests/test_graph.py::TestAnteriors::test_fig2_anterior_sets",
+         "tests/test_graph.py::TestAnteriorGraph::test_fig2a_to_fig2b",
+         "tests/test_independence.py::TestPairwiseModel::test_fig7_statements"),
     ),
     # The ancestry routes: one walk for one set, one fold for every node.
     Mutant(
