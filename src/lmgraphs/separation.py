@@ -53,86 +53,77 @@ def _pair(
     return graph.compiled, source, target, set(c_idx)
 
 
+def _step(steps: Sequence[tuple[int, int, int, int]], fresh_head: int, fresh_tail: int, gate: int) -> tuple[int, int]:
+    """One level of the walk lane: the nodes that states at ``fresh_head``
+    (entered with an arrowhead) and at ``fresh_tail`` (over a tail) enter
+    next, with an arrowhead and over a tail, by one bit loop over the step
+    table per gate. A state at v outside C (``gate``) leaves over every edge,
+    or only over those without an arrowhead at v when it came in with one;
+    at v in C only a state that came in with an arrowhead leaves, over the
+    edges with one. A source leaves as a tail state outside C does."""
+    next_head = next_tail = 0
+    passing = fresh_head & gate  # a collider in C: on over the edges with an arrowhead
+    while passing:
+        v = passing.bit_length() - 1
+        passing ^= 1 << v
+        step_head, step_tail, _, _ = steps[v]
+        next_head |= step_head
+        next_tail |= step_tail
+    outside = ~gate
+    passing = fresh_head & outside  # an arrowhead outside C: on over the edges without
+    while passing:
+        v = passing.bit_length() - 1
+        passing ^= 1 << v
+        _, _, step_head, step_tail = steps[v]
+        next_head |= step_head
+        next_tail |= step_tail
+    passing = fresh_tail & outside  # a tail outside C: on over every edge
+    while passing:
+        v = passing.bit_length() - 1
+        passing ^= 1 << v
+        head_head, head_tail, tail_head, tail_tail = steps[v]
+        next_head |= head_head | tail_head
+        next_tail |= head_tail | tail_tail
+    return next_head, next_tail
+
+
 def _reach(
     compiled: CompiledGraph, sources: Sequence[int], c: set[int], stop: Collection[int] = (),
 ) -> int:
     """A mask of the indices joined to some source by an m-connecting path
-    given C, index v as bit v; returns once it reaches a node in ``stop``,
-    with that node set. One pass from all sources is exact: a state's
-    future does not depend on where its path began.
+    given C, index v as bit v. One pass from all sources is exact: a
+    state's future does not depend on where its path began.
 
     On an anterior form the search is linear, counting a mask operation as
-    one: a level-synchronous walk over states (node, arrived-with-arrowhead),
-    kept as two node masks, the nodes not yet entered with an arrowhead and
-    those not yet entered over a tail, over the form's step table ``steps``. A state at v outside C leaves over every
-    edge, or only over the edges without an arrowhead at v when it came in
-    with one; at v in C only a state that came in with an arrowhead leaves,
-    over the edges with one. So each level takes one bit loop per gate,
-    ORing its states' masks from the table into the next level, which is
-    cut to the unseen states and tested against ``stop`` in one mask test.
-    C alone opens a collider, so no an(C) is computed: a walk that meets a
+    one: a walk over states (node, arrived-with-arrowhead), one ``_step`` of
+    two node masks per level, cut to the states not yet entered. It reads
+    no ``stop``: a query with two ends meets in the middle (``_joined``). C
+    alone opens a collider, so no an(C) is computed: a walk that meets a
     collider v in an(C) outside C takes the shortest directed path from v
     into C, whose inner nodes avoid C, passes the collider at its end in C
     and comes back the same way, arriving at v over a tail, so it leaves v
     over any edge, as the path would through an open collider. The
     bit-parallel walk behind ``independence.enumerate_model`` gates by C
-    alone on the same argument and reads the same table. Given a ``stop``,
-    the walk keeps to ant(sources, stop, C), the form's ``anterior_scope``,
-    and drops every state outside it (-1 holds every node). That is exact
-    on an anterior form: a collider of an m-connecting path lies in C or
-    an(C); from a non-collider the path leaves over an edge with no
-    arrowhead there and, since no arrowhead meets a line, keeps going along
-    lines and arrows toward their heads until it reaches a collider or an
-    end, so every node of the path lies in that set, and so does the detour
-    from a collider into C. Without a ``stop`` every reached node is set.
+    alone on the same argument and reads the same table.
 
     On any other form a walk may bounce off a line below a collider and fake
     a connection, so the search follows simple paths, the state also
     carrying the visited nodes as a bit mask (exponential in the worst
-    case). A path cannot come back along an edge, so a collider is open
+    case), and returns once it reaches a node in ``stop``, with that node
+    set. A path cannot come back along an edge, so a collider is open
     when it lies in C or an(C), a mask from one walk up from C per call.
     Every separation reader searches the form ``_search_form`` picks, so
     only graphs with ribbons reach this lane.
     """
-    halt = _mask(stop)
     if compiled.anterior:
         steps, gate = compiled.steps, _mask(c)
-        scope = compiled.anterior_scope((*sources, *stop, *c)) if stop else -1
-        head = tail = 0  # the nodes the sources enter with an arrowhead; over a tail
-        for s in sources:  # a source leaves over every edge
-            head_head, head_tail, tail_head, tail_tail = steps[s]
-            head |= head_head | tail_head
-            tail |= head_tail | tail_tail
-        fresh_head, fresh_tail = head & scope, tail & scope
-        # the states in scope not yet entered, one mask per way of entering
-        unseen_head, unseen_tail = scope ^ fresh_head, scope ^ fresh_tail
-        while (fresh_head or fresh_tail) and not (fresh_head | fresh_tail) & halt:
-            next_head = next_tail = 0
-            passing = fresh_head & gate  # a collider in C: on over the edges with an arrowhead
-            while passing:
-                v = passing.bit_length() - 1
-                passing ^= 1 << v
-                step_head, step_tail, _, _ = steps[v]
-                next_head |= step_head
-                next_tail |= step_tail
-            passing = fresh_head & ~gate  # an arrowhead outside C: on over the edges without
-            while passing:
-                v = passing.bit_length() - 1
-                passing ^= 1 << v
-                _, _, step_head, step_tail = steps[v]
-                next_head |= step_head
-                next_tail |= step_tail
-            passing = fresh_tail & ~gate  # a tail outside C: on over every edge
-            while passing:
-                v = passing.bit_length() - 1
-                passing ^= 1 << v
-                head_head, head_tail, tail_head, tail_tail = steps[v]
-                next_head |= head_head | tail_head
-                next_tail |= head_tail | tail_tail
-            fresh_head, fresh_tail = next_head & unseen_head, next_tail & unseen_tail
-            unseen_head ^= fresh_head
-            unseen_tail ^= fresh_tail
-        return scope & ~(unseen_head & unseen_tail)
+        head, tail = fresh_head, fresh_tail = _step(steps, 0, _mask(sources), 0)
+        while fresh_head or fresh_tail:
+            fresh_head, fresh_tail = _step(steps, fresh_head, fresh_tail, gate)
+            fresh_head, fresh_tail = fresh_head & ~head, fresh_tail & ~tail
+            head, tail = head | fresh_head, tail | fresh_tail
+        return head | tail
+    halt = _mask(stop)
     open_colliders = _mask(c) | compiled.ancestors(c)
     adjacency = compiled.adjacency
     reached = 0
@@ -156,6 +147,55 @@ def _reach(
                 visited.add(state)
                 queue.append(state)
     return reached
+
+
+def _joined(form: CompiledGraph, sources: Sequence[int], targets: Sequence[int], c: set[int]) -> bool:
+    """Whether an m-connecting path given C joins a source to a target.
+
+    On an anterior form the walk lane runs from both ends and stops where
+    they meet: the rule at an inner node reads only its two marks, so a walk
+    read backwards is a walk. Both sides keep to ant(sources, targets, C),
+    the form's ``anterior_scope``: a collider of an m-connecting path lies
+    in C or an(C), from a non-collider the path keeps to lines and arrows
+    toward their heads (no arrowhead meets a line) until a collider or an
+    end, and the detour from a collider into C stays in an(C). Each side
+    keeps unseen and fresh masks per mark, starts from its ends as states
+    entered over a tail and drops a tail state at a node of C, which neither
+    leaves nor meets; the side with fewer frontier nodes takes the next
+    ``_step``. States (v, h1) and (v, h2) of the two sides meet exactly when
+    both marks are arrowheads and v is in C, or not both are and v is not:
+    a fresh arrowhead is tested against the other side's ``head & C | tail &
+    (scope - C)``, a fresh tail against its ``(head | tail) & (scope - C)``,
+    masks of its entered states rebuilt when the sides trade places. A walk
+    between the ends splits at an inner node into two walks that meet, and a
+    meet joins two walks; a side that runs out has reached all it can and
+    met none of the other side's ends. With ribbons, ``_reach``'s
+    visited-mask lane runs from the sources to the first target.
+    """
+    if not form.anterior:
+        return _reach(form, sources, c, targets) & _mask(targets) != 0
+    steps, gate = form.steps, _mask(c)
+    scope = form.anterior_scope((*sources, *targets, *c))
+    outside = scope & ~gate
+    a, b = _mask(sources), _mask(targets)
+    # a side: unseen head and tail, fresh head and tail, frontier node count
+    unseen_head, unseen_tail, fresh_head, fresh_tail, size = scope, outside ^ a, 0, a, len(sources)
+    far = (scope, outside ^ b, 0, b, len(targets))
+    while True:
+        far_head, far_tail, _, _, far_size = far
+        join_head = gate & ~far_head | outside & ~far_tail
+        join_tail = outside & ~(far_head & far_tail)
+        while size <= far_size:
+            fresh_head, fresh_tail = _step(steps, fresh_head, fresh_tail, gate)
+            fresh_head, fresh_tail = fresh_head & unseen_head, fresh_tail & unseen_tail
+            if fresh_head & join_head or fresh_tail & join_tail:
+                return True
+            fresh = fresh_head | fresh_tail
+            if not fresh:
+                return False
+            unseen_head, unseen_tail = unseen_head ^ fresh_head, unseen_tail ^ fresh_tail
+            size = fresh.bit_count()
+        far, (unseen_head, unseen_tail, fresh_head, fresh_tail, size) = (unseen_head, unseen_tail, fresh_head, fresh_tail, size), far
 
 
 def _search_form(graph: MixedGraph) -> CompiledGraph:
@@ -182,31 +222,25 @@ def _m_reachable(graph: MixedGraph, x: str, c: frozenset[str]) -> frozenset[str]
 def m_connecting_path_exists(
     graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
 ) -> bool:
-    """Reachability engine: is there an m-connecting path from x to y given C?"""
+    """Reachability engine: is there an m-connecting path from x to y given C?
+    One search from both ends that stops where they meet (``_joined``)."""
     _, source, target, c = _pair(graph, x, y, given)
-    return bool(_reach(_search_form(graph), [source], c, stop=(target,)) >> target & 1)
+    return _joined(_search_form(graph), [source], [target], c)
 
 
-def m_separated(
-    graph: MixedGraph,
-    a: Iterable[str],
-    b: Iterable[str],
-    c: Iterable[str] = (),
-) -> bool:
+def m_separated(graph: MixedGraph, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> bool:
     """True when no node of A is m-connected to a node of B given C.
 
-    One search from all of A at once, stopping at the first node of B: any
-    connected pair i in A, j in B is found, and the reduction to such pairs
-    is licensed by decomposition and composition of the induced model. On
-    an anterior form, every ribbonless graph's, C alone gates the walk, and
-    an(C) is computed only for a graph with ribbons (see ``_reach``).
+    One search from all of A and all of B, meeting in the middle
+    (``_joined``): any connected pair i in A, j in B is found, and the
+    reduction to such pairs is licensed by decomposition and composition of
+    the induced model. On an anterior form, every ribbonless graph's, C
+    alone gates the walk; only a graph with ribbons computes an(C).
     """
     a, b, c = _query_sets(graph, a, b, c)
     form = _search_form(graph)
     index = form.index
-    targets = [index[n] for n in b]
-    found = _reach(form, [index[n] for n in a], {index[n] for n in c}, stop=targets)
-    return not found & _mask(targets)
+    return not _joined(form, [index[n] for n in a], [index[n] for n in b], {index[n] for n in c})
 
 
 def is_m_connecting_path(
@@ -324,7 +358,7 @@ def find_m_connecting_path(
     graph itself, whatever its class, since a path of the anterior graph
     need not be a path here. On an anterior graph it also prunes every inner
     node outside ant({x, y} | C), where no m-connecting path goes (see
-    ``_reach``), so the witness is the same; on any other graph a path may
+    ``_joined``), so the witness is the same; on any other graph a path may
     leave that set (x -> v -- w <- y), and nothing is pruned. Exponential in
     the worst case;
     ``m_connecting_path_exists`` answers the yes/no question in linear time

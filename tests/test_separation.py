@@ -37,8 +37,8 @@ from lmgraphs import (
     satisfies_global,
 )
 from lmgraphs import independence, separation, structure
-from lmgraphs.graph import CompiledGraph
-from lmgraphs.separation import _admissible_paths, _reach, _search_form, _simple_paths
+from lmgraphs.graph import CompiledGraph, _mask
+from lmgraphs.separation import _admissible_paths, _joined, _reach, _search_form, _simple_paths
 from strategies import lmgs
 
 try:
@@ -368,10 +368,18 @@ class TestRouting:
         assert sum(len({e.canonical() for e in g.edges}) < len(g.edges) for g in graphs) > 100
         return graphs
 
-    def test_lane_choice(self, figures, routed):
+    def test_lane_choice(self, figures, routed, monkeypatch):
+        entries = []
+        joined = separation._joined
+        monkeypatch.setattr(separation, "_joined", lambda form, *args: entries.append(form) or joined(form, *args))
         for g in routed:
             assert _search_form(g) is g.compiled.anterior_form
             assert _search_form(g).anterior
+            x, y, *_ = g.node_list()
+            m_separated(g, [x], [y])
+            m_connecting_path_exists(g, x, y)
+            assert entries == [g.compiled.anterior_form] * 2, g
+            entries.clear()
         for g in figures.values():
             expected = g.compiled if g.is_anterior() or not g.ribbonless else g.compiled.anterior_form
             assert _search_form(g) is expected
@@ -781,9 +789,11 @@ class TestCGatedWalk:
         assert anterior.is_anterior() and ribbonless.ribbonless and not ribboned.ribbonless
         for g in (anterior, ribbonless, ribboned):
             _search_form(g)  # the ribbon scan and the anterior form, once per graph
-        calls = []
-        real = CompiledGraph.ancestors
+        calls, entries, reaches = [], [], []
+        real, joined, reach = CompiledGraph.ancestors, separation._joined, separation._reach
         monkeypatch.setattr(CompiledGraph, "ancestors", lambda self, targets: calls.append(self) or real(self, targets))
+        monkeypatch.setattr(separation, "_joined", lambda form, *args: entries.append(form) or joined(form, *args))
+        monkeypatch.setattr(separation, "_reach", lambda form, *args: reaches.append(form) or reach(form, *args))
         queries = [
             (anterior, "i", "j", ["l"]), (anterior, "i", "j", []),
             (ribbonless, "g0_0", "g3_3", ["g1_1"]), (ribbonless, "g0_0", "g3_3", ["g2_3", "g3_2"]),
@@ -791,12 +801,15 @@ class TestCGatedWalk:
         for g, x, y, c in queries:
             m_separated(g, [x], [y], c)
             m_connecting_path_exists(g, x, y, c)
-        assert calls == []
+        assert calls == [] and reaches == []
+        assert entries == [_search_form(g) for g, *_ in queries for _ in range(2)]
+        assert all(form.anterior for form in entries)
+        entries.clear()
         nodes = ribboned.node_list()
         for x, y, c in [(nodes[0], nodes[1], nodes[2:3]), (nodes[0], nodes[-1], []), (nodes[1], nodes[2], nodes[3:])]:
             m_separated(ribboned, [x], [y], c)
             m_connecting_path_exists(ribboned, x, y, c)
-        assert calls == [ribboned.compiled] * 6
+        assert calls == reaches == entries == [ribboned.compiled] * 6
 
 
 def reference_reach(compiled, sources, c, stop=()):
@@ -831,12 +844,13 @@ def reference_reach(compiled, sources, c, stop=()):
 
 
 def frontier_mismatches(graphs, outcomes):
-    """Each (graph, A, stop, C) where ``_reach``'s frontier walk on the
-    graph's search form disagrees with ``reference_reach``: without a stop
-    the reached sets differ; with one, whether a stop node is reached
-    differs, or the walk reaches a node the reference does not reach
-    without a stop. Twelve seeded queries per graph, A of one to three
-    nodes; ``outcomes`` counts them by whether the walk reached a stop node."""
+    """Each (graph, A, B, C) where the walk lane on the graph's search form
+    disagrees with ``reference_reach``: ``_reach`` from A reaches other
+    nodes than the reference, or ``_joined``, which walks from A and from B
+    inside ant(A | B | C), answers otherwise than whether the reference
+    reaches a node of B, confined to that set or not. Twelve seeded queries
+    per graph, A of one to three nodes; ``outcomes`` counts them by the
+    answer of ``_joined``."""
     rng = random.Random(9090)
     for g in graphs:
         form = _search_form(g)
@@ -844,14 +858,14 @@ def frontier_mismatches(graphs, outcomes):
             pick = rng.sample(range(len(form.labels)), len(form.labels))
             na = rng.randint(1, min(3, len(pick) - 1))
             nb = rng.randint(1, len(pick) - na)
-            sources, stop = pick[:na], pick[na:na + nb]
+            sources, targets = pick[:na], pick[na:na + nb]
             c = set(rng.sample(pick[na + nb:], rng.randint(0, len(pick) - na - nb)))
             everything = reference_reach(form, sources, c)
-            found = members(_reach(form, sources, c, stop))
-            outcomes[not found.isdisjoint(stop)] += 1
-            if (members(_reach(form, sources, c)) != everything or not found <= everything
-                    or found.isdisjoint(stop) != reference_reach(form, sources, c, stop).isdisjoint(stop)):
-                yield g, sources, stop, c
+            joined = _joined(form, sources, targets, c)
+            outcomes[joined] += 1
+            if (members(_reach(form, sources, c)) != everything or joined == everything.isdisjoint(targets)
+                    or joined == reference_reach(form, sources, c, targets).isdisjoint(targets)):
+                yield g, sources, targets, c
 
 
 def marks_at_w_ignored(steps):
@@ -860,9 +874,10 @@ def marks_at_w_ignored(steps):
 
 
 class TestFrontierWalk:
-    """The walk lane of ``_reach`` steps a level of node masks at a time
-    over the form's step table; the per-state search it replaced,
-    ``reference_reach``, is the reference on seeded anterior forms."""
+    """The walk lane steps a level of node masks at a time over the form's
+    step table (``_step``), from A alone in ``_reach`` and from both ends in
+    ``_joined``; the per-state search it replaced, ``reference_reach``, is
+    the reference on seeded anterior forms."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -899,6 +914,105 @@ class TestFrontierWalk:
         real = CompiledGraph.steps.func
         monkeypatch.setattr(CompiledGraph, "steps", property(lambda form: marks_at_w_ignored(real(form))))
         assert next(frontier_mismatches(corpus, collections.Counter()), None) is not None
+
+
+class TestTwoSidedWalk:
+    """``_joined`` walks from both ends of a query on an anterior form, the
+    side with fewer frontier nodes first, and stops where the walks meet or
+    as soon as one side runs out."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """Anterior search forms of five to eight nodes, for queries whose B
+        is one node and whose A is two or three."""
+        graphs = []
+        for seed in range(2):
+            graphs += [g.anterior_graph() for g in generate_corpus(CorpusSpec(
+                count=150, nodes=(5, 8), p_line=0.1, p_arrow=0.25, p_arc=0.1, p_multi=0.1, seed=7070 + seed,
+            ))]
+            graphs += [g for g in generate_corpus(CorpusSpec(
+                count=100, nodes=(5, 8), p_line=0.2, p_arrow=0.25, p_arc=0.1, p_multi=0.1,
+                constraint="ribbonless", seed=7170 + seed,
+            )) if not g.is_anterior()]
+        assert all(_search_form(g).anterior for g in graphs)
+        assert sum(not g.is_anterior() for g in graphs) > 60
+        return graphs
+
+    def test_smaller_b_side_walks_first(self, corpus, monkeypatch):
+        # B's side starts as (0, B), A's as (0, A): a run in which _step
+        # never gets (0, A) never expanded A, so B met A, or B ran out.
+        calls = []
+        step = separation._step
+        monkeypatch.setattr(separation, "_step", lambda steps, *fresh: calls.append(fresh[:2]) or step(steps, *fresh))
+        rng = random.Random(7070)
+        counts = collections.Counter()
+        for g in corpus:
+            form, nodes = _search_form(g), g.node_list()
+            for _ in range(8):
+                pick = rng.sample(nodes, len(nodes))
+                na = rng.randint(2, 3)
+                a, b = pick[:na], pick[na:na + 1]
+                c = rng.sample(pick[na + 1:], rng.randint(0, len(nodes) - na - 1))
+                sources, targets = [form.index[n] for n in a], [form.index[n] for n in b]
+                calls.clear()
+                answer = m_separated(g, a, b, c)
+                assert answer == oracle_m_separated(g, a, b, c), (g, a, b, c)
+                assert answer == reference_reach(form, sources, {form.index[n] for n in c}).isdisjoint(targets)
+                assert calls[0] == (0, _mask(targets)), (g, a, b, c)
+                counts[answer, (0, _mask(sources)) not in calls] += 1
+        assert min(counts[True, True], counts[False, True]) > 100, counts
+
+    def test_smaller_side_runs_out_at_once(self):
+        """A count guard, not a clock: B's side has one frontier node to A's
+        two, so it walks first, reaches m in C over a tail and runs out, where
+        a walk from A alone runs down both 200-node chains."""
+        chains = [[f"{p}{k:03d}" for k in range(200)] for p in "cd"]
+        edges = [(u, "->", w) for chain in chains for u, w in zip(chain, chain[1:] + ["m"])]
+        g = build_graph([*chains[0], *chains[1], "m", "x"], edges + [("m", "->", "x")])
+        form = _search_form(g)
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, v):
+                reads.append(v)
+                return tuple.__getitem__(self, v)
+
+        form.__dict__["steps"] = Counted(form.steps)
+        assert m_separated(g, ["c000", "d000"], ["x"], ["m"])
+        assert len(reads) <= 8, len(reads)
+
+    def test_arrowheads_meet_only_in_c(self):
+        # Inside ant(A | B | C) a meet of two arrowheads at v outside C never
+        # changes the answer: v has no line, so a directed path leads from v
+        # into C, where the walks bounce, or to an end. The rule is checked
+        # on the walks without their confinement: x's side walks first and
+        # grows to three nodes, then y's side enters v with an arrowhead, as
+        # x's side did, at a collider outside C.
+        g = build_graph(["v", "w1", "w2", "x", "y"], [("x", "->", "v"), ("x", "->", "w1"), ("x", "->", "w2"), ("y", "->", "v")])
+        form = copy.copy(_search_form(g))
+        form.anterior_scope = lambda nodes: -1
+        x, y, v = (form.index[n] for n in "xyv")
+        assert not _joined(form, [x], [y], set())
+        assert _joined(form, [x], [y], {v})
+        assert m_separated(g, ["x"], ["y"]) and not m_separated(g, ["x"], ["y"], ["v"])
+
+    def test_tails_meet_only_outside_c(self):
+        # x's side walks first to p1 and p2 and y's side next; both enter v
+        # in C over a tail, where no walk meets. Below, x's side enters v in
+        # C with an arrowhead, where y's side never comes.
+        g = build_graph(["p1", "p2", "v", "x", "y"], [("v", "->", "x"), ("p1", "->", "x"), ("p2", "->", "x"), ("v", "->", "y")])
+        assert m_separated(g, ["x"], ["y"], ["v"])
+        assert not m_connecting_path_exists(g, "x", "y", ["v"])
+        assert not m_separated(g, ["x"], ["y"])
+        g = build_graph(["v", "w", "x", "y"], [("x", "->", "v"), ("w", "->", "v")])
+        assert m_separated(g, ["x"], ["y"], ["v"])
+        assert not m_connecting_path_exists(g, "x", "y", ["v"])
+
+    def test_b_side_entering_a_meets(self):
+        # B's side walks first, as the smaller one, and enters a1.
+        g = build_graph(["a1", "a2", "b"], [("a1", "->", "b")])
+        assert not m_separated(g, ["a1", "a2"], ["b"])
+        assert not m_separated(g, ["b"], ["a1", "a2"])
 
 
 def diamond_chain(k):
@@ -962,11 +1076,11 @@ def confinement_queries(g, rng):
 
 
 def check_confinement(graphs):
-    """The (graph, A, B, C) where the walk lane, confined to ant(A | B | C)
-    because it is given B as ``stop``, answers otherwise than the same lane
-    without ``stop`` or than the path oracle, or reaches a node the
-    unconfined lane does not; and a count of the queries by (answer, whether
-    the confinement left some node out)."""
+    """The (graph, A, B, C) where ``_joined``, whose two walks keep to
+    ant(A | B | C), answers otherwise than the walk lane from A without that
+    confinement, than ``reference_reach`` or than the path oracle; and a
+    count of the queries by (answer, whether the confinement left some node
+    out)."""
     rng = random.Random(8080)
     mismatches, counts = [], collections.Counter()
     for g in graphs:
@@ -974,9 +1088,9 @@ def check_confinement(graphs):
         index, everything = form.index, (1 << len(form.labels)) - 1
         for a, b, c in confinement_queries(g, rng):
             sources, targets, given = [index[n] for n in a], {index[n] for n in b}, {index[n] for n in c}
-            confined, unconfined = members(_reach(form, sources, given, targets)), members(_reach(form, sources, given))
-            answer = confined.isdisjoint(targets)
-            if (answer != unconfined.isdisjoint(targets) or not confined <= unconfined
+            answer = not _joined(form, sources, sorted(targets), given)
+            if (answer != members(_reach(form, sources, given)).isdisjoint(targets)
+                    or answer != reference_reach(form, sources, given).isdisjoint(targets)
                     or answer != oracle_m_separated(g, a, b, c)):
                 mismatches.append((g, a, b, c))
             counts[answer, form.anterior_scope([*sources, *targets, *given]) != everything] += 1
@@ -1016,10 +1130,9 @@ def masks_without_lines(compiled):
 
 class TestAnteriorConfinement:
     """On an anterior form every node of an m-connecting path between A and
-    B given C lies in ant(A | B | C). The walk lane drops every state
-    outside that set when it is given a ``stop``, and the witness search
-    prunes every inner node outside ant({x, y} | C) on an anterior graph.
-    Neither holds on a graph that is not anterior, so the visited-mask lane
+    B given C lies in ant(A | B | C). The two walks of ``_joined`` drop
+    every state outside that set, and the witness search prunes every inner
+    node outside ant({x, y} | C) on an anterior graph. Neither holds on a graph that is not anterior, so the visited-mask lane
     and the witness search there are never confined."""
 
     @pytest.fixture(scope="class")

@@ -176,28 +176,53 @@ MUTANTS = (
          "tests/test_cli.py::TestExitCodes::test_closure_limit_applies_unless_overridden",
          "tests/test_structure.py::TestMaximality::test_oracle_refuses_large_graphs"),
     ),
+    # _joined drops every tail state at a node of C before it steps, so
+    # only the walk from one end, in _reach, shows this fault.
     Mutant(
-        "_reach walk lane: C passes a walk that came in over a tail",
+        "_step: C passes a walk that came in over a tail",
         "src/lmgraphs/separation.py",
-        "            passing = fresh_head & gate  #",
-        "            passing = (fresh_head | fresh_tail) & gate  #",
-        ("tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane",
+        "    passing = fresh_head & gate  #",
+        "    passing = (fresh_head | fresh_tail) & gate  #",
+        ("tests/test_separation.py::TestReachRows::test_rows_equal_one_reach_per_query",
          "tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference"),
     ),
     Mutant(
-        "_reach walk lane: C bounces over tails",
+        "_step: C bounces over tails",
         "src/lmgraphs/separation.py",
-        "                step_head, step_tail, _, _ = steps[v]\n",
-        "                _, _, step_head, step_tail = steps[v]\n",
+        "        step_head, step_tail, _, _ = steps[v]\n",
+        "        _, _, step_head, step_tail = steps[v]\n",
         ("tests/test_separation.py::TestCGatedWalk::test_walk_bounces_off_c",),
     ),
     Mutant(
-        "_reach walk lane: an arrowhead outside C leaves over the edges with one",
+        "_step: an arrowhead outside C leaves over the edges with one",
         "src/lmgraphs/separation.py",
-        "                _, _, step_head, step_tail = steps[v]\n",
-        "                step_head, step_tail, _, _ = steps[v]\n",
+        "        _, _, step_head, step_tail = steps[v]\n",
+        "        step_head, step_tail, _, _ = steps[v]\n",
         ("tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference",
          "tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane"),
+    ),
+    # The two-sided walk: where the walks from A and from B meet.
+    Mutant(
+        "_joined: a head-head meet accepted outside C",
+        "src/lmgraphs/separation.py",
+        "        join_head = gate & ~far_head | outside & ~far_tail\n",
+        "        join_head = scope & ~far_head | outside & ~far_tail\n",
+        ("tests/test_separation.py::TestTwoSidedWalk::test_arrowheads_meet_only_in_c",),
+    ),
+    Mutant(
+        "_joined: an arrowhead meets a tail at a node of C",
+        "src/lmgraphs/separation.py",
+        "        join_head = gate & ~far_head | outside & ~far_tail\n",
+        "        join_head = gate & ~far_head | scope & ~far_tail\n",
+        ("tests/test_separation.py::TestTwoSidedWalk::test_tails_meet_only_outside_c",),
+    ),
+    Mutant(
+        "_joined: B's side entering a node of A not checked",
+        "src/lmgraphs/separation.py",
+        "fresh_head, fresh_tail, size = scope, outside ^ a, 0, a, len(sources)\n",
+        "fresh_head, fresh_tail, size = scope, outside, 0, a, len(sources)\n",
+        ("tests/test_separation.py::TestTwoSidedWalk::test_b_side_entering_a_meets",
+         "tests/test_separation.py::TestTwoSidedWalk::test_smaller_b_side_walks_first"),
     ),
     Mutant(
         "steps: the mark at w ignored",
