@@ -286,7 +286,7 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
     no history, so one search covers every (x, C): each state holds n blocks
     of 2^n bits, bit C of block x set when the walk from x given C enters
     it. Sources leave over every edge; a state at v passes on what
-    ``_gate_patterns`` lets through, by C alone as in ``separation._reach``
+    ``_gate_patterns`` lets through, by C alone as in ``separation._step``
     (see there why): ``in_v`` after an arrowhead and ``out_v`` after a tail
     over the edges with an arrowhead at v, ``out_v`` over the others, the
     states each edge enters read from the form's step table, as the walk

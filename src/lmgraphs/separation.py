@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _label_set, _mask, _require_cap, combine_paths, path_in_graph
+from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _mask, _require_cap, combine_paths, path_in_graph
 
 DEFAULT_ORACLE_LIMIT = 8
 
@@ -60,7 +60,17 @@ def _step(steps: Sequence[tuple[int, int, int, int]], fresh_head: int, fresh_tai
     table per gate. A state at v outside C (``gate``) leaves over every edge,
     or only over those without an arrowhead at v when it came in with one;
     at v in C only a state that came in with an arrowhead leaves, over the
-    edges with one. A source leaves as a tail state outside C does."""
+    edges with one. ``fresh_tail`` holds no node of C: ``_joined``, the one
+    caller, keeps no state entered over a tail there, and its ends, which
+    lie outside C, leave as tail states do.
+
+    C alone opens a collider, so no an(C) is computed: a walk that meets a
+    collider v in an(C) outside C takes the shortest directed path from v
+    into C, whose inner nodes avoid C, passes the collider at its end in C
+    and comes back the same way, arriving at v over a tail, so it leaves v
+    over any edge, as the path would through an open collider. The
+    bit-parallel walk behind ``independence.enumerate_model`` gates by C
+    alone on the same argument and reads the same table."""
     next_head = next_tail = 0
     passing = fresh_head & gate  # a collider in C: on over the edges with an arrowhead
     while passing:
@@ -69,15 +79,14 @@ def _step(steps: Sequence[tuple[int, int, int, int]], fresh_head: int, fresh_tai
         step_head, step_tail, _, _ = steps[v]
         next_head |= step_head
         next_tail |= step_tail
-    outside = ~gate
-    passing = fresh_head & outside  # an arrowhead outside C: on over the edges without
+    passing = fresh_head & ~gate  # an arrowhead outside C: on over the edges without
     while passing:
         v = passing.bit_length() - 1
         passing ^= 1 << v
         _, _, step_head, step_tail = steps[v]
         next_head |= step_head
         next_tail |= step_tail
-    passing = fresh_tail & outside  # a tail outside C: on over every edge
+    passing = fresh_tail  # a tail, outside C: on over every edge
     while passing:
         v = passing.bit_length() - 1
         passing ^= 1 << v
@@ -91,38 +100,20 @@ def _reach(
     compiled: CompiledGraph, sources: Sequence[int], c: set[int], stop: Collection[int] = (),
 ) -> int:
     """A mask of the indices joined to some source by an m-connecting path
-    given C, index v as bit v. One pass from all sources is exact: a
-    state's future does not depend on where its path began.
+    given C, index v as bit v, by the visited-mask lane; it returns once it
+    reaches a node in ``stop``, with that node set. One pass from all
+    sources is exact: a state's future does not depend on where its path
+    began.
 
-    On an anterior form the search is linear, counting a mask operation as
-    one: a walk over states (node, arrived-with-arrowhead), one ``_step`` of
-    two node masks per level, cut to the states not yet entered. It reads
-    no ``stop``: a query with two ends meets in the middle (``_joined``). C
-    alone opens a collider, so no an(C) is computed: a walk that meets a
-    collider v in an(C) outside C takes the shortest directed path from v
-    into C, whose inner nodes avoid C, passes the collider at its end in C
-    and comes back the same way, arriving at v over a tail, so it leaves v
-    over any edge, as the path would through an open collider. The
-    bit-parallel walk behind ``independence.enumerate_model`` gates by C
-    alone on the same argument and reads the same table.
-
-    On any other form a walk may bounce off a line below a collider and fake
-    a connection, so the search follows simple paths, the state also
-    carrying the visited nodes as a bit mask (exponential in the worst
-    case), and returns once it reaches a node in ``stop``, with that node
-    set. A path cannot come back along an edge, so a collider is open
-    when it lies in C or an(C), a mask from one walk up from C per call.
-    Every separation reader searches the form ``_search_form`` picks, so
-    only graphs with ribbons reach this lane.
+    A walk may bounce off a line below a collider and fake a connection, so
+    the search follows simple paths, the state also carrying the visited
+    nodes as a bit mask (exponential in the worst case). A path cannot come
+    back along an edge, so a collider is open when it lies in C or an(C), a
+    mask from one walk up from C per call. The lane reads no graph class:
+    every separation reader searches the form ``_search_form`` picks and
+    walks an anterior one in ``_joined`` or the reach table's bit-parallel
+    walk, so only graphs with ribbons reach it.
     """
-    if compiled.anterior:
-        steps, gate = compiled.steps, _mask(c)
-        head, tail = fresh_head, fresh_tail = _step(steps, 0, _mask(sources), 0)
-        while fresh_head or fresh_tail:
-            fresh_head, fresh_tail = _step(steps, fresh_head, fresh_tail, gate)
-            fresh_head, fresh_tail = fresh_head & ~head, fresh_tail & ~tail
-            head, tail = head | fresh_head, tail | fresh_tail
-        return head | tail
     halt = _mask(stop)
     open_colliders = _mask(c) | compiled.ancestors(c)
     adjacency = compiled.adjacency
@@ -209,14 +200,6 @@ def _search_form(graph: MixedGraph) -> CompiledGraph:
     takes its form here, model enumeration and equivalence included."""
     compiled = graph.compiled
     return compiled.anterior_form if not compiled.anterior and graph.ribbonless else compiled
-
-
-def _m_reachable(graph: MixedGraph, x: str, c: frozenset[str]) -> frozenset[str]:
-    """All nodes joined to x by an m-connecting path given C, by one
-    ``_reach`` on the form ``_search_form`` picks."""
-    form = _search_form(graph)
-    index = form.index
-    return _label_set(form.labels, _reach(form, [index[x]], {index[n] for n in c}))
 
 
 def m_connecting_path_exists(

@@ -3,9 +3,11 @@
 One declaration per line: ``node x`` declares an isolated node, ``a -- b``,
 ``a -> b``, and ``a <-> b`` declare a line, arrow, and arc. Nodes are
 declared implicitly by their first use in an edge, ``#`` starts a comment,
-and repeating an edge line creates a parallel edge. Serialization is
-canonical (sorted), so output is byte-stable and parses back to an equal
-graph.
+and repeating an edge line creates a parallel edge. A label is neither
+``node`` nor an edge operator and holds no ``,``, ``{``, ``}`` or ``|``,
+which write node sets and statements (``{a,b} _||_ {d} | {c}``).
+Serialization is canonical (sorted), so output is byte-stable and parses
+back to an equal graph.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 from .graph import Edge, EdgeKind, GraphError, Mark, MixedGraph, _edge_from_spec
 
 _EDGE_OPS = ("--", "->", "<->")
+_SET_SYNTAX = frozenset(",{}|")
 
 
 class ParseError(GraphError):
@@ -45,7 +48,7 @@ def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
     edge_specs: list[tuple[str, str, str]] = []
 
     def declare(label: str, line_no: int, line: str, k: int) -> None:
-        if label in _EDGE_OPS or label == "node":
+        if label in _EDGE_OPS or label == "node" or not _SET_SYNTAX.isdisjoint(label):
             raise ParseError(
                 f"{label!r} cannot be used as a node label", line_no, _column(line, k)
             )

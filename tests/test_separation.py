@@ -52,21 +52,14 @@ def members(mask):
     return {v for v in range(mask.bit_length()) if mask >> v & 1}
 
 
-def in_mask_lane(compiled):
-    """A copy of ``compiled`` that ``_reach`` searches in the visited-mask
-    lane, whatever the graph's class; it shares the original's rows."""
-    form = copy.copy(compiled)
-    form.anterior = False
-    return form
-
-
 def mask_lane_separated(g, a, b, c, opens_ancestors=True):
     """m_separated through ``_reach``'s visited-mask lane on g's own compiled
-    form, whatever g is. With ``opens_ancestors`` false the copy has no
-    ancestors, so the lane opens the colliders in C alone, which is wrong
-    for simple paths."""
-    compiled = in_mask_lane(g.compiled)
+    form, whatever g is. With ``opens_ancestors`` false the lane searches a
+    copy with no ancestors, so it opens the colliders in C alone, which is
+    wrong for simple paths."""
+    compiled = g.compiled
     if not opens_ancestors:
+        compiled = copy.copy(compiled)
         compiled.ancestors = lambda targets: 0
     index = compiled.index
     targets = {index[n] for n in b}
@@ -486,8 +479,8 @@ class TestRouting:
 
 def reach_row_mismatches(graphs):
     """Each (graph, C, x) whose row of the reach table, the y with bit C set
-    in R[x][y] from ``_reach_table``, differs from one ``_reach`` call on
-    the same form given C."""
+    in R[x][y] from ``_reach_table``, differs from one call of ``_reach``'s
+    visited-mask lane on the same form given C."""
     for g in graphs:
         form = _search_form(g)
         table = independence._reach_table(g)
@@ -543,8 +536,9 @@ def ribboned():
 class TestReachRows:
     """The reach table behind enumerate_model and markov_equivalent: the
     bit-parallel walk over every (x, C) at once on anterior forms, each row
-    equal to one ``_reach`` per (x, C), and ``_reach``'s visited-mask lane
-    on graphs with ribbons, held to the path oracle."""
+    held to one call per (x, C) of ``_reach``'s visited-mask lane, an
+    independent search over simple paths, and that lane itself on graphs
+    with ribbons, held to the path oracle."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -811,10 +805,29 @@ class TestCGatedWalk:
             m_connecting_path_exists(ribboned, x, y, c)
         assert calls == reaches == entries == [ribboned.compiled] * 6
 
+    @pytest.mark.parametrize("reader", [
+        lambda g: enumerate_model(g),
+        lambda g: markov_equivalent(g, g),
+        lambda g: satisfies_global(IndependenceModel(g.nodes, []), g),
+    ], ids=["enumerate_model", "markov_equivalent", "satisfies_global"])
+    def test_models_reach_only_graphs_with_ribbons(self, reader, monkeypatch):
+        # _reach reads no graph class, so an anterior form handed to it runs
+        # the exponential visited-mask lane and still answers right. Each
+        # graph is parsed afresh, so no reach table is kept yet. fig2a stands
+        # for the ribbonless graphs that are not anterior: line_grid(4) has
+        # 19 nodes, past every model cap.
+        reaches = []
+        reach = independence._reach
+        monkeypatch.setattr(independence, "_reach", lambda form, *args: reaches.append(form) or reach(form, *args))
+        for name in ("fig3", "fig2a", "fig4a"):
+            g = lmgraphs.load_graph(figure_path(name))
+            reader(g)
+            assert set(map(id, reaches)) == ({id(g.compiled)} if name == "fig4a" else set()), name
+
 
 def reference_reach(compiled, sources, c, stop=()):
     """The walk lane's per-state search, kept as the reference for the
-    frontier walk in ``_reach``: a stack of states, 2w + 1 for w entered
+    frontier walk in ``_joined``: a stack of states, 2w + 1 for w entered
     with an arrowhead and 2w for w entered over a tail, each node's
     successors read from its adjacency row, under the same gates and the
     same ``anterior_scope``; the set of reached indices, returned as soon
@@ -845,12 +858,11 @@ def reference_reach(compiled, sources, c, stop=()):
 
 def frontier_mismatches(graphs, outcomes):
     """Each (graph, A, B, C) where the walk lane on the graph's search form
-    disagrees with ``reference_reach``: ``_reach`` from A reaches other
-    nodes than the reference, or ``_joined``, which walks from A and from B
-    inside ant(A | B | C), answers otherwise than whether the reference
-    reaches a node of B, confined to that set or not. Twelve seeded queries
-    per graph, A of one to three nodes; ``outcomes`` counts them by the
-    answer of ``_joined``."""
+    disagrees with ``reference_reach``: ``_joined``, which walks from A and
+    from B inside ant(A | B | C), answers otherwise than whether the
+    reference reaches a node of B, confined to that set or not. Twelve
+    seeded queries per graph, A of one to three nodes; ``outcomes`` counts
+    them by the answer of ``_joined``."""
     rng = random.Random(9090)
     for g in graphs:
         form = _search_form(g)
@@ -863,7 +875,7 @@ def frontier_mismatches(graphs, outcomes):
             everything = reference_reach(form, sources, c)
             joined = _joined(form, sources, targets, c)
             outcomes[joined] += 1
-            if (members(_reach(form, sources, c)) != everything or joined == everything.isdisjoint(targets)
+            if (joined == everything.isdisjoint(targets)
                     or joined == reference_reach(form, sources, c, targets).isdisjoint(targets)):
                 yield g, sources, targets, c
 
@@ -875,9 +887,10 @@ def marks_at_w_ignored(steps):
 
 class TestFrontierWalk:
     """The walk lane steps a level of node masks at a time over the form's
-    step table (``_step``), from A alone in ``_reach`` and from both ends in
-    ``_joined``; the per-state search it replaced, ``reference_reach``, is
-    the reference on seeded anterior forms."""
+    step table (``_step``), from both ends in ``_joined``; the per-state
+    search it replaced, ``reference_reach``, is the reference on seeded
+    anterior forms. The visited-mask lane (``_reach``) is no reference
+    here: it never re-enters a source, where the walk may."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -1077,10 +1090,10 @@ def confinement_queries(g, rng):
 
 def check_confinement(graphs):
     """The (graph, A, B, C) where ``_joined``, whose two walks keep to
-    ant(A | B | C), answers otherwise than the walk lane from A without that
-    confinement, than ``reference_reach`` or than the path oracle; and a
-    count of the queries by (answer, whether the confinement left some node
-    out)."""
+    ant(A | B | C), answers otherwise than the visited-mask lane from A,
+    which keeps to no such set, than ``reference_reach`` or than the path
+    oracle; and a count of the queries by (answer, whether the confinement
+    left some node out)."""
     rng = random.Random(8080)
     mismatches, counts = [], collections.Counter()
     for g in graphs:

@@ -82,6 +82,22 @@ def test_reverse_arrow_is_not_grammar():
         parse_graph("a <- b\n")
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("a,b -> c\nc -> d\n", 1, 1),
+    ("c -> d\nc ->  {d}\n", 2, 7),
+    ("node x|y\n", 1, 6),
+    ("x <-> }\n", 1, 7),
+    ("  node {}\n", 1, 8),
+], ids=["comma", "braces", "bar", "closing brace", "empty braces"])
+def test_set_syntax_in_labels_rejected(text, line, column):
+    # Node sets and statements are written {a,b} _||_ {d} | {c}, so no CLI
+    # flag or statement could name such a label.
+    with pytest.raises(ParseError, match="cannot be used as a node label") as info:
+        parse_graph(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert "a,b" in build_graph(["a,b", "{c}"], [("a,b", "->", "{c}")]).nodes
+
+
 def test_token_count_errors():
     with pytest.raises(ParseError, match="expected"):
         parse_graph("a --\n")

@@ -176,15 +176,17 @@ MUTANTS = (
          "tests/test_cli.py::TestExitCodes::test_closure_limit_applies_unless_overridden",
          "tests/test_structure.py::TestMaximality::test_oracle_refuses_large_graphs"),
     ),
-    # _joined drops every tail state at a node of C before it steps, so
-    # only the walk from one end, in _reach, shows this fault.
+    # _step passes every tail state it is handed over every edge: _joined
+    # decides that none lies at a node of C, by dropping them from each
+    # side's unseen tails, so the fault goes there, on A's side.
     Mutant(
-        "_step: C passes a walk that came in over a tail",
+        "_joined: tail states kept at a node of C",
         "src/lmgraphs/separation.py",
-        "    passing = fresh_head & gate  #",
-        "    passing = (fresh_head | fresh_tail) & gate  #",
-        ("tests/test_separation.py::TestReachRows::test_rows_equal_one_reach_per_query",
-         "tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference"),
+        "= scope, outside ^ a, 0, a,",
+        "= scope, scope ^ a, 0, a,",
+        ("tests/test_separation.py::TestFrontierWalk::test_frontier_walk_matches_reference",
+         "tests/test_separation.py::TestCGatedWalk::test_singletons_match_oracle_and_mask_lane",
+         "tests/test_acceptance.py::test_c12_engine_oracle_agreement"),
     ),
     Mutant(
         "_step: C bounces over tails",
