@@ -15,7 +15,7 @@ import sys
 from typing import Any, Optional
 
 from .corpus import CONSTRAINTS, CorpusSpec, generate_corpus
-from .graph import MixedGraph
+from .graph import GraphError, MixedGraph
 from .independence import (
     AXIOM_SETS,
     IndependenceModel,
@@ -289,7 +289,10 @@ def _cmd_equiv(args) -> tuple[int, Report]:
 
 def _cmd_gen(args) -> tuple[int, Report]:
     lo, _, hi = args.nodes.partition("-")
-    node_range = (int(lo), int(hi) if hi else int(lo))
+    try:
+        node_range = (int(lo), int(hi or lo))
+    except ValueError:
+        raise GraphError(f"bad node range {args.nodes!r}") from None
     spec = CorpusSpec(
         count=args.count,
         nodes=node_range,

@@ -28,7 +28,9 @@ def _unknown_node(labels: Iterable[str], known: frozenset[str]) -> GraphError:
 
 
 def _require_cap(what: str, n: int, cap: int) -> None:
-    """Refuse ``n`` nodes over a node cap: every cap raises this text."""
+    """Refuse a negative node cap or ``n`` nodes over it: every cap raises these texts."""
+    if cap < 0:
+        raise GraphError(f"{what} limit must be at least 0, got {cap}")
     if n > cap:
         raise GraphError(f"{what} limit exceeded: {n} nodes > {cap}")
 
@@ -148,13 +150,22 @@ class CompiledGraph:
     ``children[v]`` list the tails of arrows into v and the heads of arrows
     out of v, ``lines[v]`` the other ends of the lines at v (v itself for a
     line loop), and the flags ``loopless`` and ``anterior`` (no arrowhead
-    meets the end of a line) are set at once; ``steps``, the same edges as
-    node masks and the only per-node edge table besides the rows, and
-    ``components``, ``cyclic``, ``ancestor_masks``, ``anterior_masks``
-    (which confine the separation searches), ``inducing_candidates`` (the
-    pairs the maximality scan tests), ``anterior_line_ends`` (the nodes
-    that lose their arrowheads in the anterior graph) and
-    ``anterior_form``, the compiled anterior graph, are built on first use.
+    meets the end of a line) are set at once, in the same pass as
+    ``steps``, the step table of the walk lanes and the only per-node edge
+    table besides the rows. ``steps[v]`` holds the masks ``(head_head,
+    head_tail, tail_head, tail_tail)`` of the nodes w that an edge at v
+    enters, first over the edges with an arrowhead at v, then over those
+    without; the ``_head`` mask holds the w the edge enters with an
+    arrowhead at w, the ``_tail`` mask the others. Parallel edges with the
+    same marks give one bit, a loop's marks are read before they merge, and
+    an anterior form's table carries its rewritten marks. So ``steps[v][0]``
+    masks the nodes joined to v by an arc, and ``steps[v][0] |
+    steps[v][2]`` those an edge at v gives an arrowhead. ``components``,
+    ``cyclic``, ``ancestor_masks``, ``anterior_masks`` (which confine the
+    separation searches), ``inducing_candidates`` (the pairs the maximality
+    scan tests), ``anterior_line_ends`` (the nodes that lose their
+    arrowheads in the anterior graph) and ``anterior_form``, the compiled
+    anterior graph, are built on first use.
     Every node set on the form is a mask, node w as bit w, and becomes
     labels only through ``_label_set``: ``ancestors`` walks up from one set,
     and ``ancestor_masks`` folds an(v) for every node at once.
@@ -167,10 +178,12 @@ class CompiledGraph:
     ):
         self.labels, self.index, self.adjacency = labels, index, rows
         parents, children, lines = ([set() for _ in labels] for _ in range(3))
+        steps = []
         self.loopless = self.anterior = True
         for v, row in enumerate(rows):
-            headed = False
+            headed, masks = False, [0, 0, 0, 0]
             for w, head_v, head_w, _ in row:
+                masks[2 * (not head_v) + (not head_w)] |= 1 << w
                 if w == v:
                     # A loop sits once in the row, so an arrowhead at either
                     # end meets v; it is no arrow between two nodes.
@@ -186,28 +199,11 @@ class CompiledGraph:
                     lines[v].add(w)
             if headed and lines[v]:
                 self.anterior = False
+            steps.append(tuple(masks))
         self.parents = tuple(tuple(p) for p in parents)
         self.children = tuple(tuple(c) for c in children)
         self.lines = tuple(tuple(w) for w in lines)
-
-    @cached_property
-    def steps(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The step table of the linear walk lane: for each node v, the masks
-        ``(head_head, head_tail, tail_head, tail_tail)`` of the nodes w that
-        an edge at v enters, first over the edges with an arrowhead at v,
-        then over those without; the ``_head`` mask holds the w the edge
-        enters with an arrowhead at w, the ``_tail`` mask the others. One
-        pass over the rows, so parallel edges with the same marks give one
-        bit, and an anterior form's table carries its rewritten marks. So
-        ``steps[v][0]`` masks the nodes joined to v by an arc, and
-        ``steps[v][0] | steps[v][2]`` those an edge at v gives an arrowhead."""
-        table = []
-        for row in self.adjacency:
-            masks = [0, 0, 0, 0]
-            for w, head_v, head_w, _ in row:
-                masks[2 * (not head_v) + (not head_w)] |= 1 << w
-            table.append(tuple(masks))
-        return tuple(table)
+        self.steps = tuple(steps)
 
     @cached_property
     def inducing_candidates(self) -> tuple[int, ...]:

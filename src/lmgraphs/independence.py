@@ -292,16 +292,17 @@ def _reach_table(graph: MixedGraph) -> list[list[int]]:
     states each edge enters read from the form's step table, as the walk
     lane reads them. Sweeps pass on only new bits; block x of the states at
     y is R[x][y]. A graph with ribbons fills the table by ``_reach``'s
-    visited-mask lane, one call per (x, C)."""
+    visited-mask lane, one call per (x, C), its colliders open in C | an(C),
+    a mask built once per C."""
     form = _search_form(graph)
     n = len(form.labels)
     size, full, avoid = 1 << n, (1 << n) - 1, _avoiding(n)
     if not form.anterior:
         table = [[0] * n for _ in range(n)]
         for c in range(size):
-            given = set(_bits(c))
+            colliders = c | form.ancestors(_bits(c))
             for x in _bits(full ^ c):
-                for y in _bits(_reach(form, (x,), given) & ~(c | 1 << x)):
+                for y in _bits(_reach(form, (x,), colliders, ~c) & ~(c | 1 << x)):
                     table[x][y] |= 1 << c
         return table
     # the states v steps to, ``into`` over the edges with an arrowhead at v

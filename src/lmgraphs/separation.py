@@ -15,7 +15,7 @@ is a bug.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .graph import CompiledGraph, Edge, GraphError, MixedGraph, Path, _mask, _require_cap, combine_paths, path_in_graph
 
@@ -97,25 +97,25 @@ def _step(steps: Sequence[tuple[int, int, int, int]], fresh_head: int, fresh_tai
 
 
 def _reach(
-    compiled: CompiledGraph, sources: Sequence[int], c: set[int], stop: Collection[int] = (),
+    compiled: CompiledGraph, sources: Sequence[int], colliders: int, through: int, stop: Collection[int] = (),
 ) -> int:
-    """A mask of the indices joined to some source by an m-connecting path
-    given C, index v as bit v, by the visited-mask lane; it returns once it
-    reaches a node in ``stop``, with that node set. One pass from all
-    sources is exact: a state's future does not depend on where its path
-    began.
+    """A mask of the indices joined to some source by a path whose inner
+    colliders lie in the mask ``colliders`` and other inner nodes in the
+    mask ``through``, index v as bit v, by the visited-mask lane; it returns
+    once it reaches a node in ``stop``, with that node set. One pass from
+    all sources is exact: a state's future does not depend on where its
+    path began.
 
     A walk may bounce off a line below a collider and fake a connection, so
     the search follows simple paths, the state also carrying the visited
     nodes as a bit mask (exponential in the worst case). A path cannot come
-    back along an edge, so a collider is open when it lies in C or an(C), a
-    mask from one walk up from C per call. The lane reads no graph class:
+    back along an edge, so given C the caller opens the colliders in C |
+    an(C) and passes the rest through ~C. The lane reads no graph class:
     every separation reader searches the form ``_search_form`` picks and
     walks an anterior one in ``_joined`` or the reach table's bit-parallel
     walk, so only graphs with ribbons reach it.
     """
     halt = _mask(stop)
-    open_colliders = _mask(c) | compiled.ancestors(c)
     adjacency = compiled.adjacency
     reached = 0
     visited: set[tuple[int, int, bool]] = set()
@@ -125,8 +125,8 @@ def _reach(
         if head_in is None:  # a source: no inner-node condition
             pass_head = pass_tail = True
         else:
-            pass_tail = v not in c
-            pass_head = open_colliders >> v & 1 if head_in else pass_tail
+            pass_tail = through >> v & 1
+            pass_head = colliders >> v & 1 if head_in else pass_tail
         for w, head_v, head_w, _ in adjacency[v]:
             if not (pass_head if head_v else pass_tail) or mask >> w & 1:
                 continue
@@ -163,9 +163,10 @@ def _joined(form: CompiledGraph, sources: Sequence[int], targets: Sequence[int],
     met none of the other side's ends. With ribbons, ``_reach``'s
     visited-mask lane runs from the sources to the first target.
     """
+    gate = _mask(c)
     if not form.anterior:
-        return _reach(form, sources, c, targets) & _mask(targets) != 0
-    steps, gate = form.steps, _mask(c)
+        return _reach(form, sources, gate | form.ancestors(c), ~gate, targets) & _mask(targets) != 0
+    steps = form.steps
     scope = form.anterior_scope((*sources, *targets, *c))
     outside = scope & ~gate
     a, b = _mask(sources), _mask(targets)
@@ -295,16 +296,16 @@ def oracle_m_separated(
 
 
 def _admissible_paths(
-    compiled: CompiledGraph, source: int, target: int, passes: Callable[[int, bool, bool], bool]
+    compiled: CompiledGraph, source: int, target: int, colliders: int, through: int
 ) -> Iterator[Path]:
     """Simple source-target paths in depth-first order, as they are found.
 
-    Every inner node v must satisfy ``passes(v, head_in, head_out)``, where the
-    flags say whether the path's edges into and out of v carry an arrowhead at
-    v; a partial path is pruned as soon as its newest node fails. Edges are
-    tried in adjacency-row order, so the order of the paths is fixed. The
-    stack is explicit; the number of paths, and the time between two of them,
-    is exponential in the worst case.
+    Every inner collider must lie in the mask ``colliders`` and every other
+    inner node in the mask ``through``, a collider being a node where both
+    of the path's edges carry an arrowhead; a partial path is pruned as soon
+    as its newest node fails. Edges are tried in adjacency-row order, so the
+    order of the paths is fixed. The stack is explicit; the number of paths,
+    and the time between two of them, is exponential in the worst case.
     """
     labels, adjacency = compiled.labels, compiled.adjacency
     # One frame per path node: (node, edge in, may leave over an edge with an
@@ -320,7 +321,8 @@ def _admissible_paths(
                 nodes = tuple(labels[f[0]] for f in stack) + (labels[target],)
                 yield Path(nodes, tuple(f[1] for f in stack[1:]) + (e,))
             elif w not in on_path:
-                pass_head_w, pass_tail_w = passes(w, head_w, True), passes(w, head_w, False)
+                pass_tail_w = through >> w & 1
+                pass_head_w = colliders >> w & 1 if head_w else pass_tail_w
                 if pass_head_w or pass_tail_w:
                     on_path.add(w)
                     stack.append((w, e, pass_head_w, pass_tail_w, iter(adjacency[w])))
@@ -335,29 +337,22 @@ def find_m_connecting_path(
     """Return a concrete m-connecting witness path, or None.
 
     The first path of the depth-first search in ``_admissible_paths``, which
-    prunes a partial path as soon as its newest inner node violates the
-    predicate. Deterministic: edges are explored in ``MixedGraph.edges_at``
+    prunes a partial path as soon as an inner collider leaves C | an(C) or
+    another inner node enters C. Deterministic: edges are explored in ``MixedGraph.edges_at``
     order, so the same witness is returned every run. The search runs on the
     graph itself, whatever its class, since a path of the anterior graph
-    need not be a path here. On an anterior graph it also prunes every inner
-    node outside ant({x, y} | C), where no m-connecting path goes (see
-    ``_joined``), so the witness is the same; on any other graph a path may
-    leave that set (x -> v -- w <- y), and nothing is pruned. Exponential in
-    the worst case;
-    ``m_connecting_path_exists`` answers the yes/no question in linear time
-    on anterior graphs, and on ribbonless graphs once their ribbon scan and
-    anterior form are built.
+    need not be a path here. On an anterior graph both masks are also cut
+    to ant({x, y} | C), where no m-connecting path goes (see ``_joined``),
+    so the witness is the same; on any other graph a path may leave that
+    set (x -> v -- w <- y), and nothing is cut. Exponential in the worst
+    case; ``m_connecting_path_exists`` answers the yes/no question in linear
+    time on anterior graphs, and on ribbonless graphs once their ribbon scan
+    and anterior form are built.
     """
     compiled, source, target, c_idx = _pair(graph, x, y, given)
-    open_colliders = _mask(c_idx) | compiled.ancestors(c_idx)
+    gate = _mask(c_idx)
     scope = compiled.anterior_scope((source, target, *c_idx)) if compiled.anterior else -1
-
-    def passes(v: int, head_in: bool, head_out: bool) -> bool:
-        if not scope >> v & 1:
-            return False
-        return bool(open_colliders >> v & 1) if head_in and head_out else v not in c_idx
-
-    return next(_admissible_paths(compiled, source, target, passes), None)
+    return next(_admissible_paths(compiled, source, target, (gate | compiled.ancestors(c_idx)) & scope, ~gate & scope), None)
 
 
 def combine_m_connecting(

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _fold, _label_set, _mask, _require_cap
 from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
@@ -89,14 +89,14 @@ def find_primitive_inducing_paths(
 
     The first ``limit`` paths (all of them when None) of the depth-first
     search that also finds m-connecting witnesses, in deterministic order,
-    with inner nodes confined to ``_inducing_live``'s arc components: they
+    every inner node a collider in ``_inducing_live``'s arc components: they
     hold every inner node of every such path, so none is lost.
     """
     compiled, source, target, _ = _pair(graph, x, y)
     if limit is not None and limit < 1:
         raise GraphError(f"limit must be at least 1, got {limit}")
-    passes = _colliders_in(_inducing_live(compiled, source, target))
-    return list(itertools.islice(_admissible_paths(compiled, source, target, passes), limit))
+    live = _inducing_live(compiled, source, target)
+    return list(itertools.islice(_admissible_paths(compiled, source, target, live, 0), limit))
 
 
 def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
@@ -120,11 +120,6 @@ def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
     return live
 
 
-def _colliders_in(live: int) -> Callable[[int, bool, bool], bool]:
-    """``_admissible_paths``' test for colliders in the mask ``live``."""
-    return lambda v, head_in, head_out: head_in and head_out and bool(live >> v & 1)
-
-
 def _require_ribbonless(graph: MixedGraph, what: str) -> None:
     if not graph.ribbonless:
         raise GraphError(f"{what} requires a ribbonless graph")
@@ -146,7 +141,7 @@ def _violations(graph: MixedGraph) -> Iterator[tuple[str, str, Path]]:
             y = low.bit_length() - 1
             if not (live := _inducing_live(compiled, x, y)):
                 continue
-            path = next(_admissible_paths(compiled, x, y, _colliders_in(live)), None)
+            path = next(_admissible_paths(compiled, x, y, live, 0), None)
             if path is None:
                 raise RuntimeError(f"no inducing path found in the arc components of {labels[x]}, {labels[y]}")
             yield labels[x], labels[y], path

@@ -7,7 +7,7 @@ and repeating an edge line creates a parallel edge. A label is neither
 ``node`` nor an edge operator and holds no ``,``, ``{``, ``}`` or ``|``,
 which write node sets and statements (``{a,b} _||_ {d} | {c}``).
 Serialization is canonical (sorted), so output is byte-stable and parses
-back to an equal graph.
+back to an equal graph; it refuses a label the parser would refuse.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from .graph import Edge, EdgeKind, GraphError, Mark, MixedGraph, _edge_from_spec
 
 _EDGE_OPS = ("--", "->", "<->")
-_SET_SYNTAX = frozenset(",{}|")
+_LABEL = re.compile(r"[^\s#,{}|]+")
+
+
+def _is_label(label: str) -> bool:
+    """Whether ``label`` parses back: one token, no ``#`` or set syntax, no keyword or operator."""
+    return label not in _EDGE_OPS and label != "node" and _LABEL.fullmatch(label) is not None
 
 
 class ParseError(GraphError):
@@ -48,7 +53,7 @@ def parse_graph(text: str, allow_loops: bool = False) -> GraphDocument:
     edge_specs: list[tuple[str, str, str]] = []
 
     def declare(label: str, line_no: int, line: str, k: int) -> None:
-        if label in _EDGE_OPS or label == "node" or not _SET_SYNTAX.isdisjoint(label):
+        if not _is_label(label):
             raise ParseError(
                 f"{label!r} cannot be used as a node label", line_no, _column(line, k)
             )
@@ -105,6 +110,10 @@ def _edge_line(e: Edge) -> str:
 
 
 def serialize_graph(graph: MixedGraph) -> str:
+    """The canonical text of ``graph``; refuses the smallest label that would not parse back."""
+    bad = min((n for n in graph.nodes if not _is_label(n)), default=None)
+    if bad is not None:
+        raise GraphError(f"{bad!r} cannot be written as a node label")
     lines = [f"node {n}" for n in graph.node_list()]
     lines.extend(_edge_line(e) for e in sorted(graph.edges, key=_edge_sort_key))
     return "\n".join(lines) + "\n" if lines else ""

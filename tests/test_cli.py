@@ -153,6 +153,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "axiom check limit exceeded: 13 nodes > 12" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["model", "fig3", "--limit", "-5"], "model enumeration limit must be at least 0, got -5"),
+        (["closure", "fig3", "--limit", "-5"], "closure limit must be at least 0, got -5"),
+        (["axioms", "fig3", "--limit", "-5"], "model enumeration limit must be at least 0, got -5"),
+        (["equiv", "fig3", "fig3", "--limit", "-5"], "model enumeration limit must be at least 0, got -5"),
+        (["gen", "--nodes", "3-x"], "bad node range '3-x'"),
+        (["gen", "--nodes", "x"], "bad node range 'x'"),
+    ], ids=["model", "closure", "axioms", "equiv", "gen range", "gen one size"])
+    def test_bad_numbers_name_what_is_wrong(self, capsys, argv, message):
+        # A negative cap is no size problem ("4 nodes > -5"), and a node
+        # range that does not parse is named as such, not as int()'s text.
+        argv = [figure_path(a) if a == "fig3" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestAnterior:
     def test_fig2a_document_matches_fig2b(self, capsys):

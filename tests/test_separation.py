@@ -54,16 +54,16 @@ def members(mask):
 
 def mask_lane_separated(g, a, b, c, opens_ancestors=True):
     """m_separated through ``_reach``'s visited-mask lane on g's own compiled
-    form, whatever g is. With ``opens_ancestors`` false the lane searches a
-    copy with no ancestors, so it opens the colliders in C alone, which is
-    wrong for simple paths."""
+    form, whatever g is, colliders open in C | an(C) and other inner nodes
+    kept outside C. With ``opens_ancestors`` false the lane opens the
+    colliders in C alone, which is wrong for simple paths."""
     compiled = g.compiled
-    if not opens_ancestors:
-        compiled = copy.copy(compiled)
-        compiled.ancestors = lambda targets: 0
     index = compiled.index
+    given = {index[n] for n in c}
+    gate = _mask(given)
     targets = {index[n] for n in b}
-    found = _reach(compiled, [index[n] for n in a], {index[n] for n in c}, targets)
+    colliders = gate | compiled.ancestors(given) if opens_ancestors else gate
+    found = _reach(compiled, [index[n] for n in a], colliders, ~gate, targets)
     return members(found).isdisjoint(targets)
 
 
@@ -488,7 +488,7 @@ def reach_row_mismatches(graphs):
         for c in range(1 << n):
             given = {v for v in range(n) if c >> v & 1}
             for x in range(n):
-                expected = set() if x in given else members(_reach(form, (x,), given)) - given - {x}
+                expected = set() if x in given else members(_reach(form, (x,), c | form.ancestors(given), ~c)) - given - {x}
                 if {y for y in range(n) if table[x][y] >> c & 1} != expected:
                     yield g, c, x
 
@@ -576,8 +576,8 @@ class TestReachRows:
     # back. So "every collider open" is planted in both lanes, and "an(C)
     # ignored" only in the visited-mask lane, since only its paths, which
     # cannot come back, need an(C). The ribbon rows are ``_reach`` calls, so
-    # the fault goes into the ancestors that lane reads, and the path oracle
-    # catches it there.
+    # the fault goes into the collider mask that lane is handed, and the
+    # path oracle catches it there.
     @pytest.mark.parametrize("fault, lanes", [
         ("every collider open", {True, False}),
         ("an(C) ignored", {False}),
@@ -585,11 +585,9 @@ class TestReachRows:
     def test_planted_fault_is_caught(self, corpus, ribboned, monkeypatch, fault, lanes):
         real_reach, real_gates = independence._reach, independence._gate_patterns
 
-        def planted_reach(form, sources, c, stop=()):
-            faulty = copy.copy(form)
-            everything = (1 << len(form.labels)) - 1
-            faulty.ancestors = lambda targets: everything if fault == "every collider open" else 0
-            return real_reach(faulty, sources, c, stop)
+        def planted_reach(form, sources, colliders, through, stop=()):
+            colliders = -1 if fault == "every collider open" else colliders & ~through
+            return real_reach(form, sources, colliders, through, stop)
 
         def every_collider_open(n):
             # after an arrowhead, the edges with one pass every C
@@ -697,7 +695,7 @@ class TestReachRows:
         before = [getattr(_search_form(g), "_kept_reach_table", None) for g in graphs]
         real_gates = independence._gate_patterns
         monkeypatch.setattr(independence, "_gate_patterns", lambda n: tuple((-1, out) for _, out in real_gates(n)))
-        monkeypatch.setattr(independence, "_reach", lambda form, sources, c, stop=(): 0)
+        monkeypatch.setattr(independence, "_reach", lambda form, sources, colliders, through, stop=(): 0)
         for g in graphs:
             independence._reach_table(g)
         assert all(getattr(_search_form(g), "_kept_reach_table", None) is kept for g, kept in zip(graphs, before))
@@ -924,9 +922,17 @@ class TestFrontierWalk:
         assert min(outcomes[True], outcomes[False]) > 400, outcomes
 
     def test_step_table_ignoring_marks_is_caught(self, corpus, monkeypatch):
-        real = CompiledGraph.steps.func
-        monkeypatch.setattr(CompiledGraph, "steps", property(lambda form: marks_at_w_ignored(real(form))))
-        assert next(frontier_mismatches(corpus, collections.Counter()), None) is not None
+        # The table is built with the form, so the corpus is built afresh
+        # with the fault planted in every form, anterior forms included.
+        real = CompiledGraph.__init__
+
+        def planted(form, *args):
+            real(form, *args)
+            form.steps = marks_at_w_ignored(form.steps)
+
+        monkeypatch.setattr(CompiledGraph, "__init__", planted)
+        fresh = [MixedGraph(g.nodes, g.edges) for g in corpus]
+        assert next(frontier_mismatches(fresh, collections.Counter()), None) is not None
 
 
 class TestTwoSidedWalk:
@@ -1067,12 +1073,8 @@ def unpruned_witness(g, x, y, c):
     compiled = g.compiled
     index = compiled.index
     c_idx = {index[n] for n in c}
-    open_colliders = sum(1 << v for v in c_idx) | compiled.ancestors(c_idx)
-
-    def passes(v, head_in, head_out):
-        return bool(open_colliders >> v & 1) if head_in and head_out else v not in c_idx
-
-    return next(_admissible_paths(compiled, index[x], index[y], passes), None)
+    gate = _mask(c_idx)
+    return next(_admissible_paths(compiled, index[x], index[y], gate | compiled.ancestors(c_idx), ~gate), None)
 
 
 def confinement_queries(g, rng):
@@ -1102,7 +1104,8 @@ def check_confinement(graphs):
         for a, b, c in confinement_queries(g, rng):
             sources, targets, given = [index[n] for n in a], {index[n] for n in b}, {index[n] for n in c}
             answer = not _joined(form, sources, sorted(targets), given)
-            if (answer != members(_reach(form, sources, given)).isdisjoint(targets)
+            gate = _mask(given)
+            if (answer != members(_reach(form, sources, gate | form.ancestors(given), ~gate)).isdisjoint(targets)
                     or answer != reference_reach(form, sources, given).isdisjoint(targets)
                     or answer != oracle_m_separated(g, a, b, c)):
                 mismatches.append((g, a, b, c))
@@ -1230,7 +1233,7 @@ class TestAnteriorConfinement:
         index = g.compiled.index
         a, c = index["a"], index["c"]
         assert not oracle_m_separated(g, ["a"], ["c"], [])
-        assert c in members(_reach(g.compiled, [a], set(), {c}))
+        assert c in members(_reach(g.compiled, [a], 0, -1, {c}))
         # Planted fault: the visited-mask lane keeps to the anterior sets
         # its form's masks give, as the walk lane does.
         scope = g.compiled.anterior_masks[a] | g.compiled.anterior_masks[c]
@@ -1238,20 +1241,27 @@ class TestAnteriorConfinement:
         confined.adjacency = tuple(
             tuple(entry for entry in row if scope >> entry[0] & 1) for row in g.compiled.adjacency
         )
-        assert c not in members(_reach(confined, [a], set(), {c}))
+        assert c not in members(_reach(confined, [a], 0, -1, {c}))
 
     def test_diamond_chain_witness_is_pruned(self, monkeypatch):
         """A count guard, not a clock: unpruned, the search at k = 16 tries
-        every one of the 2**16 dead-end paths through the diamonds."""
+        every one of the 2**16 dead-end paths through the diamonds, reading
+        a node's adjacency row each time it extends a path."""
         g = diamond_chain(16)
-        calls = []
+        reads = []
 
-        def counted(compiled, source, target, passes):
-            return _admissible_paths(compiled, source, target, lambda *args: calls.append(args) or passes(*args))
+        class CountedRows(tuple):
+            def __getitem__(self, v):
+                reads.append(v)
+                return tuple.__getitem__(self, v)
 
-        monkeypatch.setattr(separation, "_admissible_paths", counted)
+        compiled = g.compiled
+        compiled.anterior_masks  # built before the rows are counted
+        counted = copy.copy(compiled)
+        counted.adjacency = CountedRows(compiled.adjacency)
+        monkeypatch.setitem(g.__dict__, "compiled", counted)
         assert find_m_connecting_path(g, "x", "z", []).nodes == ("x", "p", "z")
-        assert len(calls) <= len(g.nodes)
+        assert 0 < len(reads) <= len(g.nodes)
 
 
 class TestCombineMConnecting:

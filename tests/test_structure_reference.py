@@ -121,13 +121,8 @@ def reference_inducing_paths(graph, x, y):
     """The depth-first search for primitive inducing paths, pruned only by
     the definition: an inner node must be a collider in an({x, y})."""
     compiled = graph.compiled
-    allowed = graph.ancestors([x, y])
-    labels = compiled.labels
-
-    def passes(v, head_in, head_out):
-        return head_in and head_out and labels[v] in allowed
-
-    return _admissible_paths(compiled, compiled.index[x], compiled.index[y], passes)
+    allowed = sum(1 << compiled.index[v] for v in graph.ancestors([x, y]))
+    return _admissible_paths(compiled, compiled.index[x], compiled.index[y], allowed, 0)
 
 
 CLASS_FLAGS = (

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from lmgraphs import ParseError, build_graph, parse_graph, serialize_graph, to_dot
+from lmgraphs import GraphError, ParseError, build_graph, parse_graph, serialize_graph, to_dot
 from strategies import lmgs
 
 
@@ -96,6 +96,28 @@ def test_set_syntax_in_labels_rejected(text, line, column):
         parse_graph(text)
     assert (info.value.line, info.value.column) == (line, column)
     assert "a,b" in build_graph(["a,b", "{c}"], [("a,b", "->", "{c}")]).nodes
+
+
+@pytest.mark.parametrize("labels, named", [
+    (["a b", "c"], "a b"),
+    (["x#y", "z"], "x#y"),
+    (["node", "n"], "node"),
+    (["->", "--", "a"], "--"),
+    (["b", "{c}", "a,b"], "a,b"),
+], ids=["space", "comment", "keyword", "operators", "set syntax"])
+def test_serialize_refuses_labels_that_do_not_parse_back(labels, named):
+    # build_graph takes any non-empty label; the text format cannot write
+    # these back, so serializing names the smallest instead of writing a
+    # document that parse_graph refuses or reads as another graph.
+    g = build_graph(labels, [(labels[0], "->", labels[1])])
+    with pytest.raises(GraphError) as info:
+        serialize_graph(g)
+    assert str(info.value) == f"{named!r} cannot be written as a node label"
+
+
+def test_odd_labels_that_parse_back_are_written():
+    g = build_graph(["<-", "a.b", "x_1"], [("<-", "<->", "a.b"), ("x_1", "--", "<-")])
+    assert parse_graph(serialize_graph(g)).graph == g
 
 
 def test_token_count_errors():

@@ -110,7 +110,8 @@ MUTANTS = (
         "src/lmgraphs/separation.py",
         "            if not (pass_head if head_v else pass_tail) or mask >> w & 1:\n",
         "            if not (pass_head if head_v else pass_tail) or mask >> w & 1 or (\n"
-        "                    stop and not compiled.anterior_scope((*sources, *stop, *c)) >> w & 1):\n",
+        "                    stop and not compiled.anterior_scope((*sources, *stop, *(v for v in range(len(adjacency))"
+        " if (colliders & ~through) >> v & 1))) >> w & 1):\n",
         ("tests/test_separation.py::TestAnteriorConfinement::test_visited_mask_lane_is_not_confined",),
     ),
     Mutant(
@@ -331,6 +332,44 @@ MUTANTS = (
         'return GraphError(f"unknown node {max(set(labels) - known)!r}")',
         ("tests/test_independence.py::TestLabelRefusal::test_contains_names_the_smallest_unknown_label",
          "tests/test_separation.py::TestLabelRefusal::test_one_node_path_refuses_an_unknown_c"),
+    ),
+    # The m-connecting rule as two masks: colliders open in C | an(C), other
+    # inner nodes kept outside C, built by each caller of the two searches
+    # that follow simple paths.
+    Mutant(
+        "_joined: the visited-mask lane lets C pass",
+        "src/lmgraphs/separation.py",
+        "~gate, targets)",
+        "-1, targets)",
+        ("tests/test_separation.py::TestAugmentedCriterion::test_smallest_counterexample",
+         "tests/test_separation.py::TestEngineOracleAgreement::test_seeded_corpus",
+         "tests/test_acceptance.py::test_c12_engine_oracle_agreement"),
+    ),
+    Mutant(
+        "find_m_connecting_path: an(C) dropped from the colliders",
+        "src/lmgraphs/separation.py",
+        "(gate | compiled.ancestors(c_idx)) & scope",
+        "gate & scope",
+        ("tests/test_separation.py::TestWitnesses::test_fig3_witness_path",
+         "tests/test_separation.py::TestCGatedWalk::test_walk_bounces_off_c",
+         "tests/test_separation.py::TestAnteriorConfinement::test_witnesses_match_unpruned_search",
+         "tests/test_acceptance.py::test_c01_fig3_separation"),
+    ),
+    Mutant(
+        "_reach_table: an(C) dropped from the ribbon rows' colliders",
+        "src/lmgraphs/independence.py",
+        "colliders = c | form.ancestors(_bits(c))",
+        "colliders = c",
+        ("tests/test_separation.py::TestReachRows::test_rows_equal_one_reach_per_query",
+         "tests/test_separation.py::TestReachRows::test_ribbon_rows_match_oracle"),
+    ),
+    Mutant(
+        "_violations: non-colliders pass in the arc components",
+        "src/lmgraphs/structure.py",
+        "x, y, live, 0)",
+        "x, y, live, live)",
+        ("tests/test_structure_reference.py::test_violations_match_reference",
+         "tests/test_structure_reference.py::test_maximalize_matches_reference"),
     ),
 )
 
