@@ -172,7 +172,9 @@ class IndependenceModel:
     def contains(
         self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()
     ) -> bool:
-        """Membership, empty sides counting as present; foreign labels are refused."""
+        """Membership, empty sides counting as present; foreign labels and strings are refused."""
+        if isinstance(a, str) or isinstance(b, str) or isinstance(c, str):
+            raise GraphError("A, B and C must be collections of node labels, not strings")
         fa, fb, fc = frozenset(a), frozenset(b), frozenset(c)
         if not self.ground_set.issuperset(fa | fb | fc):
             raise _unknown_node(fa | fb | fc, self.ground_set)

@@ -25,32 +25,22 @@ DEFAULT_ORACLE_LIMIT = 8
 def _query_sets(
     graph: MixedGraph, a: Iterable[str], b: Iterable[str], c: Iterable[str]
 ) -> tuple[set[str], set[str], set[str]]:
-    """A, B and C as sets, once A and B are non-empty, the three are pairwise
-    disjoint, the graph is loopless and every label is a node."""
+    """A, B and C as sets, once none is a string, A and B are non-empty, the
+    three are pairwise disjoint, the graph is loopless and every label is a
+    node: the one check of every separation, witness and inducing-path query."""
+    if isinstance(a, str) or isinstance(b, str) or isinstance(c, str):
+        raise GraphError("A, B and C must be collections of node labels, not strings")
     a, b, c = set(a), set(b), set(c)
     if not a or not b:
         raise GraphError("separation queries need non-empty A and B")
     if not (a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)):
-        raise GraphError("A, B, C must be pairwise disjoint")
+        if not a.isdisjoint(b):
+            raise GraphError(f"A and B must be disjoint (a pair's endpoints must differ); both hold {min(a & b)!r}")
+        raise GraphError(f"the conditioning set may not hold a node of A or B; it holds {min(c & (a | b))!r}")
     graph.require_loopless()
     if not (a <= graph.nodes and b <= graph.nodes and c <= graph.nodes):
         graph._require(*a, *b, *c)  # names the smallest unknown label
     return a, b, c
-
-
-def _pair(
-    graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
-) -> tuple[CompiledGraph, int, int, set[int]]:
-    """The compiled graph and the indices of x, y and C, once the graph is
-    loopless, every label is a node, x and y differ and C holds neither."""
-    c = set(given)
-    graph.require_loopless()
-    source, target, *c_idx = graph._require(x, y, *c)
-    if x == y:
-        raise GraphError("endpoints must differ")
-    if x in c or y in c:
-        raise GraphError("query endpoints may not appear in the conditioning set")
-    return graph.compiled, source, target, set(c_idx)
 
 
 def _step(steps: Sequence[tuple[int, int, int, int]], fresh_head: int, fresh_tail: int, gate: int) -> tuple[int, int]:
@@ -207,9 +197,8 @@ def m_connecting_path_exists(
     graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
 ) -> bool:
     """Reachability engine: is there an m-connecting path from x to y given C?
-    One search from both ends that stops where they meet (``_joined``)."""
-    _, source, target, c = _pair(graph, x, y, given)
-    return _joined(_search_form(graph), [source], [target], c)
+    ``m_separated`` on A = {x} and B = {y}, with its one check and search."""
+    return not m_separated(graph, [x], [y], given)
 
 
 def m_separated(graph: MixedGraph, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> bool:
@@ -233,6 +222,8 @@ def is_m_connecting_path(
     """Literal per-node check of the m-connecting predicate for one path."""
     if not path_in_graph(graph, path):
         raise GraphError("path does not belong to this graph")
+    if isinstance(given, str):
+        raise GraphError("C must be a collection of node labels, not a string")
     c = frozenset(given)
     open_colliders = c | graph.ancestors(c)  # refuses an unknown C on any path
     if path.is_degenerate():
@@ -334,22 +325,25 @@ def _admissible_paths(
 def find_m_connecting_path(
     graph: MixedGraph, x: str, y: str, given: Iterable[str] = ()
 ) -> Optional[Path]:
-    """Return a concrete m-connecting witness path, or None.
+    """Return a concrete m-connecting witness path, or None; x, y and C pass
+    ``m_separated``'s check as A = {x} and B = {y}.
 
     The first path of the depth-first search in ``_admissible_paths``, which
     prunes a partial path as soon as an inner collider leaves C | an(C) or
-    another inner node enters C. Deterministic: edges are explored in ``MixedGraph.edges_at``
-    order, so the same witness is returned every run. The search runs on the
-    graph itself, whatever its class, since a path of the anterior graph
-    need not be a path here. On an anterior graph both masks are also cut
-    to ant({x, y} | C), where no m-connecting path goes (see ``_joined``),
-    so the witness is the same; on any other graph a path may leave that
-    set (x -> v -- w <- y), and nothing is cut. Exponential in the worst
-    case; ``m_connecting_path_exists`` answers the yes/no question in linear
-    time on anterior graphs, and on ribbonless graphs once their ribbon scan
-    and anterior form are built.
+    another inner node enters C. Deterministic: edges are explored in
+    ``MixedGraph.edges_at`` order, so the same witness is returned every
+    run. The search runs on the graph itself, whatever its class, since a
+    path of the anterior graph need not be a path here. On an anterior graph
+    both masks are also cut to ant({x, y} | C), where no m-connecting path
+    goes (see ``_joined``), so the witness is the same; on any other graph a
+    path may leave that set (x -> v -- w <- y), and nothing is cut.
+    Exponential in the worst case; ``m_connecting_path_exists`` answers the
+    yes/no question in linear time on anterior graphs, and on ribbonless
+    graphs once their ribbon scan and anterior form are built.
     """
-    compiled, source, target, c_idx = _pair(graph, x, y, given)
+    _, _, c = _query_sets(graph, [x], [y], given)
+    source, target, *c_idx = graph._require(x, y, *c)
+    compiled = graph.compiled
     gate = _mask(c_idx)
     scope = compiled.anterior_scope((source, target, *c_idx)) if compiled.anterior else -1
     return next(_admissible_paths(compiled, source, target, (gate | compiled.ancestors(c_idx)) & scope, ~gate & scope), None)

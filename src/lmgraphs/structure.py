@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .graph import CompiledGraph, Edge, GraphError, Mark, MixedGraph, Path, _arc_flood, _fold, _label_set, _mask, _require_cap
-from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _pair, m_separated
+from .separation import DEFAULT_ORACLE_LIMIT, _admissible_paths, _query_sets, m_separated
 
 
 class RibbonFlavor(Enum):
@@ -92,11 +92,12 @@ def find_primitive_inducing_paths(
     every inner node a collider in ``_inducing_live``'s arc components: they
     hold every inner node of every such path, so none is lost.
     """
-    compiled, source, target, _ = _pair(graph, x, y)
+    _query_sets(graph, [x], [y], ())
+    source, target = graph._require(x, y)
     if limit is not None and limit < 1:
         raise GraphError(f"limit must be at least 1, got {limit}")
-    live = _inducing_live(compiled, source, target)
-    return list(itertools.islice(_admissible_paths(compiled, source, target, live, 0), limit))
+    live = _inducing_live(graph.compiled, source, target)
+    return list(itertools.islice(_admissible_paths(graph.compiled, source, target, live, 0), limit))
 
 
 def _inducing_live(compiled: CompiledGraph, x: int, y: int) -> int:
@@ -191,7 +192,9 @@ def pairwise_separator(graph: MixedGraph, x: str, y: str) -> frozenset[str]:
     fail to separate (fig4a's h and j), so such a graph is refused.
     """
     _require_ribbonless(graph, "pairwise separator")
-    compiled, i, j, _ = _pair(graph, x, y)
+    _query_sets(graph, [x], [y], ())
+    i, j = graph._require(x, y)
+    compiled = graph.compiled
     head_head, head_tail, tail_head, tail_tail = compiled.steps[i]
     if (head_head | head_tail | tail_head | tail_tail) >> j & 1:
         raise GraphError(f"{x!r} and {y!r} are adjacent")

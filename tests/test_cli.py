@@ -96,6 +96,25 @@ class TestMsep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, graph, a, b, c, fragment", [
+        pytest.param(command, *case, id=f"{command}-{name}")
+        for command in ("msep", "inducing-paths")
+        for name, case in {
+            "same-ends": ("fig3", "i", "i", None, "both hold 'i'"),
+            "end-in-c": ("fig3", "j", "i", "l,j,i", "it holds 'i'"),
+            "unknown": ("fig3", "i", "zz", None, "unknown node 'zz'"),
+            "loop": ("looped", "a", "b", None, "loop edge at 'a'"),
+        }.items()
+        if case[3] is None or command == "msep"  # inducing-paths takes no C
+    ])
+    def test_bad_pairs_exit_two(self, capsys, tmp_path, command, graph, a, b, c, fragment):
+        path = tmp_path / "looped.lmg"
+        path.write_text("a -> a\na -> b\n")
+        argv = [command, str(path) if graph == "looped" else figure_path(graph), "--a", a, "--b", b]
+        code, out, err = run(capsys, *argv, *(["--c", c] if c else []))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and fragment in err
+
     def test_internal_error_exits_two_not_one(self, capsys, monkeypatch):
         import lmgraphs.cli as cli
 

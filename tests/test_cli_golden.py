@@ -6,7 +6,12 @@ structure commands `lmg anterior`, `lmg anteriors --node v` for every node
 v, `lmg ribbons`, `lmg classify`, `lmg maximal`, `lmg maximalize` and
 `lmg pairwise` run on each fixture in text and JSON, and
 `lmg inducing-paths` on every ordered pair of distinct nodes of each
-fixture. `lmg gen` runs for each constraint on three seeds. Each run's
+fixture. `lmg gen` runs for each constraint on three seeds. `lmg msep`
+runs on every ordered pair of distinct nodes x, y of each fixture, given
+nothing in text and given the smallest other node in JSON, and once per
+fixture on its two smallest nodes against its largest in JSON, which scans
+the pairs for the witness. `lmg dot` and `lmg validate` run on each fixture
+in text and JSON. Each run's
 exit code, stderr and the SHA-256 of its stdout must equal the record in
 ``cli_golden.json``. The digests keep the record small: the model listings
 alone run to hundreds of kilobytes.
@@ -72,6 +77,18 @@ def cases() -> list[list[str]]:
                 ["gen", "--count", "20", "--nodes", "3-6", "--constraint", constraint,
                  "--seed", str(seed)]
             )
+    for name in FIXTURES:
+        path = f"fixtures/{name}.lmg"
+        nodes = sorted(_nodes(path))
+        pairs = [(x, y) for x in nodes for y in nodes if x != y]
+        argvs += [["msep", path, "--a", x, "--b", y] for x, y in pairs]
+        argvs += [
+            ["msep", path, "--a", x, "--b", y, "--c", min(set(nodes) - {x, y}), "--format", "json"]
+            for x, y in pairs
+        ]
+        argvs.append(["msep", path, "--a", ",".join(nodes[:2]), "--b", nodes[-1], "--format", "json"])
+        for command in ("dot", "validate"):
+            argvs += [[command, path], [command, path, "--format", "json"]]
     return argvs
 
 

@@ -6,6 +6,7 @@ import itertools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -211,6 +212,72 @@ class TestLabelRefusal:
             for nodes in (["i"], ["i", "h", "j"]):
                 with pytest.raises(GraphError, match=f"^unknown node '{label}'$"):
                     is_m_connecting_path(g, make_path(g, nodes), given)
+
+
+# Every pair query, and whether it takes a conditioning set C.
+PAIR_QUERIES = [
+    (m_connecting_path_exists, True),
+    (find_m_connecting_path, True),
+    (structure.find_primitive_inducing_paths, False),
+    (structure.pairwise_separator, False),
+]
+
+LOOPED = build_graph(["a", "b"], [("a", "->", "a"), ("a", "->", "b")])
+
+PAIR_REFUSALS = {  # graph (fig3 or LOOPED), x, y, C (None: no C given), the whole message
+    "same-ends": ("fig3", "i", "i", None, "A and B must be disjoint (a pair's endpoints must differ); both hold 'i'"),
+    "end-in-c": ("fig3", "j", "i", ["l", "j", "i"], "the conditioning set may not hold a node of A or B; it holds 'i'"),
+    "unknown": ("fig3", "i", "zz", None, "unknown node 'zz'"),
+    "loop": ("looped", "a", "b", None, "graph contains a loop at 'a'"),
+}
+
+
+class TestPairRefusal:
+    """A pair query is the set query on A = {x} and B = {y} and passes its
+    one check, ``_query_sets``; a refusal names the smallest offending label
+    whatever order a set iterates in (CI runs this class under several hash
+    seeds)."""
+
+    @pytest.mark.parametrize("query, graph, x, y, c, message", [
+        pytest.param(query, *refusal, id=f"{query.__name__}-{case}")
+        for query, takes_c in PAIR_QUERIES for case, refusal in PAIR_REFUSALS.items()
+        if takes_c or refusal[3] is None
+    ])
+    def test_pair_queries_refuse(self, figures, query, graph, x, y, c, message):
+        g = LOOPED if graph == "looped" else figures[graph]
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            query(g, x, y, *([c] if c is not None else []))
+
+    def test_set_queries_name_the_smallest_shared_label(self, figures):
+        g = figures["fig3"]
+        for query in (m_separated, oracle_m_separated):
+            with pytest.raises(GraphError, match="both hold 'h'$"):
+                query(g, ["k", "j", "h"], ["l", "j", "h"])
+            with pytest.raises(GraphError, match="it holds 'h'$"):
+                query(g, ["k", "i", "h"], ["l", "j"], ["p", "k", "j", "h", "l"])
+
+
+STRINGY = build_graph(["a", "b", "ab", "z"], [("ab", "--", "z")])
+
+SETS_NOT_STRINGS = "A, B and C must be collections of node labels, not strings"
+
+STRING_QUERIES = [  # a string where a set of labels belongs, and the whole message
+    pytest.param(lambda: m_separated(STRINGY, "ab", ["z"]), SETS_NOT_STRINGS, id="m_separated"),
+    pytest.param(lambda: IndependenceModel(["a", "b", "ab", "z"], [IndependenceStatement.of(["a", "b"], ["z"])],
+                                           symmetry_closed=True).contains("ab", ["z"]), SETS_NOT_STRINGS, id="contains"),
+    pytest.param(lambda: oracle_m_separated(STRINGY, ["ab"], "z"), SETS_NOT_STRINGS, id="oracle_m_separated"),
+    pytest.param(lambda: m_connecting_path_exists(STRINGY, "a", "b", "ab"), SETS_NOT_STRINGS, id="pair-c"),
+    pytest.param(lambda: is_m_connecting_path(STRINGY, make_path(STRINGY, ["ab", "z"]), "ab"),
+                 "C must be a collection of node labels, not a string", id="is_m_connecting_path"),
+]
+
+
+@pytest.mark.parametrize("call, message", STRING_QUERIES)
+def test_a_string_is_not_a_node_set(call, message):
+    # A string iterates as its characters: read as {"a", "b"}, "ab" would be
+    # found separated from z, although the line ab -- z joins them.
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call()
 
 
 class TestWitnesses:

@@ -333,6 +333,24 @@ MUTANTS = (
         ("tests/test_independence.py::TestLabelRefusal::test_contains_names_the_smallest_unknown_label",
          "tests/test_separation.py::TestLabelRefusal::test_one_node_path_refuses_an_unknown_c"),
     ),
+    # The one check of every separation, witness and inducing-path query.
+    Mutant(
+        "_query_sets: C may hold an endpoint",
+        "src/lmgraphs/separation.py",
+        "a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)",
+        "a.isdisjoint(b)",
+        ("tests/test_separation.py::TestEngineOnFigures::test_preconditions",
+         "tests/test_separation.py::TestPairRefusal::test_pair_queries_refuse[find_m_connecting_path-end-in-c]",
+         "tests/test_separation.py::TestPairRefusal::test_set_queries_name_the_smallest_shared_label"),
+    ),
+    Mutant(
+        "_query_sets: strings pass",
+        "src/lmgraphs/separation.py",
+        "    if isinstance(a, str) or isinstance(b, str) or isinstance(c, str):\n",
+        "    if False:\n",
+        ("tests/test_separation.py::test_a_string_is_not_a_node_set[m_separated]",
+         "tests/test_separation.py::test_a_string_is_not_a_node_set[oracle_m_separated]"),
+    ),
     # The m-connecting rule as two masks: colliders open in C | an(C), other
     # inner nodes kept outside C, built by each caller of the two searches
     # that follow simple paths.
